@@ -618,14 +618,7 @@ func BenchmarkCPUCountingStrategies(b *testing.B) {
 		apriori.NewBorgelt(db),
 		apriori.NewBodon(db),
 		apriori.NewGoethals(db),
-		apriori.NewHashTree(db),
-		apriori.NewParallelBitset(db, bitset.PopcountHardware, 0),
 	}
-	cd, err := apriori.NewCountDistribution(db, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	strategies = append(strategies, cd)
 	for _, c := range strategies {
 		b.Run(c.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

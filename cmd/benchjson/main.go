@@ -16,6 +16,13 @@
 // ratios (current / previous), so a regression shows up as a ratio
 // above 1 in the committed diff.
 //
+// Every report records what produced it: the commit given by -commit,
+// the Go version of the toolchain running benchjson (scripts/bench.sh
+// runs it with the toolchain that ran the benchmarks), and GOMAXPROCS,
+// read from the -N suffix go test appends to benchmark names (no
+// suffix means 1). A delta names the commits of both snapshots, so
+// -prev requires -commit.
+//
 // scripts/bench.sh pipes the repo's benchmark suite through it to emit
 // the committed BENCH_<date>.json performance snapshots.
 package main
@@ -28,6 +35,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -89,6 +97,9 @@ type delta struct {
 
 type report struct {
 	Date       string      `json:"date"`
+	Commit     string      `json:"commit,omitempty"`
+	GoVersion  string      `json:"go_version,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	GoOS       string      `json:"goos,omitempty"`
 	GoArch     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
@@ -98,6 +109,7 @@ type report struct {
 	MaxSpeedup float64     `json:"max_speedup_vs_complete,omitempty"`
 	Scaling    []scaling   `json:"scaling,omitempty"`
 	Prev       string      `json:"prev,omitempty"`
+	PrevCommit string      `json:"prev_commit,omitempty"`
 	Deltas     []delta     `json:"delta,omitempty"`
 }
 
@@ -107,8 +119,11 @@ const monotoneTolerance = 1.10
 
 // benchLine matches e.g.
 //
-//	BenchmarkFoo/shape=chess/variant=prefix-8  37  31705947 ns/op  12 B/op  0 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
+//	BenchmarkFoo/shape=chess/variant=complete-8  37  31705947 ns/op  12 B/op  0 allocs/op
+//
+// capturing the name, the GOMAXPROCS suffix, iterations, ns/op and the
+// remaining metrics.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
 var (
 	mbRe      = regexp.MustCompile(`([\d.]+) MB/s`)
@@ -141,19 +156,27 @@ func parse(in io.Reader) (report, error) {
 		if m == nil {
 			continue
 		}
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		ns, _ := strconv.ParseFloat(m[3], 64)
+		procs := 1
+		if m[2] != "" {
+			procs, _ = strconv.Atoi(m[2])
+		}
+		if rep.GOMAXPROCS != 0 && procs != rep.GOMAXPROCS {
+			return rep, fmt.Errorf("benchmarks ran at GOMAXPROCS %d and %d; a snapshot records one", rep.GOMAXPROCS, procs)
+		}
+		rep.GOMAXPROCS = procs
+		iters, _ := strconv.ParseInt(m[3], 10, 64)
+		ns, _ := strconv.ParseFloat(m[4], 64)
 		b := benchmark{Name: m[1], Iterations: iters, NsPerOp: ns}
 		if ns > 0 {
 			b.OpsPerSec = 1e9 / ns
 		}
-		if mm := mbRe.FindStringSubmatch(m[4]); mm != nil {
+		if mm := mbRe.FindStringSubmatch(m[5]); mm != nil {
 			b.MBPerSec, _ = strconv.ParseFloat(mm[1], 64)
 		}
-		if mm := bytesRe.FindStringSubmatch(m[4]); mm != nil {
+		if mm := bytesRe.FindStringSubmatch(m[5]); mm != nil {
 			b.BytesPerOp, _ = strconv.ParseInt(mm[1], 10, 64)
 		}
-		if mm := allocsRe.FindStringSubmatch(m[4]); mm != nil {
+		if mm := allocsRe.FindStringSubmatch(m[5]); mm != nil {
 			b.AllocsPerOp, _ = strconv.ParseInt(mm[1], 10, 64)
 		}
 		rep.Benchmarks = append(rep.Benchmarks, b)
@@ -290,14 +313,20 @@ func computeDeltas(rep *report, prev *report) {
 	}
 }
 
-// run converts benchmark text on in into a JSON report on out. When
-// prevPath names a prior BENCH_*.json, a delta section is included.
-func run(in io.Reader, out io.Writer, prevPath string) error {
+// run converts benchmark text on in into a JSON report on out, stamped
+// with commit. When prevPath names a prior BENCH_*.json, a delta
+// section is included.
+func run(in io.Reader, out io.Writer, prevPath, commit string) error {
+	if prevPath != "" && commit == "" {
+		return fmt.Errorf("-prev needs -commit: a delta must name the commits of both snapshots")
+	}
 	rep, err := parse(in)
 	if err != nil {
 		return err
 	}
 	rep.Date = time.Now().UTC().Format("2006-01-02T15:04:05Z")
+	rep.Commit = commit
+	rep.GoVersion = runtime.Version()
 	base := baselines(&rep)
 	computeSpeedups(&rep, base)
 	computeScaling(&rep, base)
@@ -311,6 +340,10 @@ func run(in io.Reader, out io.Writer, prevPath string) error {
 			return fmt.Errorf("parse prev snapshot %s: %w", prevPath, err)
 		}
 		rep.Prev = prevPath
+		rep.PrevCommit = prev.Commit
+		if rep.PrevCommit == "" {
+			rep.PrevCommit = "unrecorded"
+		}
 		computeDeltas(&rep, prev)
 	}
 	enc := json.NewEncoder(out)
@@ -320,8 +353,9 @@ func run(in io.Reader, out io.Writer, prevPath string) error {
 
 func main() {
 	prev := flag.String("prev", "", "prior BENCH_*.json to diff against (adds a delta section)")
+	commit := flag.String("commit", "", "commit the benchmarks were built from (required with -prev)")
 	flag.Parse()
-	if err := run(os.Stdin, os.Stdout, *prev); err != nil {
+	if err := run(os.Stdin, os.Stdout, *prev, *commit); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}

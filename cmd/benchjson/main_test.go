@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -27,10 +28,13 @@ BenchmarkMinePipeline/shape=T40/workers=8-8         	     100	   4200000 ns/op	 
 PASS
 `
 
+// sampleCommit stamps the sample reports.
+const sampleCommit = "0123abcd"
+
 func runSample(t *testing.T, prevPath string) report {
 	t.Helper()
 	var out bytes.Buffer
-	if err := run(strings.NewReader(sample), &out, prevPath); err != nil {
+	if err := run(strings.NewReader(sample), &out, prevPath, sampleCommit); err != nil {
 		t.Fatal(err)
 	}
 	var rep report
@@ -111,7 +115,7 @@ func TestRunScalingSection(t *testing.T) {
 func TestRunScalingMonotoneTolerance(t *testing.T) {
 	flat := strings.ReplaceAll(sample, "5000000 ns/op", "4300000 ns/op")
 	var out bytes.Buffer
-	if err := run(strings.NewReader(flat), &out, ""); err != nil {
+	if err := run(strings.NewReader(flat), &out, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	var rep report
@@ -158,8 +162,77 @@ func TestRunPrevDelta(t *testing.T) {
 }
 
 func TestRunPrevMissingFile(t *testing.T) {
-	err := run(strings.NewReader(sample), &bytes.Buffer{}, filepath.Join(t.TempDir(), "nope.json"))
+	err := run(strings.NewReader(sample), &bytes.Buffer{}, filepath.Join(t.TempDir(), "nope.json"), sampleCommit)
 	if err == nil {
 		t.Fatal("missing -prev file did not error")
+	}
+}
+
+func TestRunStampsProvenance(t *testing.T) {
+	rep := runSample(t, "")
+	if rep.Commit != sampleCommit {
+		t.Errorf("commit = %q, want %q", rep.Commit, sampleCommit)
+	}
+	if rep.GoVersion != runtime.Version() {
+		t.Errorf("go_version = %q, want %q", rep.GoVersion, runtime.Version())
+	}
+	if rep.GOMAXPROCS != 8 {
+		t.Errorf("gomaxprocs = %d, want 8 from the -8 name suffix", rep.GOMAXPROCS)
+	}
+	// The suffix is part of no benchmark name.
+	for _, b := range rep.Benchmarks {
+		if strings.HasSuffix(b.Name, "-8") {
+			t.Errorf("name %q keeps the GOMAXPROCS suffix", b.Name)
+		}
+	}
+}
+
+func TestRunGOMAXPROCSFromSuffix(t *testing.T) {
+	parse := func(in string) (report, error) {
+		var out bytes.Buffer
+		if err := run(strings.NewReader(in), &out, "", sampleCommit); err != nil {
+			return report{}, err
+		}
+		var rep report
+		err := json.Unmarshal(out.Bytes(), &rep)
+		return rep, err
+	}
+	// go test omits the suffix when GOMAXPROCS is 1.
+	rep, err := parse(strings.ReplaceAll(sample, "-8 ", " "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GOMAXPROCS != 1 {
+		t.Errorf("gomaxprocs = %d without a suffix, want 1", rep.GOMAXPROCS)
+	}
+	mixed := strings.Replace(sample, "workers=8-8", "workers=8-4", 1)
+	if _, err := parse(mixed); err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
+		t.Errorf("mixed GOMAXPROCS suffixes: err = %v, want a GOMAXPROCS error", err)
+	}
+}
+
+func TestRunPrevNamesBothCommits(t *testing.T) {
+	write := func(prev report) string {
+		data, err := json.Marshal(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "BENCH_prev.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	rep := runSample(t, write(report{Commit: "feedbeef"}))
+	if rep.Commit != sampleCommit || rep.PrevCommit != "feedbeef" {
+		t.Errorf("commits = %q vs prev %q, want %q vs feedbeef", rep.Commit, rep.PrevCommit, sampleCommit)
+	}
+	// Snapshots from before commits were recorded say so.
+	if rep := runSample(t, write(report{})); rep.PrevCommit != "unrecorded" {
+		t.Errorf("prev_commit = %q for an unstamped snapshot, want unrecorded", rep.PrevCommit)
+	}
+	err := run(strings.NewReader(sample), &bytes.Buffer{}, write(report{}), "")
+	if err == nil || !strings.Contains(err.Error(), "-commit") {
+		t.Errorf("-prev without -commit: err = %v, want a -commit error", err)
 	}
 }

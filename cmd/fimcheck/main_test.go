@@ -18,7 +18,7 @@ func TestFimcheckRandomDBAllAgree(t *testing.T) {
 		t.Fatalf("output:\n%s", s)
 	}
 	// Every algorithm line present.
-	for _, algo := range []string{"gpapriori", "fpgrowth", "eclat-diffset", "count-distribution"} {
+	for _, algo := range []string{"gpapriori", "fpgrowth", "eclat-diffset", "pipeline"} {
 		if !strings.Contains(s, algo) {
 			t.Fatalf("missing %s:\n%s", algo, s)
 		}

@@ -47,13 +47,9 @@ func main() {
 		minsup   = flag.Float64("minsup", 0, "minimum support: ratio in (0,1) or absolute count ≥ 1")
 		algo     = flag.String("algo", string(gpapriori.AlgoGPApriori), "algorithm (see gpapriori.Algorithms)")
 		maxLen   = flag.Int("maxlen", 0, "maximum itemset length (0 = unbounded)")
-		workers  = flag.Int("workers", 0, "worker count for parallel-cpu / count-distribution (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "worker count for the pipeline algorithm (0 = GOMAXPROCS)")
 		devices  = flag.Int("devices", 0, "simulated GPU count for gpapriori (0/1 = single)")
 		cpuShare = flag.Float64("cpushare", 0, "hybrid CPU share in [0,1) for gpapriori")
-		prefix   = flag.Bool("prefix-cache", false, "cache each (k-1)-prefix class's shared intersection (gpapriori kernel variant / cpu-bitset / pipeline)")
-		budget   = flag.Int("cache-budget", 0, "prefix-cache memory budget in MiB (0 = unbounded on CPU, free device memory on GPU)")
-		grain    = flag.Int("grain", 0, "pipeline: max candidates per counting subtask (0 = width-aware default)")
-		stealB   = flag.Int("steal-batch", 0, "pipeline: max tasks stolen from a victim queue at once (0 = half)")
 		faults   = flag.String("faults", "", `inject device faults, e.g. "dev1:kernel-fail@gen3,dev2:dead@gen2" (kinds: kernel-fail, xfer-fail, hang[=sec], dead)`)
 		seed     = flag.Int64("seed", 0, "fault-injector seed for reproducible fault runs")
 		minConf  = flag.Float64("rules", 0, "also derive association rules at this confidence (0 = off)")
@@ -90,7 +86,6 @@ func main() {
 		condense: *condense, approx: *approx, jsonOut: *jsonOut,
 		top: *top, quiet: *quiet, topk: *topk,
 		faults: *faults, seed: *seed,
-		prefix: *prefix, budget: *budget, grain: *grain, stealBatch: *stealB,
 		checkpoint: *ckpt, ckptEvery: *ckptN, resume: *resume,
 		batch: *batch, batchQueue: *batchQ, batchMemMB: *batchMem, batchWorkers: *batchW,
 		resultOnly: *resOnly, serveURL: *serveURL, serveStats: *srvStats,
@@ -130,9 +125,6 @@ type runOpts struct {
 	top, topk                 int
 	faults                    string
 	seed                      int64
-	prefix                    bool
-	budget                    int
-	grain, stealBatch         int
 
 	checkpoint string
 	ckptEvery  int
@@ -217,11 +209,6 @@ func run(w io.Writer, o runOpts) error {
 		HybridCPUShare: o.cpuShare,
 		Faults:         o.faults,
 		FaultSeed:      o.seed,
-
-		PrefixCache:         o.prefix,
-		PrefixCacheBudgetMB: o.budget,
-		PipelineGrain:       o.grain,
-		PipelineStealBatch:  o.stealBatch,
 	}
 	if o.minsup < 1 {
 		cfg.RelativeSupport = o.minsup
@@ -332,21 +319,17 @@ func runServe(w io.Writer, o runOpts) error {
 		return fmt.Errorf("-minsup (ratio or absolute count) is required")
 	}
 	req := gpapriori.ServeMineRequest{
-		Dataset:             o.dsName,
-		Algorithm:           o.algo,
-		MaxLen:              o.maxLen,
-		Priority:            o.priority,
-		DeadlineSec:         o.deadlineSec,
-		Workers:             o.workers,
-		Devices:             o.devices,
-		HybridCPUShare:      o.cpuShare,
-		PrefixCache:         o.prefix,
-		PrefixCacheBudgetMB: o.budget,
-		PipelineGrain:       o.grain,
-		PipelineStealBatch:  o.stealBatch,
-		Faults:              o.faults,
-		FaultSeed:           o.seed,
-		NoCache:             o.noCache,
+		Dataset:        o.dsName,
+		Algorithm:      o.algo,
+		MaxLen:         o.maxLen,
+		Priority:       o.priority,
+		DeadlineSec:    o.deadlineSec,
+		Workers:        o.workers,
+		Devices:        o.devices,
+		HybridCPUShare: o.cpuShare,
+		Faults:         o.faults,
+		FaultSeed:      o.seed,
+		NoCache:        o.noCache,
 	}
 	if o.minsup < 1 {
 		req.RelativeSupport = o.minsup

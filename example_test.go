@@ -78,12 +78,9 @@ func ExampleAlgorithms() {
 	// borgelt 3
 	// bodon 3
 	// goethals 3
-	// hashtree 3
 	// eclat 3
 	// eclat-diffset 3
 	// fpgrowth 3
-	// parallel-cpu 3
-	// count-distribution 3
 	// pipeline 3
 }
 

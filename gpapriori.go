@@ -66,31 +66,20 @@ const (
 	// AlgoGoethals is horizontal candidate-list Apriori (Agrawal's
 	// original counting).
 	AlgoGoethals Algorithm = "goethals"
-	// AlgoHashTree is Park–Chen–Yu hash-tree Apriori (SIGMOD'95), the
-	// classical horizontal counting structure between Goethals's flat
-	// list and Bodon's trie.
-	AlgoHashTree Algorithm = "hashtree"
 	// AlgoEclat is depth-first vertical mining with tidsets.
 	AlgoEclat Algorithm = "eclat"
 	// AlgoEclatDiffset is Eclat with the Zaki–Gouda diffset optimization.
 	AlgoEclatDiffset Algorithm = "eclat-diffset"
 	// AlgoFPGrowth is pattern-growth mining without candidate generation.
 	AlgoFPGrowth Algorithm = "fpgrowth"
-	// AlgoParallelCPU is the multi-core CPU bitset miner (candidate-
-	// parallel complete intersection), realizing Section II's multi-core
-	// potential claim.
-	AlgoParallelCPU Algorithm = "parallel-cpu"
-	// AlgoCountDist is Agrawal–Shafer count-distribution Apriori: the
-	// database is striped across workers and per-stripe counts are summed
-	// (transaction-parallel).
-	AlgoCountDist Algorithm = "count-distribution"
 	// AlgoPipeline is the work-stealing parallel CPU pipeline:
 	// prefix-class families split into grain-sized counting subtasks on
-	// per-worker deques, with slab-arena candidate generation and a
-	// cost-modeled horizontal fast path for the pair generation —
-	// overlapping generation k+1 candidate generation with generation k
-	// counting. Produces the same frequent sets as the level-wise
-	// miners.
+	// per-worker deques, each counted against its class's cached
+	// intersection with early abort, with slab-arena candidate
+	// generation and a cost-modeled horizontal fast path for the pair
+	// generation — overlapping generation k+1 candidate generation with
+	// generation k counting. Produces the same frequent sets as the
+	// level-wise miners.
 	AlgoPipeline Algorithm = "pipeline"
 )
 
@@ -98,8 +87,8 @@ const (
 func Algorithms() []Algorithm {
 	return []Algorithm{
 		AlgoGPApriori, AlgoCPUBitset, AlgoBorgelt, AlgoBodon,
-		AlgoGoethals, AlgoHashTree, AlgoEclat, AlgoEclatDiffset, AlgoFPGrowth,
-		AlgoParallelCPU, AlgoCountDist, AlgoPipeline,
+		AlgoGoethals, AlgoEclat, AlgoEclatDiffset, AlgoFPGrowth,
+		AlgoPipeline,
 	}
 }
 
@@ -127,35 +116,14 @@ type Config struct {
 	// hand-tuning (AlgoGPApriori only).
 	AutoTuneKernel bool
 
-	// PrefixCache enables (k−1)-prefix-class intersection caching: each
-	// class's shared intersection is materialized once and every member
-	// counted against it. On AlgoGPApriori it selects the two-phase
-	// device kernel variant; on AlgoCPUBitset and AlgoPipeline it caches
-	// on the host. Frequent itemsets are bit-identical either way.
-	PrefixCache bool
-	// PrefixCacheBudgetMB caps the memory used for cached class
-	// intersections, in MiB (0 = unlimited on the CPU; free device
-	// memory on the GPU). Classes over budget fall back to complete
-	// intersection.
-	PrefixCacheBudgetMB int
-	// PipelineGrain sets the maximum candidates one counting subtask of
-	// the work-stealing pipeline covers (AlgoPipeline only); 0 picks a
-	// vector-width-aware default. Smaller grains spread a skewed class
-	// across more workers at more scheduling overhead.
-	PipelineGrain int
-	// PipelineStealBatch caps how many queued tasks an idle pipeline
-	// worker takes from a victim in one steal (AlgoPipeline only);
-	// 0 = half of the victim's queue.
-	PipelineStealBatch int
-
 	// EraPopcount makes CPU bitset counting use the 2011-era 8-bit-table
 	// software popcount instead of the hardware instruction
-	// (AlgoCPUBitset and the hybrid CPU share) — the configuration used
-	// for paper-faithful speedup comparisons.
+	// (AlgoCPUBitset, AlgoPipeline and the hybrid CPU share) — the
+	// configuration used for paper-faithful speedup comparisons.
 	EraPopcount bool
 
-	// Workers sets the goroutine count of the multi-core CPU algorithms
-	// (AlgoParallelCPU, AlgoCountDist); 0 = GOMAXPROCS.
+	// Workers sets the worker goroutine count of AlgoPipeline;
+	// 0 = GOMAXPROCS.
 	Workers int
 
 	// Devices runs AlgoGPApriori across this many simulated GPUs with
@@ -285,16 +253,12 @@ func (r *Result) TotalSeconds() float64 { return r.HostSeconds + r.DeviceSeconds
 // Len returns the number of frequent itemsets found.
 func (r *Result) Len() int { return len(r.Itemsets) }
 
-// countOptions maps the public knobs onto the CPU counting variants.
-// PrefixCache implies early abort: only the prefix-cached batch loop
-// consults the bound, it never changes reported supports of frequent
-// itemsets, and abandoning hopeless candidates is free speedup there.
-func (c Config) countOptions() apriori.CountOptions {
-	return apriori.CountOptions{
-		PrefixCache: c.PrefixCache,
-		BudgetBytes: c.PrefixCacheBudgetMB << 20,
-		EarlyAbort:  c.PrefixCache,
+// popcount maps EraPopcount onto the host popcount implementation.
+func (c Config) popcount() bitset.PopcountKind {
+	if c.EraPopcount {
+		return bitset.PopcountTable8
 	}
+	return bitset.PopcountHardware
 }
 
 // resolveSupport converts the config's threshold to an absolute count.
@@ -360,11 +324,6 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 			}
 			kopt = tuned
 		}
-		if cfg.PrefixCache {
-			kopt.PrefixCache = true
-			// MiB → 32-bit words.
-			kopt.PrefixScratchWords = cfg.PrefixCacheBudgetMB << 18
-		}
 		faults, err := core.ParseFaultSpec(cfg.Faults)
 		if err != nil {
 			return nil, err
@@ -398,35 +357,17 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 			"launch":   rep.Device.Launch,
 			"transfer": rep.Device.Transfer,
 		}
-	case AlgoCPUBitset, AlgoBorgelt, AlgoBodon, AlgoGoethals, AlgoHashTree,
-		AlgoParallelCPU, AlgoCountDist:
+	case AlgoCPUBitset, AlgoBorgelt, AlgoBodon, AlgoGoethals:
 		var counter apriori.Counter
 		switch algo {
 		case AlgoCPUBitset:
-			kind := bitset.PopcountHardware
-			if cfg.EraPopcount {
-				kind = bitset.PopcountTable8
-			}
-			counter = apriori.NewCPUBitsetOpt(db.db, kind, cfg.countOptions())
+			counter = apriori.NewCPUBitset(db.db, cfg.popcount())
 		case AlgoBorgelt:
 			counter = apriori.NewBorgelt(db.db)
 		case AlgoBodon:
 			counter = apriori.NewBodon(db.db)
 		case AlgoGoethals:
 			counter = apriori.NewGoethals(db.db)
-		case AlgoHashTree:
-			counter = apriori.NewHashTree(db.db)
-		case AlgoParallelCPU:
-			kind := bitset.PopcountHardware
-			if cfg.EraPopcount {
-				kind = bitset.PopcountTable8
-			}
-			counter = apriori.NewParallelBitset(db.db, kind, cfg.Workers)
-		case AlgoCountDist:
-			counter, err = apriori.NewCountDistribution(db.db, cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
 		}
 		rs, res.HostSeconds, err = timed(func() (*dataset.ResultSet, error) {
 			return apriori.MineContext(ctx, db.db, minSup, counter, acfg)
@@ -435,16 +376,9 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 			return nil, err
 		}
 	case AlgoPipeline:
-		kind := bitset.PopcountHardware
-		if cfg.EraPopcount {
-			kind = bitset.PopcountTable8
-		}
 		p := apriori.NewPipeline(db.db, apriori.PipelineOptions{
-			Workers:    cfg.Workers,
-			Popcount:   kind,
-			Count:      cfg.countOptions(),
-			Grain:      cfg.PipelineGrain,
-			StealBatch: cfg.PipelineStealBatch,
+			Workers:  cfg.Workers,
+			Popcount: cfg.popcount(),
 		})
 		rs, res.HostSeconds, err = timed(func() (*dataset.ResultSet, error) {
 			return p.MineContext(ctx, minSup, acfg)
@@ -491,16 +425,11 @@ func runMultiDevice(ctx context.Context, db *Database, cfg Config, minSup int,
 	if devices < 1 {
 		devices = 1
 	}
-	popc := bitset.PopcountHardware
-	if cfg.EraPopcount {
-		popc = bitset.PopcountTable8
-	}
 	m, err := core.NewMulti(db.db, core.MultiOptions{
 		Devices:           devices,
 		Kernel:            kopt,
 		HybridCPUShare:    cfg.HybridCPUShare,
-		CPUPopcount:       popc,
-		CPUCount:          cfg.countOptions(),
+		CPUPopcount:       cfg.popcount(),
 		Faults:            faults,
 		FaultSeed:         cfg.FaultSeed,
 		MemoryBudgetBytes: int64(cfg.MemoryBudgetMB) << 20,

@@ -91,9 +91,6 @@ func MineContext(ctx context.Context, db *dataset.DB, minSupport int, c Counter,
 	if minSupport < 1 {
 		return nil, fmt.Errorf("apriori: minimum support %d must be ≥1", minSupport)
 	}
-	if a, ok := c.(MinSupportAware); ok {
-		a.SetMinSupport(minSupport)
-	}
 	t := trie.New()
 	start := 1
 	if cfg.Resume != nil {

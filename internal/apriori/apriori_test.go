@@ -17,7 +17,46 @@ func counters(db *dataset.DB) []Counter {
 		NewBorgelt(db),
 		NewBodon(db),
 		NewGoethals(db),
-		NewHashTree(db),
+	}
+}
+
+// TestCPUBitsetVariantsMatchOracle sweeps CPU_TEST's only variants, its
+// two popcount implementations, over dense and sparse random databases
+// and several thresholds against the oracle.
+func TestCPUBitsetVariantsMatchOracle(t *testing.T) {
+	dbs := map[string]*dataset.DB{
+		"small":  gen.Small(),
+		"rand-a": gen.Random(120, 14, 0.45, 1),
+		"rand-b": gen.Random(200, 10, 0.6, 2),
+	}
+	for name, db := range dbs {
+		for _, minSup := range []int{2, 5, 20} {
+			if minSup > db.Len() {
+				continue
+			}
+			want := oracle.Mine(db, minSup)
+			for _, kind := range []bitset.PopcountKind{bitset.PopcountHardware, bitset.PopcountTable8} {
+				c := NewCPUBitset(db, kind)
+				got, err := Mine(db, minSup, c, Config{})
+				if err != nil {
+					t.Fatalf("%s minsup=%d %s: %v", name, minSup, c.Name(), err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s minsup=%d %s diff: %v", name, minSup, c.Name(), got.Diff(want))
+				}
+			}
+		}
+	}
+}
+
+// TestCPUBitsetVariantNames pins that a CPU_TEST report names its
+// popcount variant, so hardware and 2011-era table runs are told apart.
+func TestCPUBitsetVariantNames(t *testing.T) {
+	db := gen.Small()
+	for _, kind := range []bitset.PopcountKind{bitset.PopcountHardware, bitset.PopcountTable8} {
+		if got, want := NewCPUBitset(db, kind).Name(), "CPU_TEST(bitset,"+kind.String()+")"; got != want {
+			t.Errorf("Name = %q, want %q", got, want)
+		}
 	}
 }
 

@@ -43,37 +43,24 @@ func benchShapes(b *testing.B) []benchShape {
 	return out
 }
 
-// benchVariants are the CPU_TEST counting variants the snapshot compares;
-// "complete" is the seed's plain complete-intersection loop and the
-// baseline the JSON speedups are computed against.
-var benchVariants = []struct {
-	name string
-	opt  CountOptions
-}{
-	{"complete", CountOptions{}},
-	{"prefix", CountOptions{PrefixCache: true}},
-	{"prefix+abort", CountOptions{PrefixCache: true, EarlyAbort: true}},
-}
-
 // BenchmarkMineCPUTest mines each Table 2 shape end-to-end with the
-// level-wise driver — the macro CPU_TEST comparison of the acceptance
-// criteria.
+// level-wise driver and CPU_TEST's complete intersection. The
+// variant=complete rows are the baseline cmd/benchjson computes every
+// speedup against.
 func BenchmarkMineCPUTest(b *testing.B) {
 	for _, s := range benchShapes(b) {
 		v := vertical.BuildBitsets(s.db)
-		for _, vt := range benchVariants {
-			b.Run(fmt.Sprintf("shape=%s/variant=%s", s.name, vt.name), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					c := NewCPUBitsetOver(v, bitset.PopcountHardware, vt.opt)
-					rs, err := Mine(s.db, s.minSup, c, Config{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					benchSink = rs.Len()
+		b.Run(fmt.Sprintf("shape=%s/variant=complete", s.name), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c := NewCPUBitsetOver(v, bitset.PopcountHardware, CountOptions{})
+				rs, err := Mine(s.db, s.minSup, c, Config{})
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				benchSink = rs.Len()
+			}
+		})
 	}
 }
 
@@ -85,10 +72,7 @@ func BenchmarkMinePipeline(b *testing.B) {
 		v := vertical.BuildBitsets(s.db)
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("shape=%s/workers=%d", s.name, workers), func(b *testing.B) {
-				p := NewPipelineOver(s.db, v, PipelineOptions{
-					Workers: workers,
-					Count:   CountOptions{PrefixCache: true, EarlyAbort: true},
-				})
+				p := NewPipelineOver(s.db, v, PipelineOptions{Workers: workers})
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					rs, err := p.Mine(s.minSup, Config{})
@@ -103,8 +87,7 @@ func BenchmarkMinePipeline(b *testing.B) {
 }
 
 // BenchmarkCountGeneration isolates the counting hot loop: one warmed-up
-// counter re-counts a fixed candidate generation. The acceptance
-// criterion is zero steady-state allocations here.
+// CPU_TEST counter re-counts a fixed candidate generation.
 func BenchmarkCountGeneration(b *testing.B) {
 	db, err := gen.Paper("chess", 0.25)
 	if err != nil {
@@ -132,23 +115,20 @@ func BenchmarkCountGeneration(b *testing.B) {
 		}
 		t.PruneInfrequent(depth+1, minSup)
 	}
-	for _, vt := range benchVariants {
-		b.Run("variant="+vt.name, func(b *testing.B) {
-			cnt := NewCPUBitsetOver(v, bitset.PopcountHardware, vt.opt)
-			cnt.SetMinSupport(minSup)
-			// Warm the arenas, then measure steady state.
+	b.Run("variant=complete", func(b *testing.B) {
+		cnt := NewCPUBitsetOver(v, bitset.PopcountHardware, CountOptions{})
+		// Warm up, then measure steady state.
+		if err := cnt.Count(t, cands, 3); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if err := cnt.Count(t, cands, 3); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := cnt.Count(t, cands, 3); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 var benchSink int

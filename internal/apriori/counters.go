@@ -3,30 +3,17 @@ package apriori
 import (
 	"gpapriori/internal/bitset"
 	"gpapriori/internal/dataset"
-	"gpapriori/internal/hashtree"
 	"gpapriori/internal/trie"
 	"gpapriori/internal/vertical"
 )
 
 // CPUBitset is the paper's CPU_TEST: single-threaded complete intersection
 // over the static-bitset vertical layout — exactly the work the GPU kernel
-// performs, executed on the host. CountOptions select the prefix-cached
-// variants (DESIGN.md §9); the zero options reproduce the paper's
-// counting loop exactly.
+// performs, executed on the host.
 type CPUBitset struct {
 	v    *vertical.BitsetDB
 	popc func(uint64) int
 	kind bitset.PopcountKind
-	opt  CountOptions
-
-	// Reusable scratch of the variant paths; all buffers are grown once,
-	// so steady-state counting performs zero allocations.
-	minsup  int
-	bc      *bitset.BatchCounter
-	scratch *bitset.Bitset
-	vs      []*bitset.Bitset
-	lasts   []*bitset.Bitset
-	out     []int
 }
 
 // NewCPUBitset builds the counter over db. kind selects the popcount
@@ -36,136 +23,33 @@ func NewCPUBitset(db *dataset.DB, kind bitset.PopcountKind) *CPUBitset {
 	return NewCPUBitsetOver(vertical.BuildBitsets(db), kind, CountOptions{})
 }
 
-// NewCPUBitsetOpt builds the counter over db with the given counting
-// variants enabled.
-func NewCPUBitsetOpt(db *dataset.DB, kind bitset.PopcountKind, opt CountOptions) *CPUBitset {
-	return NewCPUBitsetOver(vertical.BuildBitsets(db), kind, opt)
-}
+// CountOptions has no fields. It remains only because the perfbench
+// module, which builds against this package, passes CountOptions{} to
+// NewCPUBitsetOver.
+type CountOptions struct{}
 
 // NewCPUBitsetOver builds the counter over an already-transposed vertical
-// database, so callers that hold one (MultiMiner's hybrid share, the
-// pipeline) do not transpose twice.
-func NewCPUBitsetOver(v *vertical.BitsetDB, kind bitset.PopcountKind, opt CountOptions) *CPUBitset {
-	c := &CPUBitset{v: v, popc: kind.Func(), kind: kind, opt: opt}
-	if opt.enabled() {
-		c.bc = bitset.NewBatchCounter(kind, 0)
-	}
-	return c
+// database, so callers that hold one (MultiMiner's hybrid share) do not
+// transpose twice.
+func NewCPUBitsetOver(v *vertical.BitsetDB, kind bitset.PopcountKind, _ CountOptions) *CPUBitset {
+	return &CPUBitset{v: v, popc: kind.Func(), kind: kind}
 }
 
 // Name implements Counter.
 func (c *CPUBitset) Name() string {
-	return "CPU_TEST(bitset," + c.kind.String() + c.opt.tag() + ")"
+	return "CPU_TEST(bitset," + c.kind.String() + ")"
 }
 
-// SetMinSupport implements MinSupportAware: the threshold powers the
-// early-abort bound of the prefix-cached batch loop.
-func (c *CPUBitset) SetMinSupport(minSupport int) { c.minsup = minSupport }
-
-// Count implements Counter by complete intersection per candidate, or by
-// the prefix-cached variant when enabled.
+// Count implements Counter by complete intersection per candidate.
 func (c *CPUBitset) Count(_ *trie.Trie, cands []trie.Candidate, k int) error {
-	if !c.opt.enabled() {
-		vs := make([]*bitset.Bitset, k)
-		for _, cand := range cands {
-			for i, item := range cand.Items {
-				vs[i] = c.v.Vectors[item]
-			}
-			cand.Node.Support = bitset.IntersectCountManyWith(vs, c.popc)
+	vs := make([]*bitset.Bitset, k)
+	for _, cand := range cands {
+		for i, item := range cand.Items {
+			vs[i] = c.v.Vectors[item]
 		}
-		return nil
+		cand.Node.Support = bitset.IntersectCountManyWith(vs, c.popc)
 	}
-	c.countOpt(cands, k)
 	return nil
-}
-
-// samePrefix reports whether two candidates of length k share their
-// (k-1)-prefix. Candidate generation joins within prefix classes and
-// emits them contiguously, so a linear scan recovers the classes.
-func samePrefix(a, b []dataset.Item, k int) bool {
-	for i := 0; i < k-1; i++ {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// countOpt runs the variant paths over one generation.
-func (c *CPUBitset) countOpt(cands []trie.Candidate, k int) {
-	abort := 0
-	if c.opt.EarlyAbort {
-		abort = c.minsup
-	}
-	for lo := 0; lo < len(cands); {
-		hi := lo + 1
-		for hi < len(cands) && samePrefix(cands[lo].Items, cands[hi].Items, k) {
-			hi++
-		}
-		c.countClass(cands[lo:hi], k, abort)
-		lo = hi
-	}
-}
-
-// countClass counts one contiguous prefix class.
-func (c *CPUBitset) countClass(class []trie.Candidate, k int, abort int) {
-	m := len(class)
-	if cap(c.out) < m {
-		c.out = make([]int, m)
-	}
-	out := c.out[:m]
-
-	usePrefix := c.opt.PrefixCache && k >= 2 && (m >= 2 || k == 2)
-	if usePrefix && k >= 3 && !c.opt.prefixFits(bitset.AlignedWords(c.v.NumTrans)) {
-		// Over budget: fall back to complete intersection for this class.
-		usePrefix = false
-	}
-	switch {
-	case usePrefix:
-		var base *bitset.Bitset
-		if k == 2 {
-			// The prefix is a single item: its vector IS the class
-			// intersection, no materialization needed.
-			base = c.v.Vectors[class[0].Items[0]]
-		} else {
-			if c.scratch == nil || c.scratch.Len() != c.v.NumTrans {
-				c.scratch = bitset.New(c.v.NumTrans)
-			}
-			if cap(c.vs) < k-1 {
-				c.vs = make([]*bitset.Bitset, k-1)
-			}
-			vs := c.vs[:k-1]
-			for i, item := range class[0].Items[:k-1] {
-				vs[i] = c.v.Vectors[item]
-			}
-			bitset.IntersectInto(c.scratch, vs)
-			base = c.scratch
-		}
-		if cap(c.lasts) < m {
-			c.lasts = make([]*bitset.Bitset, m)
-		}
-		lasts := c.lasts[:m]
-		for i, cand := range class {
-			lasts[i] = c.v.Vectors[cand.Items[k-1]]
-		}
-		c.bc.CountPairs(base, lasts, abort, out)
-	default:
-		// PrefixCache requested but not applicable (singleton class or
-		// over budget): plain complete intersection.
-		if cap(c.vs) < k {
-			c.vs = make([]*bitset.Bitset, k)
-		}
-		vs := c.vs[:k]
-		for i, cand := range class {
-			for j, item := range cand.Items {
-				vs[j] = c.v.Vectors[item]
-			}
-			out[i] = bitset.IntersectCountManyWith(vs, c.popc)
-		}
-	}
-	for i, cand := range class {
-		cand.Node.Support = out[i]
-	}
 }
 
 // Borgelt is the tidset-vertical strategy of Borgelt's Apriori: each
@@ -271,42 +155,6 @@ func (g *Goethals) Count(_ *trie.Trie, cands []trie.Candidate, k int) error {
 				cand.Node.Support++
 			}
 		}
-	}
-	return nil
-}
-
-// HashTree is the Park–Chen–Yu hash-tree strategy (SIGMOD'95): candidates
-// of each generation are organized in a hash tree and every transaction's
-// k-subsets are enumerated against it — the classical middle ground
-// between Goethals's flat candidate list and Bodon's trie.
-type HashTree struct {
-	db  *dataset.DB
-	cfg hashtree.Config
-}
-
-// NewHashTree builds the counter over db with default tree shape.
-func NewHashTree(db *dataset.DB) *HashTree {
-	return &HashTree{db: db, cfg: hashtree.Config{Fanout: 8, LeafCap: 16}}
-}
-
-// Name implements Counter.
-func (h *HashTree) Name() string { return "PCY(hashtree)" }
-
-// Count implements Counter.
-func (h *HashTree) Count(_ *trie.Trie, cands []trie.Candidate, k int) error {
-	items := make([][]dataset.Item, len(cands))
-	for i, c := range cands {
-		items[i] = c.Items
-	}
-	tree, err := hashtree.New(items, h.cfg)
-	if err != nil {
-		return err
-	}
-	for _, tr := range h.db.Transactions() {
-		tree.CountTransaction(tr)
-	}
-	for i, sup := range tree.Counts() {
-		cands[i].Node.Support = sup
 	}
 	return nil
 }

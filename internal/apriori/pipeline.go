@@ -15,12 +15,19 @@
 // last one to retire runs the join, so no generation barrier exists
 // anywhere.
 //
+// Every family counts against its class's materialized intersection
+// (prefix-class caching) with suffix-popcount early abort, and hands
+// each child class its intersection with one AND across the generation
+// boundary. The cached vectors are recycled through a pool under a
+// byte budget equal to the first-generation bitsets' footprint; a
+// child that finds the budget spent rematerializes its intersection
+// from the first-generation vectors instead.
+//
 // Memory comes from per-worker slab arenas (trie.Arena): candidate
 // nodes, child-pointer slices and prefix buffers are carved in exact
 // sizes from worker-owned chunks, reset when the run's results have
-// been copied out. Materialized class intersections are recycled
-// through a pool under a configurable budget. Steady-state counting
-// performs zero allocations in the hot loop.
+// been copied out. Steady-state counting performs zero allocations in
+// the hot loop.
 //
 // Generation 2 has a special horizontal path: when the cost model says
 // a triangular pair-count array over projected transactions is cheaper
@@ -36,7 +43,9 @@
 // barrier) never changes the frequent set — any candidate the prune
 // would have removed counts below minsup and is discarded. Every
 // counting path is exact for frequent candidates, so the result is
-// bit-identical to the level-wise driver's (see the equivalence tests).
+// bit-identical to the level-wise driver's (see the equivalence tests):
+// an aborted candidate reports a partial count below minsup and is
+// pruned exactly as its true support would have been.
 package apriori
 
 import (
@@ -58,11 +67,6 @@ type PipelineOptions struct {
 	Workers int
 	// Popcount selects the popcount implementation.
 	Popcount bitset.PopcountKind
-	// Count selects the counting variants. PrefixCache here additionally
-	// caches each class's materialized intersection across the generation
-	// boundary: a family's base vector is derived from its parent class's
-	// base with a single AND, under Count.BudgetBytes.
-	Count CountOptions
 	// Grain is the maximum number of candidates one counting subtask
 	// covers; families with more candidates are split across the pool.
 	// 0 picks a width-aware default that targets ~32KB of bitset traffic
@@ -99,6 +103,11 @@ type Pipeline struct {
 	db  *dataset.DB
 	v   *vertical.BitsetDB
 	opt PipelineOptions
+	// cacheBudget caps the bytes of cross-generation class vectors held
+	// at once: the first-generation bitsets' footprint, the figure
+	// admission control charges for the cache. Tests shrink it to force
+	// the rematerialize fallback.
+	cacheBudget int64
 
 	scratch sync.Pool // *pipeScratch
 	vecs    sync.Pool // *bitset.Bitset of v.NumTrans bits
@@ -115,13 +124,12 @@ func NewPipelineOver(db *dataset.DB, v *vertical.BitsetDB, opt PipelineOptions) 
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pipeline{db: db, v: v, opt: opt}
+	return &Pipeline{db: db, v: v, opt: opt, cacheBudget: int64(v.MemoryBytes())}
 }
 
 // Name identifies the strategy in reports.
 func (p *Pipeline) Name() string {
-	return fmt.Sprintf("Pipeline(bitset,%s%s,workers=%d)",
-		p.opt.Popcount.String(), p.opt.Count.tag(), p.opt.Workers)
+	return fmt.Sprintf("Pipeline(bitset,%s,workers=%d)", p.opt.Popcount.String(), p.opt.Workers)
 }
 
 // getScratch borrows per-worker scratch from the pipeline-lifetime pool.
@@ -129,10 +137,7 @@ func (p *Pipeline) getScratch() *pipeScratch {
 	if s, ok := p.scratch.Get().(*pipeScratch); ok {
 		return s
 	}
-	return &pipeScratch{
-		bc:   bitset.NewBatchCounter(p.opt.Popcount, 0),
-		popc: p.opt.Popcount.Func(),
-	}
+	return &pipeScratch{bc: bitset.NewBatchCounter(p.opt.Popcount, 0)}
 }
 
 // putScratch returns worker scratch. The arena is reset first: results
@@ -159,15 +164,13 @@ func (p *Pipeline) getVec() *bitset.Bitset {
 
 // pipeScratch is one worker's reusable scratch, pooled across runs.
 type pipeScratch struct {
-	bc         *bitset.BatchCounter
-	popc       func(uint64) int
-	arena      trie.Arena
-	scratchVec *bitset.Bitset
-	vs         []*bitset.Bitset
-	lasts      []*bitset.Bitset
-	out        []int
-	proj       []int32    // projected transaction ranks (triangle path)
-	loot       []pipeTask // steal buffer
+	bc    *bitset.BatchCounter
+	arena trie.Arena
+	vs    []*bitset.Bitset
+	lasts []*bitset.Bitset
+	out   []int
+	proj  []int32    // projected transaction ranks (triangle path)
+	loot  []pipeTask // steal buffer
 }
 
 // pipeFamily is one prefix class in flight: parent's children are the
@@ -186,7 +189,8 @@ type pipeFamily struct {
 	precounted bool
 
 	// base is the materialized intersection of the prefix items, shared
-	// read-only by this family's range subtasks. ownBase marks it as
+	// read-only by this family's range subtasks and by the join that
+	// derives the child classes' vectors from it. ownBase marks it as
 	// pool-owned (released when the family finishes); unowned bases
 	// alias a first-generation vector or the cross-generation cache.
 	base    *bitset.Bitset
@@ -527,26 +531,26 @@ func (w *pipeWorker) startFamily(fam *pipeFamily) error {
 	if fam.precounted || m == 0 {
 		return w.finishFamily(fam)
 	}
-	if r.p.opt.Count.PrefixCache && fam.k >= 2 {
-		switch {
-		case fam.cached != nil:
-			fam.base = fam.cached
-		case fam.k == 2:
-			// The prefix is a single item: its vector IS the class
-			// intersection.
-			fam.base = r.p.v.Vectors[fam.prefix[0]]
-		default:
-			fam.base = r.p.getVec()
-			fam.ownBase = true
-			if cap(w.s.vs) < fam.k-1 {
-				w.s.vs = make([]*bitset.Bitset, fam.k-1)
-			}
-			vs := w.s.vs[:fam.k-1]
-			for i, it := range fam.prefix[:fam.k-1] {
-				vs[i] = r.p.v.Vectors[it]
-			}
-			bitset.IntersectInto(fam.base, vs)
+	switch {
+	case fam.cached != nil:
+		fam.base = fam.cached
+	case fam.k == 2:
+		// The prefix is a single item: its vector IS the class
+		// intersection.
+		fam.base = r.p.v.Vectors[fam.prefix[0]]
+	default:
+		// Over the cache budget when the parent joined: rematerialize
+		// from the first-generation vectors.
+		fam.base = r.p.getVec()
+		fam.ownBase = true
+		if cap(w.s.vs) < fam.k-1 {
+			w.s.vs = make([]*bitset.Bitset, fam.k-1)
 		}
+		vs := w.s.vs[:fam.k-1]
+		for i, it := range fam.prefix[:fam.k-1] {
+			vs[i] = r.p.v.Vectors[it]
+		}
+		bitset.IntersectInto(fam.base, vs)
 	}
 	grain := r.p.opt.grain(bitset.AlignedWords(r.p.v.NumTrans))
 	n := (m + grain - 1) / grain
@@ -573,46 +577,25 @@ func (w *pipeWorker) startFamily(fam *pipeFamily) error {
 	return nil
 }
 
-// countRange writes supports into candidates [lo,hi) of the family.
-// Ranges are disjoint, so subtasks need no synchronization beyond the
-// pending counter.
+// countRange writes supports into candidates [lo,hi) of the family,
+// each counted as popcount(base ∧ last item) with early abort at the
+// run's threshold. Ranges are disjoint, so subtasks need no
+// synchronization beyond the pending counter.
 func (w *pipeWorker) countRange(fam *pipeFamily, lo, hi int) {
-	r := w.r
-	v := r.p.v
 	children := fam.parent.Children[lo:hi]
 	m := len(children)
-	abort := 0
-	if r.p.opt.Count.EarlyAbort {
-		abort = r.minsup
-	}
 	if cap(w.s.out) < m {
 		w.s.out = make([]int, m)
 	}
 	out := w.s.out[:m]
-
-	if fam.base != nil {
-		if cap(w.s.lasts) < m {
-			w.s.lasts = make([]*bitset.Bitset, m)
-		}
-		lasts := w.s.lasts[:m]
-		for i, c := range children {
-			lasts[i] = v.Vectors[c.Item]
-		}
-		w.s.bc.CountPairs(fam.base, lasts, abort, out)
-	} else {
-		k := fam.k
-		if cap(w.s.vs) < k {
-			w.s.vs = make([]*bitset.Bitset, k)
-		}
-		vs := w.s.vs[:k]
-		for j, it := range fam.prefix {
-			vs[j] = v.Vectors[it]
-		}
-		for i := range children {
-			vs[k-1] = v.Vectors[children[i].Item]
-			out[i] = bitset.IntersectCountManyWith(vs, w.s.popc)
-		}
+	if cap(w.s.lasts) < m {
+		w.s.lasts = make([]*bitset.Bitset, m)
 	}
+	lasts := w.s.lasts[:m]
+	for i, c := range children {
+		lasts[i] = w.r.p.v.Vectors[c.Item]
+	}
+	w.s.bc.CountPairs(fam.base, lasts, w.r.minsup, out)
 	for i, c := range children {
 		c.Support = out[i]
 	}
@@ -678,7 +661,6 @@ func (w *pipeWorker) releaseFamily(fam *pipeFamily) {
 func (w *pipeWorker) joinFamily(fam *pipeFamily, kept []*trie.Node, counted bool) error {
 	r := w.r
 	k := fam.k
-	opt := r.p.opt.Count
 	for i, x := range kept {
 		sibs := kept[i+1:]
 		if len(sibs) == 0 {
@@ -698,42 +680,18 @@ func (w *pipeWorker) joinFamily(fam *pipeFamily, kept []*trie.Node, counted bool
 		child.prefix = append(child.prefix, x.Item)
 		// Derive the child class's intersection from this class's with
 		// a single AND while it is still on hand — the cross-generation
-		// reuse of prefix-class caching, under the run's budget.
-		if opt.PrefixCache && k >= 2 {
+		// reuse of prefix-class caching, under the run's budget. Pair
+		// classes (k == 1 here) need none: their prefix item's vector
+		// is the intersection.
+		if k >= 2 {
 			if cb := r.acquireCached(); cb != nil {
-				base := fam.base
-				if base == nil {
-					base = w.materialize(child.prefix[:k-1], k-1)
-				}
-				cb.And(base, r.p.v.Vectors[x.Item])
+				cb.And(fam.base, r.p.v.Vectors[x.Item])
 				child.cached = cb
 			}
 		}
 		r.submit(w.self, pipeTask{fam: child, lo: -1})
 	}
 	return nil
-}
-
-// materialize builds the intersection of the given prefix items in the
-// worker's scratch vector. n is len(items); for n == 1 the item's own
-// vector is returned without copying.
-func (w *pipeWorker) materialize(items []dataset.Item, n int) *bitset.Bitset {
-	v := w.r.p.v
-	if n == 1 {
-		return v.Vectors[items[0]]
-	}
-	if w.s.scratchVec == nil {
-		w.s.scratchVec = bitset.New(v.NumTrans)
-	}
-	if cap(w.s.vs) < n {
-		w.s.vs = make([]*bitset.Bitset, n)
-	}
-	vs := w.s.vs[:n]
-	for i, it := range items[:n] {
-		vs[i] = v.Vectors[it]
-	}
-	bitset.IntersectInto(w.s.scratchVec, vs)
-	return w.s.scratchVec
 }
 
 // addGenerated records n candidates generated at the given itemset
@@ -757,24 +715,19 @@ func (r *pipeRun) addGenerated(length, n int) error {
 }
 
 // acquireCached returns a class-intersection vector from the pool if
-// the budget allows, or nil (callers fall back to rematerializing from
-// the first-generation vectors).
+// the budget allows, or nil (the child family then rematerializes its
+// intersection from the first-generation vectors).
 func (r *pipeRun) acquireCached() *bitset.Bitset {
 	bytes := int64(bitset.AlignedWords(r.p.v.NumTrans) * 8)
-	if budget := int64(r.p.opt.Count.BudgetBytes); budget > 0 {
-		for {
-			cur := r.cachedBytes.Load()
-			if cur+bytes > budget {
-				return nil
-			}
-			if r.cachedBytes.CompareAndSwap(cur, cur+bytes) {
-				break
-			}
+	for {
+		cur := r.cachedBytes.Load()
+		if cur+bytes > r.p.cacheBudget {
+			return nil
 		}
-	} else {
-		r.cachedBytes.Add(bytes)
+		if r.cachedBytes.CompareAndSwap(cur, cur+bytes) {
+			return r.p.getVec()
+		}
 	}
-	return r.p.getVec()
 }
 
 // releaseCached refunds the budget and recycles the vector.

@@ -178,7 +178,9 @@ func (w *pipeWorker) finishTriangle(tj *triJob) error {
 		if nf < 2 {
 			continue // nothing to join under this class
 		}
-		fam := &pipeFamily{parent: x, k: 2, precounted: true}
+		// The class intersection of a pair class is its prefix item's
+		// vector; the join derives the triples' vectors from it.
+		fam := &pipeFamily{parent: x, k: 2, precounted: true, base: r.p.v.Vectors[x.Item]}
 		fam.prefix = append(w.s.arena.Items(1), x.Item)
 		tasks = append(tasks, pipeTask{fam: fam, lo: -1})
 	}

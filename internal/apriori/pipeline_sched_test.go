@@ -9,14 +9,17 @@ import (
 	"gpapriori/internal/bitset"
 	"gpapriori/internal/dataset"
 	"gpapriori/internal/gen"
+	"gpapriori/internal/oracle"
 	"gpapriori/internal/testutil"
 )
 
 // TestPipelineSchedulerMatrix is the scheduler's oracle-equivalence
 // property test: every (workers, grain, steal-batch) combination —
 // including degenerate grains that force heavy splitting and stealing —
-// produces bit-identical results to the level-wise driver. Run under
-// -race this also exercises the deque/parking protocol for data races.
+// produces bit-identical results to the level-wise driver and the
+// oracle, both with the derived cache budget and with none (every deep
+// family rematerializes). Run under -race this also exercises the
+// deque/parking protocol and the budget accounting for data races.
 func TestPipelineSchedulerMatrix(t *testing.T) {
 	dbs := map[string]*dataset.DB{
 		"rand":  gen.Random(150, 12, 0.5, 21),
@@ -27,20 +30,23 @@ func TestPipelineSchedulerMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !want.Equal(oracle.Mine(db, 3)) {
+			t.Fatalf("%s: level-wise driver disagrees with the oracle", name)
+		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, grain := range []int{0, 1, 7, 64} {
 				for _, steal := range []int{0, 1} {
-					opt := PipelineOptions{
-						Workers: workers, Grain: grain, StealBatch: steal,
-						Count: CountOptions{PrefixCache: true, EarlyAbort: true},
-					}
-					got, err := NewPipeline(db, opt).Mine(3, Config{})
-					if err != nil {
-						t.Fatalf("%s w=%d g=%d s=%d: %v", name, workers, grain, steal, err)
-					}
-					if !got.Equal(want) {
-						t.Fatalf("%s w=%d g=%d s=%d diff: %v",
-							name, workers, grain, steal, got.Diff(want))
+					p := NewPipeline(db, PipelineOptions{Workers: workers, Grain: grain, StealBatch: steal})
+					for _, budget := range []int64{p.cacheBudget, 0} {
+						p.cacheBudget = budget
+						got, err := p.Mine(3, Config{})
+						if err != nil {
+							t.Fatalf("%s w=%d g=%d s=%d budget=%d: %v", name, workers, grain, steal, budget, err)
+						}
+						if !got.Equal(want) {
+							t.Fatalf("%s w=%d g=%d s=%d budget=%d diff: %v",
+								name, workers, grain, steal, budget, got.Diff(want))
+						}
 					}
 				}
 			}
@@ -82,10 +88,7 @@ func TestPipelineSkewedClassStealing(t *testing.T) {
 		}
 		for _, grain := range []int{1, 4, 16} {
 			for _, workers := range []int{2, 4, 8} {
-				p := NewPipeline(db, PipelineOptions{
-					Workers: workers, Grain: grain, StealBatch: 2,
-					Count: CountOptions{PrefixCache: true, EarlyAbort: true},
-				})
+				p := NewPipeline(db, PipelineOptions{Workers: workers, Grain: grain, StealBatch: 2})
 				got, err := p.Mine(minSup, Config{})
 				if err != nil {
 					t.Fatal(err)
@@ -110,7 +113,7 @@ func TestPipelineTriangleGen2(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		p := NewPipeline(db, PipelineOptions{Workers: workers, Count: CountOptions{PrefixCache: true}})
+		p := NewPipeline(db, PipelineOptions{Workers: workers})
 		got, err := p.Mine(2, Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -128,10 +131,7 @@ func TestPipelineTriangleGen2(t *testing.T) {
 // already happened.
 func TestPipelineCancellationMidRun(t *testing.T) {
 	db := gen.Random(400, 18, 0.5, 23)
-	p := NewPipeline(db, PipelineOptions{
-		Workers: 8, Grain: 2, StealBatch: 1,
-		Count: CountOptions{PrefixCache: true},
-	})
+	p := NewPipeline(db, PipelineOptions{Workers: 8, Grain: 2, StealBatch: 1})
 	check := testutil.LeakCheck(t, 0, 3*time.Second)
 	for i := 0; i < 25; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -152,10 +152,10 @@ func TestPipelineCancellationMidRun(t *testing.T) {
 	check()
 }
 
-// TestPipelineGrainKnobPlumbing pins the public knob path: an explicit
-// grain reaches the scheduler (observable through correct results at a
-// pathological grain of 1 on a non-trivial run) and the zero value
-// resolves to the documented width-aware default.
+// TestPipelineGrainKnobPlumbing pins grain resolution: an explicit
+// PipelineOptions.Grain (which the scheduler tests use to force
+// splitting on small inputs) wins, and the zero value resolves to the
+// documented width-aware default.
 func TestPipelineGrainKnobPlumbing(t *testing.T) {
 	for _, c := range []struct {
 		grain, words, want int

@@ -8,66 +8,30 @@ import (
 	"gpapriori/internal/bitset"
 	"gpapriori/internal/dataset"
 	"gpapriori/internal/gen"
-	"gpapriori/internal/oracle"
+	"gpapriori/internal/vertical"
 )
 
-// variantOptions enumerates every counting-variant combination the
-// property tests sweep.
-func variantOptions() []CountOptions {
-	return []CountOptions{
-		{},
-		{PrefixCache: true},
-		{PrefixCache: true, EarlyAbort: true},
-		{PrefixCache: true, EarlyAbort: true, BudgetBytes: 1}, // forces fallback
-	}
+// cacheBudgets lists the cross-generation cache budgets the
+// equivalence tests sweep over p: the derived default, room for two
+// class vectors (cached and rematerialized families mix), and none
+// (every family counting generation 3 or later rematerializes its
+// intersection).
+func cacheBudgets(p *Pipeline) []int64 {
+	vec := int64(bitset.AlignedWords(p.v.NumTrans) * 8)
+	return []int64{p.cacheBudget, 2 * vec, 0}
 }
 
-// TestCPUBitsetVariantsMatchOracle is the all-paths property test of the
-// acceptance criteria: every prefix-cached / early-abort combination
-// produces bit-identical frequent itemsets to the oracle (and hence to
-// the seed's complete-intersection path).
-func TestCPUBitsetVariantsMatchOracle(t *testing.T) {
-	dbs := map[string]*dataset.DB{
-		"small":  gen.Small(),
-		"rand-a": gen.Random(120, 14, 0.45, 1),
-		"rand-b": gen.Random(200, 10, 0.6, 2),
-	}
-	for name, db := range dbs {
-		for _, minSup := range []int{2, 5, 20} {
-			if minSup > db.Len() {
-				continue
-			}
-			want := oracle.Mine(db, minSup)
-			for _, opt := range variantOptions() {
-				c := NewCPUBitsetOpt(db, bitset.PopcountHardware, opt)
-				got, err := Mine(db, minSup, c, Config{})
-				if err != nil {
-					t.Fatalf("%s minsup=%d %s: %v", name, minSup, c.Name(), err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("%s minsup=%d %s diff: %v", name, minSup, c.Name(), got.Diff(want))
-				}
-			}
+func TestPipelineCacheBudgetIsFirstGeneration(t *testing.T) {
+	for _, db := range []*dataset.DB{gen.Small(), gen.Random(150, 12, 0.5, 3)} {
+		p := NewPipeline(db, PipelineOptions{})
+		if want := vertical.EstimateBitsetBytes(db); p.cacheBudget != want {
+			t.Fatalf("cache budget %d, want the first-generation bitsets' %d bytes", p.cacheBudget, want)
 		}
-	}
-}
-
-func TestCPUBitsetVariantNames(t *testing.T) {
-	db := gen.Small()
-	c := NewCPUBitsetOpt(db, bitset.PopcountHardware, CountOptions{PrefixCache: true, EarlyAbort: true})
-	for _, want := range []string{"prefix", "abort"} {
-		if !strings.Contains(c.Name(), want) {
-			t.Fatalf("Name %q missing %q", c.Name(), want)
-		}
-	}
-	plain := NewCPUBitset(db, bitset.PopcountHardware)
-	if strings.Contains(plain.Name(), "prefix") {
-		t.Fatalf("plain Name %q should not advertise variants", plain.Name())
 	}
 }
 
 // TestPipelineMatchesLevelWise checks the pooled pipeline against the
-// level-wise driver across worker counts and variant combinations.
+// level-wise driver across worker counts and cache budgets.
 func TestPipelineMatchesLevelWise(t *testing.T) {
 	dbs := map[string]*dataset.DB{
 		"small":  gen.Small(),
@@ -81,15 +45,16 @@ func TestPipelineMatchesLevelWise(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				for _, opt := range variantOptions() {
-					p := NewPipeline(db, PipelineOptions{Workers: workers, Count: opt})
+				p := NewPipeline(db, PipelineOptions{Workers: workers})
+				for _, budget := range cacheBudgets(p) {
+					p.cacheBudget = budget
 					got, err := p.Mine(minSup, Config{})
 					if err != nil {
-						t.Fatalf("%s minsup=%d workers=%d %s: %v", name, minSup, workers, p.Name(), err)
+						t.Fatalf("%s minsup=%d workers=%d budget=%d: %v", name, minSup, workers, budget, err)
 					}
 					if !got.Equal(want) {
-						t.Fatalf("%s minsup=%d workers=%d %s diff: %v",
-							name, minSup, workers, p.Name(), got.Diff(want))
+						t.Fatalf("%s minsup=%d workers=%d budget=%d diff: %v",
+							name, minSup, workers, budget, got.Diff(want))
 					}
 				}
 			}
@@ -106,16 +71,16 @@ func TestPipelineDenseChessShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(db, PipelineOptions{
-		Workers: 4,
-		Count:   CountOptions{PrefixCache: true, EarlyAbort: true, BudgetBytes: 1 << 20},
-	})
-	got, err := p.Mine(minSup, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("pipeline diff on dense data: %v", got.Diff(want))
+	p := NewPipeline(db, PipelineOptions{Workers: 4})
+	for _, budget := range cacheBudgets(p) {
+		p.cacheBudget = budget
+		got, err := p.Mine(minSup, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("budget=%d: pipeline diff on dense data: %v", budget, got.Diff(want))
+		}
 	}
 }
 
@@ -126,7 +91,7 @@ func TestPipelineMaxLen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewPipeline(db, PipelineOptions{Workers: 3, Count: CountOptions{PrefixCache: true}})
+		p := NewPipeline(db, PipelineOptions{Workers: 3})
 		got, err := p.Mine(5, Config{MaxLen: maxLen})
 		if err != nil {
 			t.Fatal(err)
@@ -174,7 +139,7 @@ func TestPipelineMinSupportValidation(t *testing.T) {
 // runs at different thresholds each match the level-wise driver.
 func TestPipelineRepeatedRuns(t *testing.T) {
 	db := gen.Random(150, 12, 0.5, 8)
-	p := NewPipeline(db, PipelineOptions{Workers: 4, Count: CountOptions{PrefixCache: true, EarlyAbort: true}})
+	p := NewPipeline(db, PipelineOptions{Workers: 4})
 	for _, minSup := range []int{3, 12, 40} {
 		want, err := Mine(db, minSup, NewCPUBitset(db, bitset.PopcountHardware), Config{})
 		if err != nil {

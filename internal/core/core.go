@@ -120,11 +120,7 @@ func New(db *dataset.DB, opt Options) (*Miner, error) {
 	retry := opt.Retry.withDefaults()
 	kopt := opt.Kernel
 	if kopt.BlockSize == 0 {
-		// Default the Section IV.3 knobs but keep the caller's kernel
-		// variant selection.
-		d := kernels.DefaultOptions()
-		d.PrefixCache, d.PrefixScratchWords = kopt.PrefixCache, kopt.PrefixScratchWords
-		kopt = d
+		kopt = kernels.DefaultOptions()
 	}
 	kopt.DeadlineSec = retry.DeadlineSec
 

@@ -26,9 +26,9 @@ import (
 
 // MultiOptions configures a multi-device (and optionally hybrid) miner.
 type MultiOptions struct {
-	// Devices is the number of simulated GPUs (1–16). Each holds a full
-	// copy of the first-generation bitsets, as replication is how the
-	// S1070's independent memories would be used for this workload.
+	// Devices is the number of simulated GPUs (1–MaxDevices). Each holds
+	// a full copy of the first-generation bitsets, as replication is how
+	// the S1070's independent memories would be used for this workload.
 	Devices int
 	// Device is the per-GPU configuration (zero value = TeslaT10()).
 	Device gpusim.Config
@@ -48,12 +48,9 @@ type MultiOptions struct {
 	AutoBalance bool
 	// MaxCPUShare caps the auto-balanced share (default 0.9).
 	MaxCPUShare float64
-	// CPUPopcount selects the host popcount for the hybrid share.
+	// CPUPopcount selects the host popcount for the hybrid share, which
+	// counts exactly as CPU_TEST does.
 	CPUPopcount bitset.PopcountKind
-	// CPUCount tunes the hybrid share's host counting (prefix-class
-	// caching, early abort). Zero value = the plain
-	// complete-intersection loop.
-	CPUCount apriori.CountOptions
 	// Faults schedules injected faults on the device pool. Empty =
 	// fault-free.
 	Faults []DeviceFault
@@ -80,12 +77,15 @@ type MultiOptions struct {
 	MemoryBudgetBytes int64
 }
 
+// MaxDevices is the largest simulated device pool a MultiMiner accepts.
+const MaxDevices = 16
+
 // Validate checks the options eagerly, with descriptive errors, so a bad
 // configuration fails at construction instead of deep inside a
 // generation loop.
 func (o MultiOptions) Validate() error {
-	if o.Devices < 1 || o.Devices > 16 {
-		return fmt.Errorf("core: %d devices out of range [1,16]", o.Devices)
+	if o.Devices < 1 || o.Devices > MaxDevices {
+		return fmt.Errorf("core: %d devices out of range [1,%d]", o.Devices, MaxDevices)
 	}
 	if math.IsNaN(o.HybridCPUShare) || o.HybridCPUShare < 0 || o.HybridCPUShare >= 1 {
 		return fmt.Errorf("core: hybrid CPU share %v out of [0,1)", o.HybridCPUShare)
@@ -187,9 +187,7 @@ func NewMulti(db *dataset.DB, opt MultiOptions) (*MultiMiner, error) {
 		cfg = gpusim.TeslaT10()
 	}
 	if opt.Kernel.BlockSize == 0 {
-		d := kernels.DefaultOptions()
-		d.PrefixCache, d.PrefixScratchWords = opt.Kernel.PrefixCache, opt.Kernel.PrefixScratchWords
-		opt.Kernel = d
+		opt.Kernel = kernels.DefaultOptions()
 	}
 	opt.Retry = opt.Retry.withDefaults()
 	opt.Kernel.DeadlineSec = opt.Retry.DeadlineSec
@@ -244,8 +242,7 @@ type multiCounter struct {
 	// genDeviceSeconds accumulates, per generation, the max modeled
 	// device time — the pool works in parallel.
 	deviceSeconds float64
-	// cpu counts the hybrid host share with the configured CPU_TEST
-	// variant (prefix caching / blocking / early abort when enabled).
+	// cpu counts the hybrid host share with CPU_TEST.
 	cpu *apriori.CPUBitset
 	// share is the current CPU fraction; sharesByGen records its history
 	// when auto-balancing.
@@ -279,10 +276,6 @@ func (c *multiCounter) countOnCPU(cands []trie.Candidate, k int) time.Duration {
 	c.cpuWall += d
 	return d
 }
-
-// SetMinSupport implements apriori.MinSupportAware, arming early abort on
-// the hybrid CPU share.
-func (c *multiCounter) SetMinSupport(minSupport int) { c.cpu.SetMinSupport(minSupport) }
 
 // countOnDevice counts part on device d under the retry policy. It
 // returns the modeled backoff spent; a non-nil error means the device is
@@ -414,7 +407,7 @@ func (m *MultiMiner) MineContext(ctx context.Context, minSupport int, cfg aprior
 	c := &multiCounter{
 		m:         m,
 		perDevice: make([]int, len(m.devs)),
-		cpu:       apriori.NewCPUBitsetOver(m.bits, m.opt.CPUPopcount, m.opt.CPUCount),
+		cpu:       apriori.NewCPUBitsetOver(m.bits, m.opt.CPUPopcount, apriori.CountOptions{}),
 		share:     m.opt.HybridCPUShare,
 		alive:     alive,
 		tracker:   faultTracker{policy: m.opt.Retry},

@@ -66,23 +66,6 @@ func Sample(db *DB, frac float64, seed int64) (*DB, error) {
 	return out, nil
 }
 
-// Partition splits the database into n stripes (transaction i goes to
-// stripe i mod n) — the data layout of count-distribution parallel
-// Apriori, where each worker counts its stripe and counts are summed.
-func Partition(db *DB, n int) ([]*DB, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("dataset: partition count %d must be ≥1", n)
-	}
-	parts := make([]*DB, n)
-	for i := range parts {
-		parts[i] = New(nil)
-	}
-	for i, t := range db.trans {
-		parts[i%n].Append(t)
-	}
-	return parts, nil
-}
-
 // Filter returns the transactions for which keep returns true.
 func Filter(db *DB, keep func(Transaction) bool) *DB {
 	out := New(nil)

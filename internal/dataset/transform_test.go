@@ -72,37 +72,6 @@ func TestSample(t *testing.T) {
 	}
 }
 
-func TestPartition(t *testing.T) {
-	db := testDB()
-	parts, err := Partition(db, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, p := range parts {
-		total += p.Len()
-	}
-	if total != db.Len() {
-		t.Fatalf("partitions hold %d transactions, want %d", total, db.Len())
-	}
-	// Summed per-item supports must equal the original.
-	orig := db.ItemSupports()
-	for item := range orig {
-		sum := 0
-		for _, p := range parts {
-			if item < p.NumItems() {
-				sum += p.ItemSupports()[item]
-			}
-		}
-		if sum != orig[item] {
-			t.Fatalf("item %d: partitioned support %d, want %d", item, sum, orig[item])
-		}
-	}
-	if _, err := Partition(db, 0); err == nil {
-		t.Fatal("0 partitions accepted")
-	}
-}
-
 func TestFilter(t *testing.T) {
 	db := testDB()
 	long := Filter(db, func(tr Transaction) bool { return len(tr) >= 3 })

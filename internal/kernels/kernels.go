@@ -95,22 +95,6 @@ type Options struct {
 	// killed and SupportCounts returns gpusim.ErrWatchdogTimeout. 0
 	// disables the watchdog.
 	DeadlineSec float64
-	// PrefixCache selects the two-phase prefix-class kernel variant:
-	// phase A materializes each (k−1)-prefix class's shared intersection
-	// once in device scratch ((k−1) reads + 1 write per word per class),
-	// phase B counts each candidate as popcount(class ∧ last) (2 reads
-	// per word) — against the complete kernel's k reads per word per
-	// candidate. Classes where the saving is non-positive (m·(k−2) ≤ k
-	// for class size m), generations with k < 3, and chunks that do not
-	// fit the scratch budget fall back to complete intersection, so the
-	// variant is never slower under the timing model and always
-	// bit-identical.
-	PrefixCache bool
-	// PrefixScratchWords caps the device scratch used for materialized
-	// class vectors, in 32-bit words (0 = whatever free device memory
-	// allows). Classes are chunked to fit; a budget too small for a
-	// single class falls back to complete intersection.
-	PrefixScratchWords int
 }
 
 // DefaultOptions returns the paper's tuned configuration: 256-thread
@@ -165,15 +149,7 @@ func (d *DeviceDB) SupportCounts(cands [][]dataset.Item, opt Options) ([]int, er
 			}
 		}
 	}
-	if opt.PrefixCache && k >= 3 {
-		return d.supportCountsPrefix(cands, k, opt)
-	}
-	return d.supportCountsComplete(cands, k, opt)
-}
 
-// supportCountsComplete is the paper's one-block-per-candidate complete
-// intersection (Figure 5) over pre-validated candidates.
-func (d *DeviceDB) supportCountsComplete(cands [][]dataset.Item, k int, opt Options) ([]int, error) {
 	flat := make([]uint32, 0, len(cands)*k)
 	for _, c := range cands {
 		for _, item := range c {

@@ -434,3 +434,52 @@ func TestTidsetKernelDiverges(t *testing.T) {
 		t.Fatalf("bitset kernel diverged: %+v", sB)
 	}
 }
+
+// --- Options.normalize edge cases (Section IV.3 block-size tuning) ---
+
+func TestNormalizeRoundsBlockToPowerOfTwo(t *testing.T) {
+	dev := newTestDevice()
+	for _, tc := range []struct{ in, want int }{
+		{300, 256}, {511, 256}, {257, 256}, {65, 64}, {33, 32}, {2, 2}, {1, 1},
+	} {
+		got := Options{BlockSize: tc.in, Unroll: 1}.normalize(dev)
+		if got.BlockSize != tc.want {
+			t.Fatalf("normalize(BlockSize=%d).BlockSize = %d, want %d", tc.in, got.BlockSize, tc.want)
+		}
+	}
+}
+
+func TestNormalizeClampsToDeviceLimit(t *testing.T) {
+	dev := newTestDevice()
+	max := dev.Config().MaxThreadsPerBlock
+	got := Options{BlockSize: max * 4, Unroll: 1}.normalize(dev)
+	if got.BlockSize > max {
+		t.Fatalf("normalize left BlockSize %d above device limit %d", got.BlockSize, max)
+	}
+	if got.BlockSize&(got.BlockSize-1) != 0 {
+		t.Fatalf("clamped BlockSize %d is not a power of two", got.BlockSize)
+	}
+	// The Fermi-generation M2050 allows 1024: the same request must not
+	// be clamped there.
+	fermi := gpusim.NewDevice(gpusim.TeslaM2050(), 1<<22)
+	fmax := fermi.Config().MaxThreadsPerBlock
+	if g := (Options{BlockSize: fmax, Unroll: 1}.normalize(fermi)); g.BlockSize != fmax {
+		t.Fatalf("Fermi normalize(BlockSize=%d).BlockSize = %d", fmax, g.BlockSize)
+	}
+}
+
+func TestNormalizeDefaultsAndUnrollFloor(t *testing.T) {
+	dev := newTestDevice()
+	for _, in := range []Options{{}, {BlockSize: -5, Unroll: -3}, {Unroll: 0}} {
+		got := in.normalize(dev)
+		if got.BlockSize != 256 {
+			t.Fatalf("normalize(%+v).BlockSize = %d, want default 256", in, got.BlockSize)
+		}
+		if got.Unroll < 1 {
+			t.Fatalf("normalize(%+v).Unroll = %d, want ≥ 1", in, got.Unroll)
+		}
+	}
+	if got := (Options{BlockSize: 128, Unroll: 4}.normalize(dev)); got.Unroll != 4 || got.BlockSize != 128 {
+		t.Fatalf("normalize altered already-valid options: %+v", got)
+	}
+}

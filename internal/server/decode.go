@@ -1,9 +1,9 @@
 // Strict decoding of mining requests. Everything a client can send is
 // bounded here, before a job object exists: unknown fields, trailing
-// garbage, absurd thresholds, negative deadlines, and malformed fault
-// specs all come back as one typed 400 — never a panic, never an
-// admitted job. The fuzz target in decode_fuzz_test.go holds the
-// package to that contract.
+// garbage, absurd thresholds, negative deadlines, and device settings
+// or fault specs the miner would refuse all come back as one typed
+// 400 — never a panic, never an admitted job. The fuzz target in
+// decode_fuzz_test.go holds the package to that contract.
 package server
 
 import (
@@ -22,15 +22,11 @@ import (
 // enough that a hostile value cannot drive allocation or scheduling
 // decisions off a cliff.
 const (
-	maxRequestBody   = 1 << 20 // 1 MiB of JSON is already absurd
-	maxMaxLen        = 1 << 16
-	maxAbsPriority   = 1 << 20
-	maxDeadlineSec   = 24 * 60 * 60
-	maxWorkers       = 1 << 12
-	maxDevices       = 1 << 12
-	maxPrefixCacheMB = 1 << 20
-	maxPipelineGrain = 1 << 20
-	maxStealBatch    = 1 << 20
+	maxRequestBody = 1 << 20 // 1 MiB of JSON is already absurd
+	maxMaxLen      = 1 << 16
+	maxAbsPriority = 1 << 20
+	maxDeadlineSec = 24 * 60 * 60
+	maxWorkers     = 1 << 12
 )
 
 // badRequest builds the decoder's uniform typed error.
@@ -132,27 +128,20 @@ func ValidateMineRequest(req *gpapriori.ServeMineRequest) *gpapriori.ServeError 
 	if req.Workers < 0 || req.Workers > maxWorkers {
 		return badRequest("workers must be in [0,%d] (got %d)", maxWorkers, req.Workers)
 	}
-	if req.Devices < 0 || req.Devices > maxDevices {
-		return badRequest("devices must be in [0,%d] (got %d)", maxDevices, req.Devices)
+	// The device pool is checked by core's own validator, exactly as
+	// the miner will check it, so a device count, hybrid share or fault
+	// schedule the miner would refuse is a 400 here, not a failed job
+	// later. devices 0 means one device.
+	faults, err := core.ParseFaultSpec(req.Faults)
+	if err != nil {
+		return badRequest("faults: %v", err)
 	}
-	if req.HybridCPUShare < 0 || req.HybridCPUShare > 1 || math.IsNaN(req.HybridCPUShare) {
-		return badRequest("hybrid_cpu_share must be in [0,1] (got %v)", req.HybridCPUShare)
+	pool := core.MultiOptions{Devices: req.Devices, HybridCPUShare: req.HybridCPUShare, Faults: faults}
+	if pool.Devices == 0 {
+		pool.Devices = 1
 	}
-	if req.PrefixCacheBudgetMB < 0 || req.PrefixCacheBudgetMB > maxPrefixCacheMB {
-		return badRequest("prefix_cache_budget_mb must be in [0,%d] (got %d)", maxPrefixCacheMB, req.PrefixCacheBudgetMB)
-	}
-	if req.PipelineGrain < 0 || req.PipelineGrain > maxPipelineGrain {
-		return badRequest("pipeline_grain must be in [0,%d] (got %d)", maxPipelineGrain, req.PipelineGrain)
-	}
-	if req.PipelineStealBatch < 0 || req.PipelineStealBatch > maxStealBatch {
-		return badRequest("pipeline_steal_batch must be in [0,%d] (got %d)", maxStealBatch, req.PipelineStealBatch)
-	}
-	if req.Faults != "" {
-		// Parse eagerly so a bad schedule is a 400 here, not a failed job
-		// later.
-		if _, err := core.ParseFaultSpec(req.Faults); err != nil {
-			return badRequest("faults: %v", err)
-		}
+	if err := pool.Validate(); err != nil {
+		return badRequest("%v", err)
 	}
 	return nil
 }

@@ -183,14 +183,19 @@ func NewJobManagerContext(ctx context.Context, cfg JobManagerConfig) (*JobManage
 }
 
 // EstimateMemoryBytes models a mining run's in-flight memory: the
-// vertical bitset layout (numItems × alignedWords × 8), and for
-// AlgoGPApriori one copy per simulated device plus the scratch headroom
-// core.New allocates (the bitset size clamped to [4MiB, 128MiB]). The
-// JobManager admits jobs against this estimate, which makes the admission
-// budget a real bound on modeled memory rather than a guess.
+// vertical bitset layout (numItems × alignedWords × 8); for AlgoPipeline
+// that again for the cross-generation class-vector cache, whose budget
+// is the bitset footprint; and for AlgoGPApriori one copy per simulated
+// device plus the scratch headroom core.New allocates (the bitset size
+// clamped to [4MiB, 128MiB]). The JobManager admits jobs against this
+// estimate, which makes the admission budget a real bound on modeled
+// memory rather than a guess.
 func EstimateMemoryBytes(db *Database, cfg Config) int64 {
 	base := vertical.EstimateBitsetBytes(db.db)
 	algo := cfg.Algorithm
+	if algo == AlgoPipeline {
+		return 2 * base
+	}
 	if algo != "" && algo != AlgoGPApriori {
 		return base
 	}

@@ -348,7 +348,9 @@ func TestJobManagerConfigValidation(t *testing.T) {
 }
 
 // TestEstimateMemoryBytesScalesWithDevices: the estimate is the bitset
-// layout once per device plus clamped scratch — monotone in Devices.
+// layout once per device plus clamped scratch — monotone in Devices —
+// and the pipeline is charged its bitsets plus its class-vector cache,
+// which is bounded by the same bitset footprint.
 func TestEstimateMemoryBytesScalesWithDevices(t *testing.T) {
 	db := jobsDB(7)
 	one := EstimateMemoryBytes(db, Config{Algorithm: AlgoGPApriori})
@@ -362,5 +364,8 @@ func TestEstimateMemoryBytesScalesWithDevices(t *testing.T) {
 	}
 	if cpu <= 0 {
 		t.Errorf("CPU estimate %d must be positive", cpu)
+	}
+	if pipe := EstimateMemoryBytes(db, Config{Algorithm: AlgoPipeline}); pipe != 2*cpu {
+		t.Errorf("pipeline estimate %d, want bitsets plus cache bound 2×%d", pipe, cpu)
 	}
 }

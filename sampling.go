@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"gpapriori/internal/apriori"
-	"gpapriori/internal/bitset"
 	"gpapriori/internal/sampling"
 )
 
@@ -86,16 +85,8 @@ func MineTopK(db *Database, k, minLen int, cfg Config) (*Result, error) {
 		counter = apriori.NewBodon(db.db)
 	case AlgoGoethals:
 		counter = apriori.NewGoethals(db.db)
-	case AlgoHashTree:
-		counter = apriori.NewHashTree(db.db)
-	case AlgoParallelCPU:
-		counter = apriori.NewParallelBitset(db.db, bitset.PopcountHardware, cfg.Workers)
 	default:
-		kind := bitset.PopcountHardware
-		if cfg.EraPopcount {
-			kind = bitset.PopcountTable8
-		}
-		counter = apriori.NewCPUBitset(db.db, kind)
+		counter = apriori.NewCPUBitset(db.db, cfg.popcount())
 	}
 	rs, threshold, err := apriori.MineTopK(db.db, k, minLen, counter, apriori.Config{MaxLen: cfg.MaxLen})
 	if err != nil {

@@ -9,7 +9,9 @@
 # name, so background load on the benchmark host skews the snapshot as
 # little as possible. When a prior BENCH_*.json exists in the repo root,
 # the newest one is passed to benchjson -prev so the snapshot carries a
-# delta section against it.
+# delta section against it. Every snapshot records the commit it was
+# built from, the Go version and GOMAXPROCS, so a delta names the two
+# commits it compares.
 #
 # Environment:
 #   BENCHTIME  go test -benchtime value (default 1s; use e.g. 5x for a
@@ -29,6 +31,7 @@ if [ -z "${PREV+x}" ]; then
     # Newest committed snapshot that isn't the file we're about to write.
     PREV="$(ls -1 BENCH_*.json 2>/dev/null | grep -vx "$OUT" | sort | tail -n 1 || true)"
 fi
+COMMIT="$(git rev-parse HEAD)"
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 
@@ -37,8 +40,8 @@ go test -run='^$' -bench=. -benchmem -benchtime="$BENCHTIME" -count="$COUNT" \
 
 if [ -n "$PREV" ]; then
     echo "diffing against $PREV"
-    go run ./cmd/benchjson -prev "$PREV" <"$tmp" >"$OUT"
+    go run ./cmd/benchjson -commit "$COMMIT" -prev "$PREV" <"$tmp" >"$OUT"
 else
-    go run ./cmd/benchjson <"$tmp" >"$OUT"
+    go run ./cmd/benchjson -commit "$COMMIT" <"$tmp" >"$OUT"
 fi
 echo "wrote $OUT"

@@ -42,8 +42,14 @@ fi
 
 go test -race ./...
 
-# Benchmark smoke: every benchmark (including the work-stealing
-# pipeline and prefix-cache macro benchmarks) must run one iteration
+# The served-path benchmark (perfbench/) is a Go module of its own, so
+# the root `go test ./...` never builds it. Vet and short-test it here,
+# so an API change that breaks the benchmark fails verification rather
+# than the next benchmark run.
+(cd perfbench && go vet ./... && go test -short ./...)
+
+# Benchmark smoke: every benchmark (including the CPU_TEST and
+# work-stealing pipeline macro benchmarks) must run one iteration
 # cleanly.
 go test -run='^$' -bench=. -benchtime=1x ./...
 

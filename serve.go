@@ -54,12 +54,6 @@ type ServeMineRequest struct {
 	Workers        int     `json:"workers,omitempty"`
 	Devices        int     `json:"devices,omitempty"`
 	HybridCPUShare float64 `json:"hybrid_cpu_share,omitempty"`
-	// PrefixCache / PrefixCacheBudgetMB mirror Config.
-	PrefixCache         bool `json:"prefix_cache,omitempty"`
-	PrefixCacheBudgetMB int  `json:"prefix_cache_budget_mb,omitempty"`
-	// PipelineGrain / PipelineStealBatch mirror Config (pipeline only).
-	PipelineGrain      int `json:"pipeline_grain,omitempty"`
-	PipelineStealBatch int `json:"pipeline_steal_batch,omitempty"`
 	// Faults / FaultSeed inject a deterministic device-fault schedule
 	// (see Config.Faults).
 	Faults    string `json:"faults,omitempty"`
@@ -73,19 +67,15 @@ type ServeMineRequest struct {
 // own checkpoint/streaming wiring on top.
 func (r ServeMineRequest) MiningConfig() Config {
 	return Config{
-		Algorithm:           Algorithm(r.Algorithm),
-		MinSupport:          r.MinSupport,
-		RelativeSupport:     r.RelativeSupport,
-		MaxLen:              r.MaxLen,
-		Workers:             r.Workers,
-		Devices:             r.Devices,
-		HybridCPUShare:      r.HybridCPUShare,
-		PrefixCache:         r.PrefixCache,
-		PrefixCacheBudgetMB: r.PrefixCacheBudgetMB,
-		PipelineGrain:       r.PipelineGrain,
-		PipelineStealBatch:  r.PipelineStealBatch,
-		Faults:              r.Faults,
-		FaultSeed:           r.FaultSeed,
+		Algorithm:       Algorithm(r.Algorithm),
+		MinSupport:      r.MinSupport,
+		RelativeSupport: r.RelativeSupport,
+		MaxLen:          r.MaxLen,
+		Workers:         r.Workers,
+		Devices:         r.Devices,
+		HybridCPUShare:  r.HybridCPUShare,
+		Faults:          r.Faults,
+		FaultSeed:       r.FaultSeed,
 	}
 }
 
