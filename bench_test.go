@@ -521,7 +521,7 @@ func BenchmarkExtensionMultiGPU(b *testing.B) {
 	minSup := db.AbsoluteSupport(0.45)
 	for _, devices := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("gpus-%d", devices), func(b *testing.B) {
-			m, err := core.NewMulti(db, core.MultiOptions{
+			m, err := core.New(db, core.Options{
 				Devices: devices,
 				Kernel:  kernels.Options{BlockSize: 64, Preload: true, Unroll: 4},
 			})

@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("  %-6s %14s %10s\n", "GPUs", "pool_time_s", "speedup")
 	var base float64
 	for _, gpus := range []int{1, 2, 4} {
-		m, err := core.NewMulti(db, core.MultiOptions{Devices: gpus, Kernel: kopt})
+		m, err := core.New(db, core.Options{Devices: gpus, Kernel: kopt})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func main() {
 	fmt.Println("\nhybrid CPU/GPU (one GPU + host share of each generation):")
 	fmt.Printf("  %-10s %14s %14s\n", "cpu_share", "cpu_count_s", "device_s")
 	for _, share := range []float64{0, 0.25, 0.5} {
-		m, err := core.NewMulti(db, core.MultiOptions{Devices: 1, Kernel: kopt, HybridCPUShare: share})
+		m, err := core.New(db, core.Options{Kernel: kopt, HybridCPUShare: share})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -47,7 +47,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := m.Device().AttachProfiler()
+	prof := m.Devices()[0].AttachProfiler()
 	rep, err := m.Mine(minSup, apriori.Config{})
 	if err != nil {
 		log.Fatal(err)

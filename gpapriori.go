@@ -83,6 +83,27 @@ const (
 	AlgoPipeline Algorithm = "pipeline"
 )
 
+// Resolve returns the algorithm a run configured with a executes: the
+// empty algorithm is the default, AlgoGPApriori.
+func (a Algorithm) Resolve() Algorithm {
+	if a == "" {
+		return AlgoGPApriori
+	}
+	return a
+}
+
+// LevelWise reports whether the algorithm mines generation by
+// generation — the precondition for checkpointing and per-generation
+// streaming. The depth-first miners (Eclat, FP-Growth) and the
+// overlapped Pipeline have no generation boundary.
+func (a Algorithm) LevelWise() bool {
+	switch a {
+	case AlgoEclat, AlgoEclatDiffset, AlgoFPGrowth, AlgoPipeline:
+		return false
+	}
+	return true
+}
+
 // Algorithms lists every supported algorithm in presentation order.
 func Algorithms() []Algorithm {
 	return []Algorithm{
@@ -140,10 +161,10 @@ type Config struct {
 	// Faults injects device faults into an AlgoGPApriori run, as a
 	// comma-separated spec of dev<N>:<kind>@gen<G> entries where <kind> is
 	// kernel-fail, xfer-fail, hang[=seconds], or dead — e.g.
-	// "dev1:kernel-fail@gen3,dev2:dead@gen2". Fault runs always take the
-	// failover-capable multi-device path, so they complete (degrading to
-	// the CPU if every device dies) with the same result set as a clean
-	// run. Empty = no faults.
+	// "dev1:kernel-fail@gen3,dev2:dead@gen2". A lost device's candidates
+	// fail over to the surviving devices and degrade to the CPU when
+	// none survive, so fault runs complete with the same result set as a
+	// clean run. Empty = no faults.
 	Faults string
 	// FaultSeed seeds the fault injectors for reproducible fault runs.
 	FaultSeed int64
@@ -166,9 +187,9 @@ type Config struct {
 	// Checkpoint: kill the process, rerun the same config, and the
 	// result is bit-identical to an uninterrupted run.
 	ResumeFrom string
-	// MemoryBudgetMB caps the modeled device memory of a multi-GPU run
-	// in MiB (0 = uncapped); a budget too small for even one device's
-	// first-generation bitsets is rejected up front.
+	// MemoryBudgetMB caps the modeled memory of an AlgoGPApriori run's
+	// replicated first-generation bitsets in MiB (0 = uncapped); a
+	// budget too small for every device's copy is rejected up front.
 	MemoryBudgetMB int
 
 	// OnGeneration, when set, is invoked after each counted generation
@@ -193,9 +214,6 @@ type Config struct {
 	// checkpoint save. The job manager uses it to surface the
 	// checkpointed lifecycle state.
 	onCheckpoint func(gen int)
-	// excludeDevices removes simulated devices from the pool for this
-	// run (circuit-breaker integration); forces the multi-device path.
-	excludeDevices []int
 }
 
 // Itemset is one frequent itemset with its absolute support. The JSON
@@ -216,11 +234,14 @@ type Result struct {
 	// algorithms it is the full run.
 	HostSeconds float64
 	// DeviceSeconds is the modeled GPU time (AlgoGPApriori only; zero for
-	// CPU algorithms).
+	// CPU algorithms). Devices of a pool run concurrently, so each
+	// generation costs its slowest device.
 	DeviceSeconds float64
-	// DeviceBreakdown decomposes the modeled device time ("kernel",
-	// "memory", "compute", "launch", "transfer" in seconds); nil for CPU
-	// algorithms.
+	// DeviceBreakdown decomposes the modeled device time into "kernel",
+	// "memory", "compute", "launch" and "transfer" seconds summed over
+	// the device pool, and records the pool's "devices", the measured
+	// "cpu-share" counting seconds and the "cpu-cands" it counted; nil
+	// for CPU algorithms.
 	DeviceBreakdown map[string]float64
 	// Faults reports injected-fault activity and recovery cost; nil when
 	// the run saw no fault activity.
@@ -288,10 +309,7 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	algo := cfg.Algorithm
-	if algo == "" {
-		algo = AlgoGPApriori
-	}
+	algo := cfg.Algorithm.Resolve()
 	minSup, err := cfg.resolveSupport(db)
 	if err != nil {
 		return nil, err
@@ -328,18 +346,15 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 		if err != nil {
 			return nil, err
 		}
-		// Fault runs take the multi-device path even on one device: it can
-		// fail over and degrade to the CPU, so the run always completes.
-		// Device exclusions (circuit breaker) need the same machinery.
-		if cfg.Devices > 1 || cfg.HybridCPUShare > 0 || len(faults) > 0 ||
-			len(cfg.excludeDevices) > 0 {
-			rs, err = runMultiDevice(ctx, db, cfg, minSup, acfg, kopt, faults, res)
-			if err != nil {
-				return nil, err
-			}
-			break
-		}
-		m, err := core.New(db.db, core.Options{Kernel: kopt})
+		m, err := core.New(db.db, core.Options{
+			Devices:           cfg.Devices,
+			Kernel:            kopt,
+			HybridCPUShare:    cfg.HybridCPUShare,
+			CPUPopcount:       cfg.popcount(),
+			Faults:            faults,
+			FaultSeed:         cfg.FaultSeed,
+			MemoryBudgetBytes: int64(cfg.MemoryBudgetMB) << 20,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -349,13 +364,20 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 		}
 		rs = rep.Result
 		res.HostSeconds = rep.HostSeconds
-		res.DeviceSeconds = rep.Device.Total()
+		res.DeviceSeconds = rep.DeviceSeconds
 		res.DeviceBreakdown = map[string]float64{
-			"kernel":   rep.Device.Kernel,
-			"memory":   rep.Device.Memory,
-			"compute":  rep.Device.Compute,
-			"launch":   rep.Device.Launch,
-			"transfer": rep.Device.Transfer,
+			"kernel":    rep.Device.Kernel,
+			"memory":    rep.Device.Memory,
+			"compute":   rep.Device.Compute,
+			"launch":    rep.Device.Launch,
+			"transfer":  rep.Device.Transfer,
+			"devices":   float64(len(rep.PerDevice)),
+			"cpu-share": rep.CPUCountSeconds,
+			"cpu-cands": float64(rep.CandidatesCPU),
+		}
+		if rep.Faults.Any() {
+			f := FaultStats(rep.Faults)
+			res.Faults = &f
 		}
 	case AlgoCPUBitset, AlgoBorgelt, AlgoBodon, AlgoGoethals:
 		var counter apriori.Counter
@@ -414,51 +436,6 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 	return res, nil
 }
 
-// runMultiDevice is the failover-capable AlgoGPApriori path: a pool of
-// simulated devices with optional hybrid CPU share, fault injection,
-// breaker-driven device exclusion, and a modeled memory budget. It fills
-// res's timing/fault fields and returns the frequent sets.
-func runMultiDevice(ctx context.Context, db *Database, cfg Config, minSup int,
-	acfg apriori.Config, kopt kernels.Options, faults []core.DeviceFault,
-	res *Result) (*dataset.ResultSet, error) {
-	devices := cfg.Devices
-	if devices < 1 {
-		devices = 1
-	}
-	m, err := core.NewMulti(db.db, core.MultiOptions{
-		Devices:           devices,
-		Kernel:            kopt,
-		HybridCPUShare:    cfg.HybridCPUShare,
-		CPUPopcount:       cfg.popcount(),
-		Faults:            faults,
-		FaultSeed:         cfg.FaultSeed,
-		MemoryBudgetBytes: int64(cfg.MemoryBudgetMB) << 20,
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range cfg.excludeDevices {
-		m.SetDeviceEnabled(d, false)
-	}
-	rep, err := m.MineContext(ctx, minSup, acfg)
-	if err != nil {
-		return nil, err
-	}
-	res.HostSeconds = rep.HostSeconds
-	res.DeviceSeconds = rep.DeviceSeconds
-	res.DeviceBreakdown = map[string]float64{
-		"pool":      rep.DeviceSeconds,
-		"cpu-share": rep.CPUCountSeconds,
-		"devices":   float64(devices),
-		"cpu-cands": float64(rep.CandidatesCPU),
-	}
-	if rep.Faults.Any() {
-		f := FaultStats(rep.Faults)
-		res.Faults = &f
-	}
-	return rep.Result, nil
-}
-
 // Typed checkpoint failures, re-exported so CLI and serving callers can
 // distinguish a stale snapshot from a damaged one with errors.Is.
 var (
@@ -502,10 +479,9 @@ func DatasetFingerprint(db *Database) (uint64, error) {
 }
 
 // wireCheckpoint installs the public checkpoint/resume config into the
-// level-wise driver config. The hook installed here wins over any
-// miner-level checkpoint spec (checkpoint.Wire is a no-op when a hook is
-// already present), so every AlgoGPApriori variant and CPU strategy flows
-// through this one save path.
+// level-wise driver config through checkpoint.Wire, wrapping its save
+// hook for Config.OnCheckpointError and the job manager's checkpointed-
+// state notification.
 func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *apriori.Config) error {
 	if cfg.Checkpoint == "" && cfg.ResumeFrom == "" {
 		if cfg.CheckpointEvery != 0 {
@@ -517,40 +493,24 @@ func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *
 		}
 		return nil
 	}
-	switch algo {
-	case AlgoEclat, AlgoEclatDiffset, AlgoFPGrowth, AlgoPipeline:
+	if !algo.LevelWise() {
 		return fmt.Errorf("gpapriori: algorithm %q cannot checkpoint or resume: it has no generation boundary to snapshot at (use a level-wise algorithm)", algo)
 	}
-	every := cfg.CheckpointEvery
-	if every == 0 {
-		every = 1
-	}
-	if every < 0 {
+	if cfg.CheckpointEvery < 0 {
 		return fmt.Errorf("gpapriori: Config.CheckpointEvery %d must be ≥0", cfg.CheckpointEvery)
 	}
-	fp := checkpoint.Fingerprint(db.db, minSup, cfg.MaxLen)
-	if cfg.ResumeFrom != "" {
-		snap, err := checkpoint.TryResume(cfg.ResumeFrom, fp, minSup)
-		if err != nil {
-			return err
-		}
-		if snap != nil {
-			acfg.Resume = &apriori.Resume{Gen: snap.Gen, Frequent: snap.Frequent}
-		}
+	spec := checkpoint.Spec{ResumeFrom: cfg.ResumeFrom}
+	if cfg.Checkpoint != "" {
+		spec.Path = cfg.Checkpoint
+		spec.EveryGens = max(cfg.CheckpointEvery, 1)
+		spec.Meta = map[string]string{"algorithm": string(algo)}
 	}
-	if cfg.Checkpoint == "" {
-		return nil
+	if err := checkpoint.Wire(spec, db.db, minSup, acfg); err != nil || acfg.Checkpoint == nil {
+		return err
 	}
-	path, maxLen, algoName, notify := cfg.Checkpoint, cfg.MaxLen, string(algo), cfg.onCheckpoint
-	onErr := cfg.OnCheckpointError
-	acfg.CheckpointEvery = every
+	save, notify, onErr := acfg.Checkpoint, cfg.onCheckpoint, cfg.OnCheckpointError
 	acfg.Checkpoint = func(gen int, frequent *dataset.ResultSet) error {
-		err := checkpoint.Save(path, checkpoint.Snapshot{
-			Gen: gen, MinSupport: minSup, MaxLen: maxLen,
-			Fingerprint: fp,
-			Meta:        map[string]string{"algorithm": algoName},
-			Frequent:    frequent,
-		})
+		err := save(gen, frequent)
 		if err == nil {
 			if notify != nil {
 				notify(gen)
@@ -573,11 +533,7 @@ func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *
 // wireCheckpoint — a streamed generation is only announced once it is
 // durable. Depth-first algorithms have no boundary and skip the hook.
 func wireGenerationHook(algo Algorithm, cfg Config, acfg *apriori.Config) {
-	if cfg.OnGeneration == nil {
-		return
-	}
-	switch algo {
-	case AlgoEclat, AlgoEclatDiffset, AlgoFPGrowth, AlgoPipeline:
+	if cfg.OnGeneration == nil || !algo.LevelWise() {
 		return
 	}
 	prev := acfg.Checkpoint

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -268,6 +270,22 @@ func TestMultiDeviceAndHybridViaPublicAPI(t *testing.T) {
 	}
 	if multi.DeviceBreakdown["devices"] != 3 {
 		t.Fatalf("breakdown = %v", multi.DeviceBreakdown)
+	}
+	// One device or a hybrid pool, every GPApriori run reports the same
+	// breakdown keys.
+	keys := func(m map[string]float64) []string {
+		var ks []string
+		for k := range m {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		return ks
+	}
+	want := []string{"compute", "cpu-cands", "cpu-share", "devices", "kernel", "launch", "memory", "transfer"}
+	for _, res := range []*Result{ref, multi} {
+		if got := keys(res.DeviceBreakdown); !slices.Equal(got, want) {
+			t.Errorf("breakdown keys %v, want %v", got, want)
+		}
 	}
 }
 

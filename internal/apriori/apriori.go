@@ -171,8 +171,3 @@ func seedFromResume(t *trie.Trie, r *Resume, minSupport int) (int, error) {
 	}
 	return r.Gen, nil
 }
-
-// MineRelative is Mine with a relative support threshold in (0,1].
-func MineRelative(db *dataset.DB, relSupport float64, c Counter, cfg Config) (*dataset.ResultSet, error) {
-	return Mine(db, db.AbsoluteSupport(relSupport), c, cfg)
-}

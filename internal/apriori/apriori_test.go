@@ -176,21 +176,6 @@ func TestMaxCandidatesGuard(t *testing.T) {
 	}
 }
 
-func TestMineRelativeMatchesAbsolute(t *testing.T) {
-	db := gen.Small()
-	a, err := MineRelative(db, 0.5, NewBorgelt(db), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Mine(db, 2, NewBorgelt(db), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(b) {
-		t.Fatal("relative 0.5 over 4 transactions != absolute 2")
-	}
-}
-
 func TestBorgeltReusableAcrossRuns(t *testing.T) {
 	// The same counter instance must be reusable for a second Mine (its
 	// per-generation caches must not leak stale state).

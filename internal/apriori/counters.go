@@ -29,7 +29,7 @@ func NewCPUBitset(db *dataset.DB, kind bitset.PopcountKind) *CPUBitset {
 type CountOptions struct{}
 
 // NewCPUBitsetOver builds the counter over an already-transposed vertical
-// database, so callers that hold one (MultiMiner's hybrid share) do not
+// database, so callers that hold one (core.Miner's CPU share) do not
 // transpose twice.
 func NewCPUBitsetOver(v *vertical.BitsetDB, kind bitset.PopcountKind, _ CountOptions) *CPUBitset {
 	return &CPUBitset{v: v, popc: kind.Func(), kind: kind}

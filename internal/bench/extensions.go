@@ -55,7 +55,7 @@ func WriteE1MultiGPU(w io.Writer, scale float64) error {
 	fmt.Fprintf(w, "%-8s %14s %14s %10s\n", "GPUs", "device_pool_s", "total_s", "speedup")
 	base := 0.0
 	for _, devices := range []int{1, 2, 4, 8} {
-		m, err := core.NewMulti(wl.db, core.MultiOptions{
+		m, err := core.New(wl.db, core.Options{
 			Devices: devices,
 			Kernel:  kernels.Options{BlockSize: 64, Preload: true, Unroll: 4},
 		})
@@ -89,8 +89,7 @@ func WriteE2HybridShare(w io.Writer, scale float64) error {
 	fmt.Fprintf(w, "%-10s %12s %14s %14s %14s\n",
 		"cpu_share", "cpu_cands", "cpu_count_s", "device_s", "total_s")
 	for _, share := range []float64{0, 0.1, 0.25, 0.5, 0.75} {
-		m, err := core.NewMulti(wl.db, core.MultiOptions{
-			Devices:        1,
+		m, err := core.New(wl.db, core.Options{
 			Kernel:         kernels.Options{BlockSize: 64, Preload: true, Unroll: 4},
 			HybridCPUShare: share,
 			CPUPopcount:    bitset.PopcountTable8,

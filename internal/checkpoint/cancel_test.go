@@ -25,7 +25,7 @@ func TestMineContextCancelledMidCheckpoint(t *testing.T) {
 
 	mine := func(ctx context.Context, spec Spec) (gotErr error) {
 		var cfg apriori.Config
-		if err := Wire(spec, db, minSup, &cfg, nil); err != nil {
+		if err := Wire(spec, db, minSup, &cfg); err != nil {
 			t.Fatal(err)
 		}
 		_, err := apriori.MineContext(ctx, db, minSup,
@@ -106,7 +106,7 @@ func TestMineContextCancelledMidCheckpoint(t *testing.T) {
 
 			// And it resumes to the exact oracle result.
 			resumed := spec
-			resumed.Resume = true
+			resumed.ResumeFrom = path
 			if err := mine(context.Background(), resumed); err != nil {
 				t.Fatalf("resume after interruption: %v", err)
 			}

@@ -309,23 +309,22 @@ func TryResume(path string, fingerprint uint64, minSupport int) (*Snapshot, erro
 	return &s, nil
 }
 
-// Spec is the checkpoint configuration threaded through the miner option
-// structs (core.Options, core.MultiOptions, cluster.Config). The zero
-// value disables checkpointing.
+// Spec is a run's checkpoint configuration. The zero value neither
+// saves nor resumes.
 type Spec struct {
-	// Path is the checkpoint file ("" = checkpointing off).
+	// Path is the checkpoint file saved at generation boundaries
+	// ("" = no saves).
 	Path string
-	// EveryGens checkpoints every N counted generations. It must be ≥1
+	// EveryGens saves every N counted generations. It must be ≥1
 	// whenever Path is set: an accidental zero would mean "never", which
 	// on a crash silently loses the whole run.
 	EveryGens int
-	// Resume makes the miner fast-forward from an existing compatible
-	// checkpoint at Path before mining (a missing file starts fresh).
-	Resume bool
+	// ResumeFrom fast-forwards the run from a compatible checkpoint at
+	// this path ("" = start fresh); a missing file starts fresh.
+	ResumeFrom string
+	// Meta is stamped into every saved snapshot.
+	Meta map[string]string
 }
-
-// Enabled reports whether the spec actually checkpoints.
-func (s Spec) Enabled() bool { return s.Path != "" }
 
 // Validate rejects unusable specs with errors naming the field.
 func (s Spec) Validate() error {
@@ -341,22 +340,18 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Wire installs spec into an apriori.Config: a save hook writing
-// snapshots to spec.Path (tagged with the run fingerprint and, when meta
-// is non-nil, its key/value pairs at save time), and — when spec.Resume —
-// the resume point recovered from an existing compatible checkpoint.
-// A cfg that already carries a Checkpoint hook is left untouched, so
-// higher layers (the public API) win over miner-level specs.
-func Wire(spec Spec, db *dataset.DB, minSupport int, cfg *apriori.Config, meta func() map[string]string) error {
-	if !spec.Enabled() || cfg.Checkpoint != nil {
-		return nil
-	}
+// Wire installs spec into an apriori.Config: the resume point recovered
+// from spec.ResumeFrom and a save hook writing snapshots to spec.Path,
+// both keyed by the fingerprint of (db, minSupport, cfg.MaxLen). A
+// checkpoint at ResumeFrom that belongs to a different run is
+// ErrMismatch, never silently mixed in.
+func Wire(spec Spec, db *dataset.DB, minSupport int, cfg *apriori.Config) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 	fp := Fingerprint(db, minSupport, cfg.MaxLen)
-	if spec.Resume && cfg.Resume == nil {
-		snap, err := TryResume(spec.Path, fp, minSupport)
+	if spec.ResumeFrom != "" {
+		snap, err := TryResume(spec.ResumeFrom, fp, minSupport)
 		if err != nil {
 			return err
 		}
@@ -364,17 +359,16 @@ func Wire(spec Spec, db *dataset.DB, minSupport int, cfg *apriori.Config, meta f
 			cfg.Resume = &apriori.Resume{Gen: snap.Gen, Frequent: snap.Frequent}
 		}
 	}
+	if spec.Path == "" {
+		return nil
+	}
 	maxLen := cfg.MaxLen
 	cfg.CheckpointEvery = spec.EveryGens
 	cfg.Checkpoint = func(gen int, frequent *dataset.ResultSet) error {
-		s := Snapshot{
+		return Save(spec.Path, Snapshot{
 			Gen: gen, MinSupport: minSupport, MaxLen: maxLen,
-			Fingerprint: fp, Frequent: frequent,
-		}
-		if meta != nil {
-			s.Meta = meta()
-		}
-		return Save(spec.Path, s)
+			Fingerprint: fp, Meta: spec.Meta, Frequent: frequent,
+		})
 	}
 	return nil
 }

@@ -315,8 +315,8 @@ func TestWire(t *testing.T) {
 	db := sampleDB()
 	path := filepath.Join(t.TempDir(), "ck")
 	var cfg apriori.Config
-	spec := Spec{Path: path, EveryGens: 1, Resume: true}
-	if err := Wire(spec, db, 2, &cfg, nil); err != nil {
+	spec := Spec{Path: path, EveryGens: 1, ResumeFrom: path}
+	if err := Wire(spec, db, 2, &cfg); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Checkpoint == nil {
@@ -330,32 +330,36 @@ func TestWire(t *testing.T) {
 	if err := cfg.Checkpoint(1, rs); err != nil {
 		t.Fatal(err)
 	}
-	// A second Wire with Resume must pick the snapshot back up.
+	// A second Wire resuming from the same path picks the snapshot back up.
 	var cfg2 apriori.Config
-	if err := Wire(spec, db, 2, &cfg2, nil); err != nil {
+	if err := Wire(spec, db, 2, &cfg2); err != nil {
 		t.Fatal(err)
 	}
 	if cfg2.Resume == nil || cfg2.Resume.Gen != 1 {
 		t.Fatalf("Wire did not resume: %+v", cfg2.Resume)
 	}
-	// Wrong identity: the stale file is surfaced, not overwritten.
+	// Resuming alone installs the resume point and no save hook.
 	var cfg3 apriori.Config
-	if err := Wire(spec, db, 3, &cfg3, nil); !errors.Is(err, ErrMismatch) {
-		t.Errorf("Wire with different minsup: want ErrMismatch, got %v", err)
-	}
-	// A pre-existing hook wins: Wire must be a no-op.
-	marker := func(int, *dataset.ResultSet) error { return nil }
-	cfg4 := apriori.Config{Checkpoint: marker}
-	if err := Wire(spec, db, 2, &cfg4, nil); err != nil {
+	if err := Wire(Spec{ResumeFrom: path}, db, 2, &cfg3); err != nil {
 		t.Fatal(err)
 	}
-	if cfg4.Resume != nil || cfg4.CheckpointEvery != 0 {
-		t.Error("Wire modified a config that already had a checkpoint hook")
+	if cfg3.Resume == nil || cfg3.Checkpoint != nil {
+		t.Errorf("resume-only spec: resume=%+v hook=%v", cfg3.Resume, cfg3.Checkpoint != nil)
+	}
+	// Wrong identity: the stale file is surfaced, not overwritten.
+	var cfg4 apriori.Config
+	if err := Wire(spec, db, 3, &cfg4); !errors.Is(err, ErrMismatch) {
+		t.Errorf("Wire with different minsup: want ErrMismatch, got %v", err)
 	}
 	// Disabled spec: untouched config.
 	var cfg5 apriori.Config
-	if err := Wire(Spec{}, db, 2, &cfg5, nil); err != nil || cfg5.Checkpoint != nil {
+	if err := Wire(Spec{}, db, 2, &cfg5); err != nil || cfg5.Checkpoint != nil || cfg5.Resume != nil {
 		t.Errorf("Wire with disabled spec: err=%v hook=%v", err, cfg5.Checkpoint != nil)
+	}
+	// An invalid spec is rejected before anything is installed.
+	var cfg6 apriori.Config
+	if err := Wire(Spec{Path: path}, db, 2, &cfg6); err == nil || cfg6.Checkpoint != nil {
+		t.Errorf("Wire with zero interval: err=%v hook=%v", err, cfg6.Checkpoint != nil)
 	}
 }
 
@@ -363,11 +367,7 @@ func TestWireMeta(t *testing.T) {
 	db := sampleDB()
 	path := filepath.Join(t.TempDir(), "ck")
 	var cfg apriori.Config
-	calls := 0
-	err := Wire(Spec{Path: path, EveryGens: 1}, db, 2, &cfg, func() map[string]string {
-		calls++
-		return map[string]string{"faults": "retries=2"}
-	})
+	err := Wire(Spec{Path: path, EveryGens: 1, Meta: map[string]string{"algorithm": "gpapriori"}}, db, 2, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,14 +376,11 @@ func TestWireMeta(t *testing.T) {
 	if err := cfg.Checkpoint(1, rs); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 {
-		t.Errorf("meta func called %d times, want 1 (at save time)", calls)
-	}
 	s, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Meta["faults"] != "retries=2" {
+	if s.Meta["algorithm"] != "gpapriori" {
 		t.Errorf("meta not persisted: %v", s.Meta)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"gpapriori/internal/apriori"
-	"gpapriori/internal/checkpoint"
 	"gpapriori/internal/clock"
 	"gpapriori/internal/dataset"
 	"gpapriori/internal/gpusim"
@@ -73,12 +72,6 @@ type Config struct {
 	// (0 = DefaultDeadlineSec). A node missing it is marked suspect and its
 	// shard re-scattered.
 	DeadlineSec float64
-	// Checkpoint snapshots master-side mining state at generation
-	// boundaries and, with Spec.Resume, fast-forwards a restarted run
-	// past completed generations — the master is a single point of
-	// failure the node-fault machinery cannot cover, so its state gets
-	// the durability treatment instead. Zero value = no checkpointing.
-	Checkpoint checkpoint.Spec
 	// MemoryBudgetBytes caps the modeled memory the replicated bitsets
 	// may occupy per node (0 = uncapped). New rejects a budget smaller
 	// than one node's single-device copy: such a cluster could never
@@ -103,9 +96,6 @@ func (c Config) Validate() error {
 	}
 	if c.DeadlineSec < 0 {
 		return fmt.Errorf("cluster: negative scatter/gather deadline %v", c.DeadlineSec)
-	}
-	if err := c.Checkpoint.Validate(); err != nil {
-		return fmt.Errorf("cluster: Config.Checkpoint: %w", err)
 	}
 	if c.MemoryBudgetBytes < 0 {
 		return fmt.Errorf("cluster: Config.MemoryBudgetBytes %d must be ≥0", c.MemoryBudgetBytes)
@@ -184,9 +174,6 @@ func New(db *dataset.DB, cfg Config) (*Miner, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Device.SMs == 0 {
-		cfg.Device = gpusim.TeslaT10()
-	}
 	if cfg.Kernel.BlockSize == 0 {
 		cfg.Kernel = kernels.DefaultOptions()
 	}
@@ -198,31 +185,20 @@ func New(db *dataset.DB, cfg Config) (*Miner, error) {
 	}
 
 	bits := vertical.BuildBitsets(db)
-	vecWords := len(bits.Vectors) * bits.WordsPerVector() * 2
-	if budget := cfg.MemoryBudgetBytes; budget > 0 {
-		perDevice := int64(vecWords) * 4
-		if budget < perDevice {
-			return nil, fmt.Errorf("cluster: Config.MemoryBudgetBytes %d is smaller than one device's first-generation bitsets (%d bytes)",
-				budget, perDevice)
-		}
+	dbBytes := bits.MemoryBytes()
+	if budget := cfg.MemoryBudgetBytes; budget > 0 && budget < int64(dbBytes) {
+		return nil, fmt.Errorf("cluster: Config.MemoryBudgetBytes %d is smaller than one device's first-generation bitsets (%d bytes)",
+			budget, dbBytes)
 	}
-	scratch := vecWords
-	if scratch < 1<<20 {
-		scratch = 1 << 20
-	}
-	if scratch > 1<<25 {
-		scratch = 1 << 25
-	}
-	m := &Miner{db: db, cfg: cfg, dbBytes: vecWords * 4}
+	m := &Miner{db: db, cfg: cfg, dbBytes: dbBytes}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &node{}
 		for g := 0; g < cfg.GPUsPerNode; g++ {
-			dev := gpusim.NewDevice(cfg.Device, vecWords+scratch+1024)
-			ddb, err := kernels.Upload(dev, bits)
+			ddb, err := kernels.NewDeviceDB(cfg.Device, bits)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: node %d gpu %d: %w", i, g, err)
 			}
-			n.devs = append(n.devs, dev)
+			n.devs = append(n.devs, ddb.Device())
 			n.ddbs = append(n.ddbs, ddb)
 		}
 		m.nodes = append(m.nodes, n)
@@ -426,11 +402,6 @@ func (m *Miner) MineContext(ctx context.Context, minSupport int, cfg apriori.Con
 		// Nodes lost in an earlier run stay lost: copy liveness in.
 		alive: append([]bool(nil), m.alive...),
 	}
-	if err := checkpoint.Wire(m.cfg.Checkpoint, m.db, minSupport, &cfg, func() map[string]string {
-		return map[string]string{"faults": c.stats.String()}
-	}); err != nil {
-		return Report{}, err
-	}
 	t0 := clock.Now()
 	rs, err := apriori.MineContext(ctx, m.db, minSupport, c, cfg)
 	if err != nil {
@@ -459,30 +430,9 @@ func (m *Miner) MineContext(ctx context.Context, minSupport int, cfg apriori.Con
 	for _, n := range m.nodes {
 		pool := gpusim.TimeBreakdown{}
 		for _, d := range n.devs {
-			t := d.ModeledTime()
-			pool.Kernel += t.Kernel
-			pool.Memory += t.Memory
-			pool.Compute += t.Compute
-			pool.Launch += t.Launch
-			pool.Transfer += t.Transfer
-			pool.Stall += t.Stall
+			pool.Add(d.ModeledTime())
 		}
 		rep.PerNode = append(rep.PerNode, pool)
 	}
 	return rep, nil
-}
-
-// MineRelative is Mine with a relative support threshold in (0,1].
-func (m *Miner) MineRelative(rel float64, cfg apriori.Config) (Report, error) {
-	return m.Mine(m.db.AbsoluteSupport(rel), cfg)
-}
-
-// Efficiency returns the parallel efficiency of this report against a
-// baseline single-node report: speedup / (nodes × gpusPerNode ratio).
-func Efficiency(single, multi Report, singleUnits, multiUnits int) float64 {
-	if multi.TotalSeconds() == 0 || multiUnits == 0 || singleUnits == 0 {
-		return 0
-	}
-	speedup := single.TotalSeconds() / multi.TotalSeconds()
-	return speedup / (float64(multiUnits) / float64(singleUnits))
 }

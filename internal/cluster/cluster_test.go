@@ -125,20 +125,6 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
-func TestEfficiencyHelper(t *testing.T) {
-	single := Report{HostSeconds: 8}
-	multi := Report{HostSeconds: 2}
-	if got := Efficiency(single, multi, 1, 4); got != 1 {
-		t.Fatalf("perfect scaling efficiency = %v, want 1", got)
-	}
-	if got := Efficiency(single, Report{HostSeconds: 4}, 1, 4); got != 0.5 {
-		t.Fatalf("half scaling efficiency = %v, want 0.5", got)
-	}
-	if got := Efficiency(single, Report{}, 1, 0); got != 0 {
-		t.Fatal("degenerate efficiency not 0")
-	}
-}
-
 func TestNetworkTransferModel(t *testing.T) {
 	n := GigabitEthernet()
 	small := n.transfer(100)

@@ -16,16 +16,24 @@ import (
 
 var errCrash = errors.New("simulated crash")
 
-// crashAfter wires a checkpoint spec into cfg, then wraps the installed
-// hook so the run "crashes" (errors out) right after the generation-g
-// snapshot hits disk — the durable state a SIGKILL at that instant would
-// leave behind.
-func crashAfter(t *testing.T, spec checkpoint.Spec, db *dataset.DB, minSup, g int) apriori.Config {
+// wired returns an apriori.Config that checkpoints every generation to
+// path and resumes from it.
+func wired(t *testing.T, path string, db *dataset.DB, minSup int) apriori.Config {
 	t.Helper()
 	var cfg apriori.Config
-	if err := checkpoint.Wire(spec, db, minSup, &cfg, nil); err != nil {
+	spec := checkpoint.Spec{Path: path, EveryGens: 1, ResumeFrom: path}
+	if err := checkpoint.Wire(spec, db, minSup, &cfg); err != nil {
 		t.Fatal(err)
 	}
+	return cfg
+}
+
+// crashAfter wraps a wired config's hook so the run "crashes" (errors
+// out) right after the generation-g snapshot hits disk — the durable
+// state a SIGKILL at that instant would leave behind.
+func crashAfter(t *testing.T, path string, db *dataset.DB, minSup, g int) apriori.Config {
+	t.Helper()
+	cfg := wired(t, path, db, minSup)
 	inner := cfg.Checkpoint
 	cfg.Checkpoint = func(gen int, rs *dataset.ResultSet) error {
 		if err := inner(gen, rs); err != nil {
@@ -41,19 +49,18 @@ func crashAfter(t *testing.T, spec checkpoint.Spec, db *dataset.DB, minSup, g in
 
 // TestMinerCheckpointResume is the device-path resume-equivalence
 // property: crash a checkpointed run at a generation boundary, restart
-// with the same config and Resume on, and the combined result must be
-// bit-identical to the oracle (and therefore to an uninterrupted run).
+// with the same config, and the combined result must be bit-identical
+// to the oracle (and therefore to an uninterrupted run).
 func TestMinerCheckpointResume(t *testing.T) {
 	db := gen.Random(120, 14, 0.4, 9)
 	minSup := 6
 	path := filepath.Join(t.TempDir(), "ck")
-	spec := checkpoint.Spec{Path: path, EveryGens: 1, Resume: true}
 
 	m, err := New(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Mine(minSup, crashAfter(t, spec, db, minSup, 2)); !errors.Is(err, errCrash) {
+	if _, err := m.Mine(minSup, crashAfter(t, path, db, minSup, 2)); !errors.Is(err, errCrash) {
 		t.Fatalf("want simulated crash, got %v", err)
 	}
 	s, err := checkpoint.Load(path)
@@ -65,11 +72,11 @@ func TestMinerCheckpointResume(t *testing.T) {
 	}
 
 	// Restart: a fresh miner with the same config fast-forwards.
-	m2, err := New(db, Options{Checkpoint: spec})
+	m2, err := New(db, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m2.Mine(minSup, apriori.Config{})
+	rep, err := m2.Mine(minSup, wired(t, path, db, minSup))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +97,6 @@ func TestMinerCheckpointResumeUnderFaults(t *testing.T) {
 	db := gen.Random(120, 16, 0.4, 6)
 	minSup := 6
 	path := filepath.Join(t.TempDir(), "ck")
-	spec := checkpoint.Spec{Path: path, EveryGens: 1, Resume: true}
 	opt := Options{
 		Faults:    []DeviceFault{{Device: 0, Gen: 2, Kind: gpusim.FaultKernelFail}},
 		FaultSeed: 42,
@@ -99,15 +105,14 @@ func TestMinerCheckpointResumeUnderFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Mine(minSup, crashAfter(t, spec, db, minSup, 2)); !errors.Is(err, errCrash) {
+	if _, err := m.Mine(minSup, crashAfter(t, path, db, minSup, 2)); !errors.Is(err, errCrash) {
 		t.Fatalf("want simulated crash, got %v", err)
 	}
-	opt.Checkpoint = spec
 	m2, err := New(db, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m2.Mine(minSup, apriori.Config{})
+	rep, err := m2.Mine(minSup, wired(t, path, db, minSup))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,47 +123,25 @@ func TestMinerCheckpointResumeUnderFaults(t *testing.T) {
 	}
 }
 
-// TestMinerCheckpointMeta: the device path stamps fault stats into the
-// snapshot meta.
-func TestMinerCheckpointMeta(t *testing.T) {
-	db := gen.Random(80, 10, 0.4, 11)
-	path := filepath.Join(t.TempDir(), "ck")
-	m, err := New(db, Options{Checkpoint: checkpoint.Spec{Path: path, EveryGens: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Mine(4, apriori.Config{}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := checkpoint.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Meta["faults"]; !ok {
-		t.Errorf("snapshot meta missing fault stats: %v", s.Meta)
-	}
-}
-
-// TestMultiCheckpointResume: the multi-device path honors the same
-// crash/resume contract.
+// TestMultiCheckpointResume: a device pool honors the same crash/resume
+// contract.
 func TestMultiCheckpointResume(t *testing.T) {
 	db := gen.Random(200, 18, 0.4, 3)
 	minSup := 8
 	path := filepath.Join(t.TempDir(), "ck")
-	spec := checkpoint.Spec{Path: path, EveryGens: 1, Resume: true}
 
-	m, err := NewMulti(db, MultiOptions{Devices: 2})
+	m, err := New(db, Options{Devices: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Mine(minSup, crashAfter(t, spec, db, minSup, 2)); !errors.Is(err, errCrash) {
+	if _, err := m.Mine(minSup, crashAfter(t, path, db, minSup, 2)); !errors.Is(err, errCrash) {
 		t.Fatalf("want simulated crash, got %v", err)
 	}
-	m2, err := NewMulti(db, MultiOptions{Devices: 2, Checkpoint: spec})
+	m2, err := New(db, Options{Devices: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := m2.Mine(minSup, apriori.Config{})
+	rep, err := m2.Mine(minSup, wired(t, path, db, minSup))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,70 +152,24 @@ func TestMultiCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestMultiValidateCheckpointAndBudget covers the satellite: zero/negative
-// checkpoint intervals and undersized memory budgets are rejected with
-// errors naming the offending field.
+// TestMultiValidateCheckpointAndBudget: undersized and negative memory
+// budgets are rejected with errors naming the offending field. (The
+// checkpoint interval is validated by checkpoint.Spec, where it is set.)
 func TestMultiValidateCheckpointAndBudget(t *testing.T) {
 	db := gen.Random(80, 10, 0.4, 11)
 
-	_, err := NewMulti(db, MultiOptions{Devices: 2,
-		Checkpoint: checkpoint.Spec{Path: "x", EveryGens: 0}})
-	if err == nil || !strings.Contains(err.Error(), "Checkpoint") ||
-		!strings.Contains(err.Error(), "EveryGens") {
-		t.Errorf("zero interval: want error naming Checkpoint.EveryGens, got %v", err)
-	}
-	_, err = NewMulti(db, MultiOptions{Devices: 2,
-		Checkpoint: checkpoint.Spec{Path: "x", EveryGens: -3}})
-	if err == nil || !strings.Contains(err.Error(), "EveryGens") {
-		t.Errorf("negative interval: want error naming EveryGens, got %v", err)
-	}
-	_, err = NewMulti(db, MultiOptions{Devices: 2, MemoryBudgetBytes: -1})
+	_, err := New(db, Options{Devices: 2, MemoryBudgetBytes: -1})
 	if err == nil || !strings.Contains(err.Error(), "MemoryBudgetBytes") {
 		t.Errorf("negative budget: want error naming MemoryBudgetBytes, got %v", err)
 	}
 	// A 16-byte budget cannot hold any database's first generation.
-	_, err = NewMulti(db, MultiOptions{Devices: 2, MemoryBudgetBytes: 16})
+	_, err = New(db, Options{Devices: 2, MemoryBudgetBytes: 16})
 	if err == nil || !strings.Contains(err.Error(), "MemoryBudgetBytes") ||
 		!strings.Contains(err.Error(), "first-generation bitsets") {
 		t.Errorf("tiny budget: want error naming MemoryBudgetBytes and the bitset size, got %v", err)
 	}
 	// A generous budget passes.
-	if _, err := NewMulti(db, MultiOptions{Devices: 2, MemoryBudgetBytes: 1 << 30}); err != nil {
+	if _, err := New(db, Options{Devices: 2, MemoryBudgetBytes: 1 << 30}); err != nil {
 		t.Errorf("ample budget rejected: %v", err)
 	}
-}
-
-// TestSetDeviceEnabled: a disabled device sits out the run (its share is
-// redistributed) and can be re-enabled, unlike a dead one.
-func TestSetDeviceEnabled(t *testing.T) {
-	db := gen.Random(150, 14, 0.45, 2)
-	minSup := 8
-	m, err := NewMulti(db, MultiOptions{Devices: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetDeviceEnabled(1, false)
-	rep, err := m.Mine(minSup, apriori.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracle.Mine(db, minSup)
-	if !rep.Result.Equal(want) {
-		t.Errorf("run with disabled device wrong:\n%s",
-			strings.Join(rep.Result.Diff(want), "\n"))
-	}
-	if n := rep.CandidatesPerDevice[1]; n != 0 {
-		t.Errorf("disabled device counted %d candidates, want 0", n)
-	}
-	m.SetDeviceEnabled(1, true)
-	rep, err = m.Mine(minSup, apriori.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := rep.CandidatesPerDevice[1]; n == 0 {
-		t.Error("re-enabled device still idle")
-	}
-	// Out-of-range indices are ignored, not panics.
-	m.SetDeviceEnabled(-1, false)
-	m.SetDeviceEnabled(99, false)
 }

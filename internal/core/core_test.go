@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"gpapriori/internal/apriori"
@@ -95,6 +96,11 @@ func TestReportAccounting(t *testing.T) {
 	if rep.TotalSeconds() < rep.Device.Total() {
 		t.Fatal("TotalSeconds dropped device time")
 	}
+	// On one device the per-generation pool time telescopes to the
+	// whole run's modeled total.
+	if d := math.Abs(rep.DeviceSeconds - rep.Device.Total()); d > 1e-12*rep.Device.Total() {
+		t.Fatalf("DeviceSeconds %v differs from Device.Total() %v", rep.DeviceSeconds, rep.Device.Total())
+	}
 	// One block per candidate, exactly.
 	if rep.DeviceStats.BlocksRun != int64(rep.Candidates) {
 		t.Fatalf("blocks %d != candidates %d", rep.DeviceStats.BlocksRun, rep.Candidates)
@@ -115,34 +121,6 @@ func TestStatsResetBetweenRuns(t *testing.T) {
 	if a.DeviceStats.KernelLaunches != b.DeviceStats.KernelLaunches {
 		t.Fatalf("stats leak across runs: %d vs %d launches",
 			a.DeviceStats.KernelLaunches, b.DeviceStats.KernelLaunches)
-	}
-}
-
-func TestChunkedLaunchesWhenScratchTight(t *testing.T) {
-	// Tiny device memory forces the generation to split across launches;
-	// results must be unchanged.
-	db := gen.Random(100, 16, 0.45, 4)
-	want := oracle.Mine(db, 20)
-
-	// Vectors: 16 items × 16 words(32-bit, 64B-aligned for 100 bits) =
-	// 256 words; give barely more than that so candidate batches chunk.
-	m, err := New(db, Options{DeviceMemWords: 16*16 + 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.Mine(20, apriori.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Result.Equal(want) {
-		t.Fatalf("chunked diff: %v", rep.Result.Diff(want))
-	}
-}
-
-func TestDeviceTooSmallFails(t *testing.T) {
-	db := gen.Random(100, 16, 0.45, 4)
-	if _, err := New(db, Options{DeviceMemWords: 8}); err == nil {
-		t.Fatal("device smaller than vectors accepted")
 	}
 }
 

@@ -204,8 +204,7 @@ func (s faultSchedule) arm(devs []*gpusim.Device, k int) {
 	}
 }
 
-// faultTracker accumulates the run-level fault accounting shared by the
-// single- and multi-device counters.
+// faultTracker accumulates a run's fault accounting.
 type faultTracker struct {
 	policy RetryPolicy
 	stats  FaultStats
@@ -240,7 +239,7 @@ func (ft *faultTracker) countBatch(count func() error) (float64, error) {
 // alive[i]==false marks device i as removed from rotation by the run.
 func (ft *faultTracker) finalize(devs []*gpusim.Device, alive []bool) FaultStats {
 	s := ft.stats
-	for i, d := range devs {
+	for _, d := range devs {
 		in := d.Faults()
 		if in == nil {
 			continue
@@ -251,9 +250,6 @@ func (ft *faultTracker) finalize(devs []*gpusim.Device, alive []bool) FaultStats
 		s.TransferFaults += rec.TransferFaults
 		s.Hangs += rec.Hangs
 		s.RecoverySeconds += rec.StallSeconds
-		if rec.Dead && alive == nil {
-			s.DeadDevices = append(s.DeadDevices, i)
-		}
 	}
 	for i, a := range alive {
 		if !a {

@@ -76,16 +76,18 @@ func FuzzParseFaultSpec(f *testing.F) {
 }
 
 func TestMultiOptionsValidate(t *testing.T) {
-	base := MultiOptions{Devices: 2}
-	if err := base.Validate(); err != nil {
-		t.Fatal(err)
+	for _, good := range []Options{{}, {Devices: 2}, {Faults: []DeviceFault{{Device: 0, Gen: 2, Kind: gpusim.FaultDead}}}} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("%+v: %v", good, err)
+		}
 	}
-	bad := []MultiOptions{
-		{Devices: 0},
+	bad := []Options{
+		{Devices: -1},
 		{Devices: 17},
 		{Devices: 1, HybridCPUShare: 1},
 		{Devices: 1, HybridCPUShare: -0.5},
-		{Devices: 1, MaxCPUShare: 1.5},
+		{Devices: 1, MemoryBudgetBytes: -1},
+		{Faults: []DeviceFault{{Device: 1, Gen: 2, Kind: gpusim.FaultDead}}},
 		{Devices: 1, Retry: RetryPolicy{MaxRetries: -1}},
 		{Devices: 1, Retry: RetryPolicy{BackoffSec: -1}},
 		{Devices: 1, Retry: RetryPolicy{DeadlineSec: -1}},
@@ -154,22 +156,9 @@ func TestSingleMinerWatchdogKillsHang(t *testing.T) {
 	}
 }
 
-func TestSingleMinerDeadDeviceFailsRun(t *testing.T) {
-	db := gen.Random(80, 12, 0.4, 1)
-	m, err := New(db, Options{
-		Faults: []DeviceFault{{Device: 0, Gen: 2, Kind: gpusim.FaultDead}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Mine(10, apriori.Config{}); !errors.Is(err, gpusim.ErrDeviceLost) {
-		t.Fatalf("err = %v, want ErrDeviceLost", err)
-	}
-}
-
 func TestMultiDeadDeviceFailsOver(t *testing.T) {
 	db := gen.Random(200, 18, 0.4, 3)
-	clean, err := NewMulti(db, MultiOptions{Devices: 2})
+	clean, err := New(db, Options{Devices: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +167,7 @@ func TestMultiDeadDeviceFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := NewMulti(db, MultiOptions{
+	m, err := New(db, Options{
 		Devices: 2,
 		Faults:  []DeviceFault{{Device: 1, Gen: 2, Kind: gpusim.FaultDead}},
 	})
@@ -209,7 +198,7 @@ func TestMultiDeadDeviceFailsOver(t *testing.T) {
 func TestMultiAllDevicesDeadDegradesToCPU(t *testing.T) {
 	db := gen.Random(150, 14, 0.45, 2)
 	want := oracle.Mine(db, 30)
-	m, err := NewMulti(db, MultiOptions{
+	m, err := New(db, Options{
 		Devices: 1,
 		Faults:  []DeviceFault{{Device: 0, Gen: 2, Kind: gpusim.FaultDead}},
 	})
@@ -234,7 +223,7 @@ func TestMultiAllDevicesDeadDegradesToCPU(t *testing.T) {
 func TestMultiTransientFaultsMatchOracle(t *testing.T) {
 	db := gen.Random(200, 18, 0.4, 3)
 	want := oracle.Mine(db, 30)
-	m, err := NewMulti(db, MultiOptions{
+	m, err := New(db, Options{
 		Devices: 2,
 		Faults: []DeviceFault{
 			{Device: 0, Gen: 2, Kind: gpusim.FaultKernelFail},
@@ -266,8 +255,8 @@ func TestMultiTransientFaultsMatchOracle(t *testing.T) {
 
 func TestFaultDeterminism(t *testing.T) {
 	db := gen.Random(200, 18, 0.4, 3)
-	run := func() (MultiReport, error) {
-		m, err := NewMulti(db, MultiOptions{
+	run := func() (Report, error) {
+		m, err := New(db, Options{
 			Devices:   3,
 			FaultSeed: 99,
 			Faults: []DeviceFault{
@@ -276,7 +265,7 @@ func TestFaultDeterminism(t *testing.T) {
 			},
 		})
 		if err != nil {
-			return MultiReport{}, err
+			return Report{}, err
 		}
 		return m.Mine(30, apriori.Config{})
 	}
@@ -301,20 +290,14 @@ func TestMineContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	m, err := New(db, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.MineContext(ctx, 20, apriori.Config{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("single MineContext err = %v, want context.Canceled", err)
-	}
-
-	mm, err := NewMulti(db, MultiOptions{Devices: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mm.MineContext(ctx, 20, apriori.Config{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("multi MineContext err = %v, want context.Canceled", err)
+	for _, devices := range []int{1, 2} {
+		m, err := New(db, Options{Devices: devices})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.MineContext(ctx, 20, apriori.Config{}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("devices=%d: MineContext err = %v, want context.Canceled", devices, err)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ func TestMultiMatchesOracle(t *testing.T) {
 	db := gen.Random(120, 16, 0.4, 6)
 	want := oracle.Mine(db, 20)
 	for _, devices := range []int{1, 2, 4} {
-		m, err := NewMulti(db, MultiOptions{Devices: devices})
+		m, err := New(db, Options{Devices: devices})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,7 +31,7 @@ func TestMultiHybridMatchesOracle(t *testing.T) {
 	db := gen.Random(150, 14, 0.45, 2)
 	want := oracle.Mine(db, 30)
 	for _, share := range []float64{0.25, 0.5, 0.9} {
-		m, err := NewMulti(db, MultiOptions{
+		m, err := New(db, Options{
 			Devices:        2,
 			HybridCPUShare: share,
 			CPUPopcount:    bitset.PopcountHardware,
@@ -54,7 +54,7 @@ func TestMultiHybridMatchesOracle(t *testing.T) {
 
 func TestMultiWorkPartitioning(t *testing.T) {
 	db := gen.Random(300, 20, 0.4, 9)
-	m, err := NewMulti(db, MultiOptions{Devices: 3})
+	m, err := New(db, Options{Devices: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestMultiGPUScalesModeledTime(t *testing.T) {
 
 	times := map[int]float64{}
 	for _, devices := range []int{1, 4} {
-		m, err := NewMulti(db, MultiOptions{Devices: devices})
+		m, err := New(db, Options{Devices: devices})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,23 +114,23 @@ func TestMultiGPUScalesModeledTime(t *testing.T) {
 
 func TestMultiValidation(t *testing.T) {
 	db := gen.Small()
-	if _, err := NewMulti(db, MultiOptions{Devices: 0}); err == nil {
-		t.Fatal("0 devices accepted")
+	if _, err := New(db, Options{Devices: -1}); err == nil {
+		t.Fatal("-1 devices accepted")
 	}
-	if _, err := NewMulti(db, MultiOptions{Devices: 17}); err == nil {
+	if _, err := New(db, Options{Devices: 17}); err == nil {
 		t.Fatal("17 devices accepted")
 	}
-	if _, err := NewMulti(db, MultiOptions{Devices: 1, HybridCPUShare: 1.0}); err == nil {
+	if _, err := New(db, Options{Devices: 1, HybridCPUShare: 1.0}); err == nil {
 		t.Fatal("CPU share of 1.0 accepted")
 	}
-	if _, err := NewMulti(db, MultiOptions{Devices: 1, HybridCPUShare: -0.1}); err == nil {
+	if _, err := New(db, Options{Devices: 1, HybridCPUShare: -0.1}); err == nil {
 		t.Fatal("negative CPU share accepted")
 	}
 }
 
 func TestMultiReportTiming(t *testing.T) {
 	db := gen.Random(200, 18, 0.4, 3)
-	m, err := NewMulti(db, MultiOptions{Devices: 2, HybridCPUShare: 0.3})
+	m, err := New(db, Options{Devices: 2, HybridCPUShare: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,54 +158,5 @@ func TestMultiReportTiming(t *testing.T) {
 	}
 	if rep.DeviceSeconds > sum+1e-12 {
 		t.Fatalf("pool time %.4g exceeds device-total sum %.4g", rep.DeviceSeconds, sum)
-	}
-}
-
-func TestAutoBalanceAdjustsShare(t *testing.T) {
-	db := gen.Random(500, 24, 0.35, 14)
-	m, err := NewMulti(db, MultiOptions{
-		Devices:     1,
-		AutoBalance: true,
-		CPUPopcount: bitset.PopcountHardware,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m.Mine(db.AbsoluteSupport(0.12), apriori.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Result.Equal(oracle.Mine(db, db.AbsoluteSupport(0.12))) {
-		t.Fatal("auto-balanced run produced wrong results")
-	}
-	if len(rep.CPUShareByGeneration) != rep.Generations {
-		t.Fatalf("share history %d entries for %d generations",
-			len(rep.CPUShareByGeneration), rep.Generations)
-	}
-	if rep.Generations >= 3 {
-		first := rep.CPUShareByGeneration[0]
-		last := rep.CPUShareByGeneration[len(rep.CPUShareByGeneration)-1]
-		if first == last {
-			t.Logf("share did not move (%.3f): acceptable only if already balanced", first)
-		}
-		for _, s := range rep.CPUShareByGeneration {
-			if s < 0.01 || s > 0.9 {
-				t.Fatalf("share %v escaped clamp", s)
-			}
-		}
-	}
-}
-
-func TestAutoBalanceValidation(t *testing.T) {
-	db := gen.Small()
-	if _, err := NewMulti(db, MultiOptions{Devices: 1, AutoBalance: true, MaxCPUShare: 1.0}); err == nil {
-		t.Fatal("MaxCPUShare=1.0 accepted")
-	}
-	m, err := NewMulti(db, MultiOptions{Devices: 1, AutoBalance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.opt.HybridCPUShare == 0 {
-		t.Fatal("auto-balance did not seed an initial share")
 	}
 }

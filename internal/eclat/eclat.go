@@ -98,8 +98,3 @@ func Mine(db *dataset.DB, minSupport int, mode Mode) (*dataset.ResultSet, error)
 	recurse(make([]dataset.Item, 0, 16), root)
 	return rs, nil
 }
-
-// MineRelative is Mine with a relative support threshold in (0,1].
-func MineRelative(db *dataset.DB, rel float64, mode Mode) (*dataset.ResultSet, error) {
-	return Mine(db, db.AbsoluteSupport(rel), mode)
-}

@@ -66,21 +66,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestRelative(t *testing.T) {
-	db := gen.Small()
-	a, err := MineRelative(db, 0.75, Diffsets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Mine(db, 3, Diffsets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(b) {
-		t.Fatal("relative/absolute mismatch")
-	}
-}
-
 func TestModeString(t *testing.T) {
 	if Tidsets.String() != "tidsets" || Diffsets.String() != "diffsets" {
 		t.Fatal("mode names wrong")

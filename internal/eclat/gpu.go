@@ -19,7 +19,6 @@ import (
 // designed for, applied to Eclat's search order.
 type GPUMiner struct {
 	db  *dataset.DB
-	dev *gpusim.Device
 	ddb *kernels.DeviceDB
 	opt kernels.Options
 }
@@ -30,31 +29,18 @@ func NewGPU(db *dataset.DB, cfg gpusim.Config, kopt kernels.Options) (*GPUMiner,
 	if db.Len() == 0 || db.NumItems() == 0 {
 		return nil, fmt.Errorf("eclat: empty database")
 	}
-	if cfg.SMs == 0 {
-		cfg = gpusim.TeslaT10()
-	}
 	if kopt.BlockSize == 0 {
 		kopt = kernels.DefaultOptions()
 	}
-	bits := vertical.BuildBitsets(db)
-	vecWords := len(bits.Vectors) * bits.WordsPerVector() * 2
-	scratch := vecWords
-	if scratch < 1<<20 {
-		scratch = 1 << 20
-	}
-	if scratch > 1<<25 {
-		scratch = 1 << 25
-	}
-	dev := gpusim.NewDevice(cfg, vecWords+scratch+1024)
-	ddb, err := kernels.Upload(dev, bits)
+	ddb, err := kernels.NewDeviceDB(cfg, vertical.BuildBitsets(db))
 	if err != nil {
 		return nil, fmt.Errorf("eclat: %w", err)
 	}
-	return &GPUMiner{db: db, dev: dev, ddb: ddb, opt: kopt}, nil
+	return &GPUMiner{db: db, ddb: ddb, opt: kopt}, nil
 }
 
 // Device exposes the simulated device for stats inspection.
-func (g *GPUMiner) Device() *gpusim.Device { return g.dev }
+func (g *GPUMiner) Device() *gpusim.Device { return g.ddb.Device() }
 
 // Mine runs GPU Eclat at the given absolute minimum support and returns
 // the result set together with the modeled device time of the run.
@@ -62,7 +48,7 @@ func (g *GPUMiner) Mine(minSupport int) (*dataset.ResultSet, gpusim.TimeBreakdow
 	if minSupport < 1 {
 		return nil, gpusim.TimeBreakdown{}, fmt.Errorf("eclat: minimum support %d must be ≥1", minSupport)
 	}
-	g.dev.ResetStats()
+	g.ddb.Device().ResetStats()
 	rs := &dataset.ResultSet{}
 
 	// Root class: frequent single items (counted on the host — the paper
@@ -77,33 +63,6 @@ func (g *GPUMiner) Mine(minSupport int) (*dataset.ResultSet, gpusim.TimeBreakdow
 			root = append(root, member{dataset.Item(item), sup})
 			rs.Add([]dataset.Item{dataset.Item(item)}, sup)
 		}
-	}
-
-	// countBatch runs one class extension's candidates on the device,
-	// chunked to fit free device memory.
-	countBatch := func(cands [][]dataset.Item) ([]int, error) {
-		if len(cands) == 0 {
-			return nil, nil
-		}
-		k := len(cands[0])
-		free := g.dev.MemWords() - g.dev.AllocatedWords()
-		maxBatch := (free - 32) / (k + 1)
-		if maxBatch < 1 {
-			return nil, fmt.Errorf("eclat: device out of memory for %d-item candidates", k)
-		}
-		out := make([]int, 0, len(cands))
-		for lo := 0; lo < len(cands); lo += maxBatch {
-			hi := lo + maxBatch
-			if hi > len(cands) {
-				hi = len(cands)
-			}
-			sups, err := g.ddb.SupportCounts(cands[lo:hi], g.opt)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, sups...)
-		}
-		return out, nil
 	}
 
 	var recurse func(prefix []dataset.Item, class []member) error
@@ -123,7 +82,7 @@ func (g *GPUMiner) Mine(minSupport int) (*dataset.ResultSet, gpusim.TimeBreakdow
 				owners = append(owners, i)
 			}
 		}
-		sups, err := countBatch(cands)
+		sups, err := g.ddb.SupportCounts(cands, g.opt)
 		if err != nil {
 			return err
 		}
@@ -148,7 +107,7 @@ func (g *GPUMiner) Mine(minSupport int) (*dataset.ResultSet, gpusim.TimeBreakdow
 	if err := recurse(nil, root); err != nil {
 		return nil, gpusim.TimeBreakdown{}, err
 	}
-	return rs, g.dev.ModeledTime(), nil
+	return rs, g.ddb.Device().ModeledTime(), nil
 }
 
 // MineGPURelative is a convenience wrapper creating a default miner and

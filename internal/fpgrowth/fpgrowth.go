@@ -213,8 +213,3 @@ func prunedInsert(src, dst *tree, minSupport int) {
 	}
 	walk(src.root, nil)
 }
-
-// MineRelative is Mine with a relative support threshold in (0,1].
-func MineRelative(db *dataset.DB, rel float64) (*dataset.ResultSet, error) {
-	return Mine(db, db.AbsoluteSupport(rel))
-}

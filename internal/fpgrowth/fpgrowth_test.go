@@ -100,21 +100,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestRelative(t *testing.T) {
-	db := gen.Small()
-	a, err := MineRelative(db, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Mine(db, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(b) {
-		t.Fatal("relative/absolute mismatch")
-	}
-}
-
 func TestMineParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for seed := int64(0); seed < 4; seed++ {

@@ -33,6 +33,17 @@ func (t TimeBreakdown) TotalAsync() float64 {
 	return busy + t.Launch + t.Stall
 }
 
+// Add accumulates o into t component-wise — the modeled time of a pool of
+// devices working side by side, summed.
+func (t *TimeBreakdown) Add(o TimeBreakdown) {
+	t.Kernel += o.Kernel
+	t.Memory += o.Memory
+	t.Compute += o.Compute
+	t.Launch += o.Launch
+	t.Transfer += o.Transfer
+	t.Stall += o.Stall
+}
+
 func (t TimeBreakdown) String() string {
 	return fmt.Sprintf("total=%.3gs kernel=%.3gs (mem=%.3gs alu=%.3gs) launch=%.3gs xfer=%.3gs",
 		t.Total(), t.Kernel, t.Memory, t.Compute, t.Launch, t.Transfer)

@@ -37,6 +37,35 @@ type DeviceDB struct {
 	numTrans    int
 }
 
+// Device memory sizing: besides the resident bitsets, a device gets
+// scratch headroom for candidate batches equal to the bitsets' size,
+// clamped to [minScratchBytes, maxScratchBytes], plus allocator
+// alignment slack. SupportCounts splits a batch that outgrows the
+// scratch into several launches.
+const (
+	minScratchBytes = 4 << 20
+	maxScratchBytes = 128 << 20
+	slackBytes      = 4 << 10
+)
+
+// DeviceBytes is the device memory NewDeviceDB gives a bitset database
+// of bitsetBytes (vertical.BitsetDB.MemoryBytes, or
+// vertical.EstimateBitsetBytes before the transpose). Admission control
+// charges exactly this per device.
+func DeviceBytes(bitsetBytes int64) int64 {
+	return bitsetBytes + min(max(bitsetBytes, minScratchBytes), maxScratchBytes) + slackBytes
+}
+
+// NewDeviceDB creates a simulated device of model cfg (zero value =
+// TeslaT10()) sized by DeviceBytes for v and uploads v to it.
+func NewDeviceDB(cfg gpusim.Config, v *vertical.BitsetDB) (*DeviceDB, error) {
+	if cfg.SMs == 0 {
+		cfg = gpusim.TeslaT10()
+	}
+	dev := gpusim.NewDevice(cfg, int(DeviceBytes(int64(v.MemoryBytes()))/4))
+	return Upload(dev, v)
+}
+
 // Upload flattens the bitset vertical database and copies it to device
 // memory — the one-time host→device transfer of the paper's workflow.
 func Upload(dev *gpusim.Device, v *vertical.BitsetDB) (*DeviceDB, error) {
@@ -122,11 +151,13 @@ func (o Options) normalize(dev *gpusim.Device) Options {
 	return o
 }
 
-// SupportCounts computes the support of every candidate itemset with one
-// kernel launch: one thread block per candidate (Figure 5). Candidates
-// are uploaded (host→device), the kernel runs complete intersection, and
-// the support array is copied back (device→host) — the per-generation
-// traffic the complete-intersection design minimizes.
+// SupportCounts computes the support of every candidate itemset, one
+// thread block per candidate (Figure 5). Candidates are uploaded
+// (host→device), the kernel runs complete intersection, and the support
+// array is copied back (device→host) — the per-generation traffic the
+// complete-intersection design minimizes. A batch larger than free
+// device memory holds is split into as many launches as it needs; each
+// is named "support-count gen k" in profiler reports.
 //
 // All candidates in a call must have the same length k (one Apriori
 // generation). Item ids must be < NumItems.
@@ -150,6 +181,25 @@ func (d *DeviceDB) SupportCounts(cands [][]dataset.Item, opt Options) ([]int, er
 		}
 	}
 
+	// A launch of n candidates holds n·k words of item ids and n words
+	// of supports, each buffer aligned to a coalescing segment.
+	free := d.dev.MemWords() - d.dev.AllocatedWords() - 2*d.dev.Config().SegmentBytes/4
+	maxBatch := free / (k + 1)
+	if maxBatch < 1 {
+		return nil, fmt.Errorf("kernels: device out of memory for %d-item candidates (%d free words)", k, free)
+	}
+	out := make([]int, len(cands))
+	for lo := 0; lo < len(cands); lo += maxBatch {
+		hi := min(lo+maxBatch, len(cands))
+		if err := d.launch(cands[lo:hi], k, opt, out[lo:hi]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// launch counts one batch that fits in free device memory into out.
+func (d *DeviceDB) launch(cands [][]dataset.Item, k int, opt Options, out []int) error {
 	flat := make([]uint32, 0, len(cands)*k)
 	for _, c := range cands {
 		for _, item := range c {
@@ -159,17 +209,17 @@ func (d *DeviceDB) SupportCounts(cands [][]dataset.Item, opt Options) ([]int, er
 
 	candBuf, err := d.dev.Malloc(len(flat))
 	if err != nil {
-		return nil, fmt.Errorf("kernels: candidate upload: %w", err)
+		return fmt.Errorf("kernels: candidate upload: %w", err)
 	}
 	outBuf, err := d.dev.Malloc(len(cands))
 	if err != nil {
-		return nil, fmt.Errorf("kernels: support buffer: %w", err)
+		return fmt.Errorf("kernels: support buffer: %w", err)
 	}
 	// Scratch allocations are released after the launch; the vectors stay.
 	defer d.dev.FreeAllAbove(d.vectors)
 
 	if err := d.dev.TryCopyToDevice(candBuf, flat); err != nil {
-		return nil, fmt.Errorf("kernels: candidate upload: %w", err)
+		return fmt.Errorf("kernels: candidate upload: %w", err)
 	}
 
 	sharedWords := opt.BlockSize
@@ -180,6 +230,7 @@ func (d *DeviceDB) SupportCounts(cands [][]dataset.Item, opt Options) ([]int, er
 	words := d.wordsPerVec
 	vectors := d.vectors
 
+	d.dev.TagNextLaunch(fmt.Sprintf("support-count gen %d", k))
 	_, lerr := d.dev.TryLaunch(cfg, func(ctx *gpusim.Ctx) {
 		cand := ctx.BlockIdx
 		tid := ctx.ThreadIdx
@@ -232,16 +283,15 @@ func (d *DeviceDB) SupportCounts(cands [][]dataset.Item, opt Options) ([]int, er
 		}
 	}, opt.DeadlineSec)
 	if lerr != nil {
-		return nil, fmt.Errorf("kernels: support-count launch: %w", lerr)
+		return fmt.Errorf("kernels: support-count launch: %w", lerr)
 	}
 
 	out32 := make([]uint32, len(cands))
 	if err := d.dev.TryCopyFromDevice(out32, outBuf); err != nil {
-		return nil, fmt.Errorf("kernels: support download: %w", err)
+		return fmt.Errorf("kernels: support download: %w", err)
 	}
-	out := make([]int, len(cands))
 	for i, v := range out32 {
 		out[i] = int(v)
 	}
-	return out, nil
+	return nil
 }

@@ -483,3 +483,91 @@ func TestNormalizeDefaultsAndUnrollFloor(t *testing.T) {
 		t.Fatalf("normalize altered already-valid options: %+v", got)
 	}
 }
+
+// TestChunkedLaunchesWhenScratchTight: a device whose free memory holds
+// fewer candidates than one generation has splits the batch into several
+// launches and returns the same supports as a device with ample room.
+func TestChunkedLaunchesWhenScratchTight(t *testing.T) {
+	db := gen.Random(100, 16, 0.45, 4)
+	bits := vertical.BuildBitsets(db)
+	var cands [][]dataset.Item
+	for a := dataset.Item(0); a < 16; a++ {
+		for b := a + 1; b < 16; b++ {
+			cands = append(cands, []dataset.Item{a, b})
+		}
+	}
+
+	big, err := Upload(newTestDevice(), bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := big.SupportCounts(cands, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Vectors: 16 items × 16 words (32-bit, 64B-aligned for 100 bits) =
+	// 256 words; 256 more words of scratch hold 74 two-item candidates,
+	// not all 120.
+	dev := gpusim.NewDevice(gpusim.TeslaT10(), 16*16+256)
+	tight, err := Upload(dev, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.ResetStats()
+	got, err := tight.SupportCounts(cands, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] || got[i] != bits.SupportOf(cands[i]) {
+			t.Fatalf("support(%v) = %d on the tight device, %d on the large one", cands[i], got[i], want[i])
+		}
+	}
+	if n := dev.Stats().KernelLaunches; n < 2 {
+		t.Fatalf("%d launches: the batch was not split", n)
+	}
+	if used := dev.AllocatedWords(); used != 16*16 {
+		t.Fatalf("%d words allocated after the launches, want the 256 of the vectors", used)
+	}
+}
+
+func TestDeviceTooSmallFails(t *testing.T) {
+	bits := vertical.BuildBitsets(gen.Random(100, 16, 0.45, 4))
+	if _, err := Upload(gpusim.NewDevice(gpusim.TeslaT10(), 8), bits); err == nil {
+		t.Fatal("device smaller than vectors accepted")
+	}
+	// Room for the vectors but not for one candidate: an error, not a panic.
+	d, err := Upload(gpusim.NewDevice(gpusim.TeslaT10(), 16*16), bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.SupportCounts([][]dataset.Item{{0, 1}}, DefaultOptions()); err == nil {
+		t.Fatal("launch on a full device accepted")
+	}
+}
+
+// TestNewDeviceDBSizing: the constructed device holds exactly DeviceBytes
+// for its bitsets, with the scratch share clamped at both ends.
+func TestNewDeviceDBSizing(t *testing.T) {
+	bits := vertical.BuildBitsets(gen.Random(100, 16, 0.45, 4))
+	d, err := NewDeviceDB(gpusim.Config{}, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := int64(d.Device().MemWords())*4, DeviceBytes(int64(bits.MemoryBytes())); got != want {
+		t.Fatalf("device holds %d bytes, DeviceBytes says %d", got, want)
+	}
+	if d.Device().Config().Name != gpusim.TeslaT10().Name {
+		t.Fatalf("zero config built a %q", d.Device().Config().Name)
+	}
+	for _, c := range []struct{ bitset, want int64 }{
+		{1 << 10, 1<<10 + 4<<20 + 4<<10},
+		{64 << 20, 64<<20 + 64<<20 + 4<<10},
+		{1 << 30, 1<<30 + 128<<20 + 4<<10},
+	} {
+		if got := DeviceBytes(c.bitset); got != c.want {
+			t.Errorf("DeviceBytes(%d) = %d, want %d", c.bitset, got, c.want)
+		}
+	}
+}

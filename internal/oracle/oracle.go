@@ -36,8 +36,3 @@ func Mine(db *dataset.DB, minSupport int) *dataset.ResultSet {
 	extend(make([]dataset.Item, 0, n), 0)
 	return rs
 }
-
-// MineRelative is Mine with a relative threshold.
-func MineRelative(db *dataset.DB, rel float64) *dataset.ResultSet {
-	return Mine(db, db.AbsoluteSupport(rel))
-}

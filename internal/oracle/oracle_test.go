@@ -54,12 +54,3 @@ func TestMineThresholdAboveDB(t *testing.T) {
 		t.Fatalf("minsup above DB size found %d sets", rs.Len())
 	}
 }
-
-func TestMineRelative(t *testing.T) {
-	db := gen.Small()
-	a := MineRelative(db, 1.0)
-	b := Mine(db, 4)
-	if !a.Equal(b) {
-		t.Fatal("MineRelative(1.0) != Mine(4)")
-	}
-}

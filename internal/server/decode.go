@@ -136,10 +136,7 @@ func ValidateMineRequest(req *gpapriori.ServeMineRequest) *gpapriori.ServeError 
 	if err != nil {
 		return badRequest("faults: %v", err)
 	}
-	pool := core.MultiOptions{Devices: req.Devices, HybridCPUShare: req.HybridCPUShare, Faults: faults}
-	if pool.Devices == 0 {
-		pool.Devices = 1
-	}
+	pool := core.Options{Devices: req.Devices, HybridCPUShare: req.HybridCPUShare, Faults: faults}
 	if err := pool.Validate(); err != nil {
 		return badRequest("%v", err)
 	}

@@ -256,17 +256,6 @@ func (s *Server) Replication() int {
 
 // ---- submission ----
 
-// levelWise reports whether algo has generation boundaries — the
-// precondition for checkpointing and per-generation streaming.
-func levelWise(algo gpapriori.Algorithm) bool {
-	switch algo {
-	case gpapriori.AlgoEclat, gpapriori.AlgoEclatDiffset,
-		gpapriori.AlgoFPGrowth, gpapriori.AlgoPipeline:
-		return false
-	}
-	return true
-}
-
 // ckptPath is the per-fingerprint checkpoint file. Keying by
 // fingerprint rather than job ID means a resubmitted identical request
 // reuses whatever progress any earlier run left behind.
@@ -301,10 +290,7 @@ func (s *Server) submit(ctx context.Context, req gpapriori.ServeMineRequest, id,
 	local := forwarded || containsPeer(owners, s.cluster.self) ||
 		(!req.NoCache && s.cache.Contains(key))
 	if !local {
-		algo := req.Algorithm
-		if algo == "" {
-			algo = string(gpapriori.AlgoGPApriori)
-		}
+		algo := string(gpapriori.Algorithm(req.Algorithm).Resolve())
 		return s.submitForward(req, id, idemKey, algo, key, minSup, entry.Info.Transactions, dsKey)
 	}
 	if !req.NoCache && !s.cache.Contains(key) {
@@ -324,10 +310,7 @@ func (s *Server) submitLocal(req gpapriori.ServeMineRequest, id, idemKey string)
 		return nil, &gpapriori.ServeError{Status: http.StatusNotFound, Code: "unknown_dataset",
 			Message: fmt.Sprintf("dataset %q is not registered", req.Dataset)}
 	}
-	algo := req.Algorithm
-	if algo == "" {
-		algo = string(gpapriori.AlgoGPApriori)
-	}
+	algo := string(gpapriori.Algorithm(req.Algorithm).Resolve())
 	cfg := req.MiningConfig()
 	key, minSup, err := gpapriori.ResultFingerprint(entry.DB, cfg)
 	if err != nil {
@@ -388,7 +371,7 @@ func (s *Server) submitLocal(req gpapriori.ServeMineRequest, id, idemKey string)
 		}
 	}
 
-	if s.stateDir != "" && levelWise(cfg.Algorithm) {
+	if s.stateDir != "" && cfg.Algorithm.LevelWise() {
 		// Durability wiring: snapshot every generation, resume any
 		// progress an interrupted earlier run of this fingerprint left.
 		// A failing disk degrades the job (it mines on, checkpoint-less)

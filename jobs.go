@@ -1,12 +1,10 @@
-// Job manager: admission-controlled batch mining with a circuit breaker
-// over the simulated device pool.
+// Job manager: admission-controlled batch mining.
 //
 // A MiningJob is one Mine call with a declared memory footprint (modeled
 // from the vertical bitset layout — see EstimateMemoryBytes), a priority,
 // and an optional deadline. The JobManager admits jobs under a total
-// memory budget, sheds the lowest-priority queued work when the queue
-// overflows, and trips repeatedly-failing devices out of the GPApriori
-// pool until a cooldown probe succeeds.
+// memory budget and sheds the lowest-priority queued work when the queue
+// overflows.
 package gpapriori
 
 import (
@@ -16,6 +14,7 @@ import (
 	"time"
 
 	"gpapriori/internal/jobs"
+	"gpapriori/internal/kernels"
 	"gpapriori/internal/vertical"
 )
 
@@ -54,19 +53,6 @@ type OverloadStats = jobs.OverloadStats
 // submitted job is terminal, Submitted == Done + Failed + Shed + Canceled.
 type JobCounters = jobs.Counters
 
-// BreakerPolicy tunes the device circuit breaker (see jobs.BreakerPolicy).
-type BreakerPolicy = jobs.BreakerPolicy
-
-// BreakerState is a device's circuit-breaker state.
-type BreakerState = jobs.BreakerState
-
-// The breaker states.
-const (
-	DeviceClosed   = jobs.BreakerClosed
-	DeviceOpen     = jobs.BreakerOpen
-	DeviceHalfOpen = jobs.BreakerHalfOpen
-)
-
 // JobManagerConfig configures a JobManager.
 type JobManagerConfig struct {
 	// QueueLimit bounds jobs waiting for admission (0 = default 64).
@@ -89,9 +75,6 @@ type JobManagerConfig struct {
 	// slower than this halve the effective worker limit, completions
 	// within it grow it back toward Workers. 0 disables.
 	LatencyTarget time.Duration
-	// Breaker tunes the device circuit breaker (zero value = trip after
-	// 3 consecutive failures, 30s cooldown).
-	Breaker BreakerPolicy
 }
 
 // JobSpec describes one mining job.
@@ -148,8 +131,7 @@ func (j *MiningJob) Result() (*Result, error) {
 
 // JobManager runs mining jobs under admission control.
 type JobManager struct {
-	mgr     *jobs.Manager
-	breaker *jobs.Breaker
+	mgr *jobs.Manager
 }
 
 // NewJobManager builds a JobManager whose lifetime is bounded only by
@@ -174,43 +156,26 @@ func NewJobManagerContext(ctx context.Context, cfg JobManagerConfig) (*JobManage
 	if err != nil {
 		return nil, err
 	}
-	br, err := jobs.NewBreaker(cfg.Breaker)
-	if err != nil {
-		mgr.Close()
-		return nil, err
-	}
-	return &JobManager{mgr: mgr, breaker: br}, nil
+	return &JobManager{mgr: mgr}, nil
 }
 
 // EstimateMemoryBytes models a mining run's in-flight memory: the
 // vertical bitset layout (numItems × alignedWords × 8); for AlgoPipeline
 // that again for the cross-generation class-vector cache, whose budget
-// is the bitset footprint; and for AlgoGPApriori one copy per simulated
-// device plus the scratch headroom core.New allocates (the bitset size
-// clamped to [4MiB, 128MiB]). The JobManager admits jobs against this
-// estimate, which makes the admission budget a real bound on modeled
-// memory rather than a guess.
+// is the bitset footprint; and for AlgoGPApriori the memory of every
+// simulated device, each sized by kernels.DeviceBytes exactly as the
+// miner builds it. The JobManager admits jobs against this estimate,
+// which makes the admission budget a real bound on modeled memory
+// rather than a guess.
 func EstimateMemoryBytes(db *Database, cfg Config) int64 {
 	base := vertical.EstimateBitsetBytes(db.db)
-	algo := cfg.Algorithm
-	if algo == AlgoPipeline {
+	switch cfg.Algorithm.Resolve() {
+	case AlgoPipeline:
 		return 2 * base
+	case AlgoGPApriori:
+		return kernels.DeviceBytes(base) * int64(max(cfg.Devices, 1))
 	}
-	if algo != "" && algo != AlgoGPApriori {
-		return base
-	}
-	scratch := base
-	if scratch < 4<<20 {
-		scratch = 4 << 20
-	}
-	if scratch > 128<<20 {
-		scratch = 128 << 20
-	}
-	devices := int64(cfg.Devices)
-	if devices < 1 {
-		devices = 1
-	}
-	return (base + scratch + 4096) * devices
+	return base
 }
 
 // Submit queues a mining job. It fails fast when the job's modeled
@@ -242,10 +207,7 @@ func (m *JobManager) Submit(spec JobSpec) (*MiningJob, error) {
 				return nil
 			}
 		}
-		excluded := m.excludedDevices(cfg)
-		cfg.excludeDevices = excluded
 		res, err := MineContext(ctx, spec.DB, cfg)
-		m.recordDeviceOutcomes(cfg, excluded, res, err)
 		if err != nil {
 			return err
 		}
@@ -261,60 +223,6 @@ func (m *JobManager) Submit(spec JobSpec) (*MiningJob, error) {
 	return mj, nil
 }
 
-// excludedDevices asks the breaker which of the run's devices must sit
-// this job out. Only AlgoGPApriori runs touch the device pool.
-func (m *JobManager) excludedDevices(cfg Config) []int {
-	if cfg.Algorithm != "" && cfg.Algorithm != AlgoGPApriori {
-		return nil
-	}
-	devices := cfg.Devices
-	if devices < 1 {
-		devices = 1
-	}
-	var out []int
-	for d := 0; d < devices; d++ {
-		if !m.breaker.Allow(d) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// recordDeviceOutcomes feeds the run's per-device fate back into the
-// breaker: devices the run lost count as failures, participating
-// survivors as successes. Excluded devices saw no traffic and record
-// nothing.
-func (m *JobManager) recordDeviceOutcomes(cfg Config, excluded []int, res *Result, err error) {
-	if cfg.Algorithm != "" && cfg.Algorithm != AlgoGPApriori {
-		return
-	}
-	devices := cfg.Devices
-	if devices < 1 {
-		devices = 1
-	}
-	skip := map[int]bool{}
-	for _, d := range excluded {
-		skip[d] = true
-	}
-	dead := map[int]bool{}
-	if res != nil && res.Faults != nil {
-		for _, d := range res.Faults.DeadDevices {
-			dead[d] = true
-		}
-	}
-	for d := 0; d < devices; d++ {
-		switch {
-		case skip[d]:
-		case err != nil:
-			// A failed run says nothing per-device; leave the breaker be.
-		case dead[d]:
-			m.breaker.RecordFailure(d)
-		default:
-			m.breaker.RecordSuccess(d)
-		}
-	}
-}
-
 // Cancel terminates j: a queued job finishes as JobCanceled without
 // running; a running job's MineContext context is cancelled and the job
 // finishes as JobCanceled once it unwinds. Reports whether the request
@@ -323,9 +231,6 @@ func (m *JobManager) Cancel(j *MiningJob) bool { return m.mgr.Cancel(j.job) }
 
 // Counters snapshots the manager's lifecycle accounting.
 func (m *JobManager) Counters() JobCounters { return m.mgr.Counters() }
-
-// DeviceState reports device i's circuit-breaker state.
-func (m *JobManager) DeviceState(i int) BreakerState { return m.breaker.State(i) }
 
 // InFlightBytes reports the modeled memory currently reserved by admitted
 // jobs — never above the configured budget.

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"gpapriori/internal/core"
 )
 
 // jobsDB builds a database big enough for a few generations but quick to
@@ -209,55 +211,45 @@ func TestJobManagerRejectsOversizedJob(t *testing.T) {
 	}
 }
 
-// TestJobManagerBreakerTripsDeadDevice: seeded fault schedules kill
-// device 1 run after run; the breaker trips it, and a later job runs with
-// the device excluded (and still completes via failover).
-func TestJobManagerBreakerTripsDeadDevice(t *testing.T) {
-	jm, err := NewJobManager(JobManagerConfig{
-		MemoryBudgetMB: 2048, Workers: 1,
-		Breaker: BreakerPolicy{Failures: 2, Cooldown: time.Hour},
-	})
+// TestJobManagerFaultJobsDoNotPoisonLaterJobs: every job builds its own
+// devices, so a device lost in one job is not the device of the next.
+// After three jobs lose device 0, a fault-free job on the same manager
+// still counts on its device and reports no fault activity.
+func TestJobManagerFaultJobsDoNotPoisonLaterJobs(t *testing.T) {
+	jm, err := NewJobManager(JobManagerConfig{MemoryBudgetMB: 2048, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jm.Close()
 	db := jobsDB(3)
-	killDev1 := Config{
-		Algorithm: AlgoGPApriori, MinSupport: 6, Devices: 2,
-		Faults: "dev1:dead@gen2", FaultSeed: 1,
-	}
-	for i := 0; i < 2; i++ {
-		j, err := jm.Submit(JobSpec{Name: fmt.Sprintf("faulty-%d", i), DB: db, Config: killDev1})
+	run := func(name string, cfg Config) *Result {
+		t.Helper()
+		j, err := jm.Submit(JobSpec{Name: name, DB: db, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
 		<-j.Done()
-		if _, err := j.Result(); err != nil {
-			t.Fatalf("faulty run %d should complete via failover: %v", i, err)
+		res, err := j.Result()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return res
+	}
+	for i := 0; i < 3; i++ {
+		res := run(fmt.Sprintf("dead-%d", i), Config{
+			Algorithm: AlgoGPApriori, MinSupport: 6,
+			Faults: "dev0:dead@gen2", FaultSeed: 1,
+		})
+		if res.Faults == nil || fmt.Sprint(res.Faults.DeadDevices) != "[0]" {
+			t.Fatalf("fault job %d: faults %v, want device 0 lost", i, res.Faults)
 		}
 	}
-	if got := jm.DeviceState(1); got != DeviceOpen {
-		t.Fatalf("device 1 breaker %v after repeated deaths, want open", got)
+	clean := run("clean", Config{Algorithm: AlgoGPApriori, MinSupport: 6})
+	if clean.Faults != nil {
+		t.Errorf("fault-free job after fault jobs reports faults: %v", clean.Faults)
 	}
-	if got := jm.DeviceState(0); got != DeviceClosed {
-		t.Errorf("device 0 breaker %v, want closed", got)
-	}
-	// Next job: device 1 is excluded up front, the run still succeeds.
-	clean := Config{Algorithm: AlgoGPApriori, MinSupport: 6, Devices: 2}
-	j, err := jm.Submit(JobSpec{Name: "after-trip", DB: db, Config: clean})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j.Done()
-	res, err := j.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() == 0 {
-		t.Error("post-trip run found nothing")
-	}
-	if jm.DeviceState(1) != DeviceOpen {
-		t.Errorf("excluded device's breaker changed state without traffic: %v", jm.DeviceState(1))
+	if clean.DeviceSeconds <= 0 {
+		t.Errorf("fault-free job after fault jobs modeled %v device seconds, want > 0", clean.DeviceSeconds)
 	}
 }
 
@@ -333,10 +325,6 @@ func TestJobManagerConfigValidation(t *testing.T) {
 	if _, err := NewJobManager(JobManagerConfig{}); err == nil {
 		t.Error("accepted a zero memory budget")
 	}
-	if _, err := NewJobManager(JobManagerConfig{MemoryBudgetMB: 64,
-		Breaker: BreakerPolicy{Failures: -1}}); err == nil {
-		t.Error("accepted a negative breaker threshold")
-	}
 	jm, err := NewJobManager(JobManagerConfig{MemoryBudgetMB: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -348,15 +336,31 @@ func TestJobManagerConfigValidation(t *testing.T) {
 }
 
 // TestEstimateMemoryBytesScalesWithDevices: the estimate is the bitset
-// layout once per device plus clamped scratch — monotone in Devices —
-// and the pipeline is charged its bitsets plus its class-vector cache,
-// which is bounded by the same bitset footprint.
+// layout once per device plus clamped scratch — exactly what the miner's
+// devices hold — and the pipeline is charged its bitsets plus its
+// class-vector cache, which is bounded by the same bitset footprint.
 func TestEstimateMemoryBytesScalesWithDevices(t *testing.T) {
 	db := jobsDB(7)
 	one := EstimateMemoryBytes(db, Config{Algorithm: AlgoGPApriori})
 	four := EstimateMemoryBytes(db, Config{Algorithm: AlgoGPApriori, Devices: 4})
 	if four != 4*one {
 		t.Errorf("4-device estimate %d, want 4×%d", four, one)
+	}
+	if def := EstimateMemoryBytes(db, Config{}); def != one {
+		t.Errorf("default-algorithm estimate %d, want the GPApriori one %d", def, one)
+	}
+	for _, devices := range []int{1, 4} {
+		m, err := core.New(db.db, core.Options{Devices: devices})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := int64(0)
+		for _, d := range m.Devices() {
+			held += int64(d.MemWords()) * 4
+		}
+		if est := EstimateMemoryBytes(db, Config{Algorithm: AlgoGPApriori, Devices: devices}); est != held {
+			t.Errorf("%d-device estimate %d, but the miner's devices hold %d bytes", devices, est, held)
+		}
 	}
 	cpu := EstimateMemoryBytes(db, Config{Algorithm: AlgoCPUBitset})
 	if cpu >= one {

@@ -100,6 +100,24 @@ grep -v '_seconds"' "$SMOKE/resumed.json" > "$SMOKE/resumed.cmp"
 diff -u "$SMOKE/oracle.cmp" "$SMOKE/resumed.cmp"
 echo "kill/resume smoke: OK"
 
+# Fault-failover smoke: losing a device of a pool and routing a hybrid
+# CPU share must not change a single byte of the result, and a
+# fault-free pool run must report no fault activity.
+FAULT="-dataset chess -scale 0.3 -minsup 0.8 -algo gpapriori -result-only"
+"$SMOKE/gpapriori" $FAULT > "$SMOKE/clean.txt"
+"$SMOKE/gpapriori" $FAULT -devices 2 -faults dev1:dead@gen2 > "$SMOKE/failover.txt"
+"$SMOKE/gpapriori" $FAULT -cpushare 0.25 > "$SMOKE/hybrid.txt"
+[ -s "$SMOKE/clean.txt" ]
+cmp "$SMOKE/clean.txt" "$SMOKE/failover.txt"
+cmp "$SMOKE/clean.txt" "$SMOKE/hybrid.txt"
+"$SMOKE/gpapriori" -dataset chess -scale 0.3 -minsup 0.8 -algo gpapriori \
+    -devices 2 -json -top 0 > "$SMOKE/pool.json"
+if grep -q fault_stats "$SMOKE/pool.json"; then
+    echo "fault-free pool run reported fault_stats" >&2
+    exit 1
+fi
+echo "fault-failover smoke: OK"
+
 # Server request-decoder fuzz smoke: malformed or absurd requests must
 # become typed 400s — never a panic, never an admitted job.
 go test -fuzz='^FuzzDecodeMineRequest$' -fuzztime=10s ./internal/server/
