@@ -45,12 +45,12 @@ func main() {
 		dsName   = flag.String("dataset", "", "generated paper dataset: T40I10D100K, pumsb, chess, accidents")
 		scale    = flag.Float64("scale", 0.05, "scale of the generated dataset (1.0 = published size)")
 		minsup   = flag.Float64("minsup", 0, "minimum support: ratio in (0,1) or absolute count ≥ 1")
-		algo     = flag.String("algo", string(gpapriori.AlgoGPApriori), "algorithm (see gpapriori.Algorithms)")
+		algo     = flag.String("algo", string(gpapriori.Algorithm("").Resolve()), "algorithm (see gpapriori.Algorithms); gpapriori runs the simulated GPU")
 		maxLen   = flag.Int("maxlen", 0, "maximum itemset length (0 = unbounded)")
 		workers  = flag.Int("workers", 0, "worker count for the pipeline algorithm (0 = GOMAXPROCS)")
-		devices  = flag.Int("devices", 0, "simulated GPU count for gpapriori (0/1 = single)")
-		cpuShare = flag.Float64("cpushare", 0, "hybrid CPU share in [0,1) for gpapriori")
-		faults   = flag.String("faults", "", `inject device faults, e.g. "dev1:kernel-fail@gen3,dev2:dead@gen2" (kinds: kernel-fail, xfer-fail, hang[=sec], dead)`)
+		devices  = flag.Int("devices", 0, "simulated GPU count for -algo gpapriori (0/1 = single)")
+		cpuShare = flag.Float64("cpushare", 0, "hybrid CPU share in [0,1) for -algo gpapriori")
+		faults   = flag.String("faults", "", `inject device faults into -algo gpapriori, e.g. "dev1:kernel-fail@gen3,dev2:dead@gen2" (kinds: kernel-fail, xfer-fail, hang[=sec], dead)`)
 		seed     = flag.Int64("seed", 0, "fault-injector seed for reproducible fault runs")
 		minConf  = flag.Float64("rules", 0, "also derive association rules at this confidence (0 = off)")
 		condense = flag.String("condense", "", "condense output: closed or maximal")

@@ -18,6 +18,9 @@
 //		RelativeSupport: 0.5,
 //	})
 //
+// With no Algorithm set, Mine runs the work-stealing pipeline, the
+// fastest host engine; the simulator runs only when asked for.
+//
 // Because pure Go cannot drive a physical GPU, the "GPU" is gpusim, a
 // functional SIMT simulator with a Tesla-T10-calibrated timing model; all
 // device-side times in Result are modeled, host-side times are measured.
@@ -72,33 +75,35 @@ const (
 	AlgoEclatDiffset Algorithm = "eclat-diffset"
 	// AlgoFPGrowth is pattern-growth mining without candidate generation.
 	AlgoFPGrowth Algorithm = "fpgrowth"
-	// AlgoPipeline is the work-stealing parallel CPU pipeline:
-	// prefix-class families split into grain-sized counting subtasks on
-	// per-worker deques, each counted against its class's cached
-	// intersection with early abort, with slab-arena candidate
+	// AlgoPipeline is the work-stealing parallel CPU pipeline and the
+	// default: prefix-class families split into grain-sized counting
+	// subtasks on per-worker deques, each counted against its class's
+	// cached intersection with early abort, with slab-arena candidate
 	// generation and a cost-modeled horizontal fast path for the pair
 	// generation — overlapping generation k+1 candidate generation with
-	// generation k counting. Produces the same frequent sets as the
-	// level-wise miners.
+	// generation k counting. Depth watermarks give it the level-wise
+	// miners' generation boundaries, so it streams, checkpoints and
+	// resumes like them, and it produces the same frequent sets.
 	AlgoPipeline Algorithm = "pipeline"
 )
 
 // Resolve returns the algorithm a run configured with a executes: the
-// empty algorithm is the default, AlgoGPApriori.
+// empty algorithm is the default, AlgoPipeline.
 func (a Algorithm) Resolve() Algorithm {
 	if a == "" {
-		return AlgoGPApriori
+		return AlgoPipeline
 	}
 	return a
 }
 
-// LevelWise reports whether the algorithm mines generation by
-// generation — the precondition for checkpointing and per-generation
-// streaming. The depth-first miners (Eclat, FP-Growth) and the
-// overlapped Pipeline have no generation boundary.
-func (a Algorithm) LevelWise() bool {
-	switch a {
-	case AlgoEclat, AlgoEclatDiffset, AlgoFPGrowth, AlgoPipeline:
+// HasBoundaries reports whether the resolved algorithm has generation
+// boundaries — the precondition for checkpointing, resuming and
+// per-generation streaming. The level-wise miners have them, and so
+// does the pipeline through its depth watermarks; the depth-first
+// miners (Eclat, FP-Growth) do not.
+func (a Algorithm) HasBoundaries() bool {
+	switch a.Resolve() {
+	case AlgoEclat, AlgoEclatDiffset, AlgoFPGrowth:
 		return false
 	}
 	return true
@@ -115,7 +120,7 @@ func Algorithms() []Algorithm {
 
 // Config parameterizes a mining run.
 type Config struct {
-	// Algorithm defaults to AlgoGPApriori.
+	// Algorithm defaults to AlgoPipeline (see Algorithm.Resolve).
 	Algorithm Algorithm
 	// MinSupport is the absolute minimum transaction count. If zero,
 	// RelativeSupport is used instead.
@@ -150,7 +155,9 @@ type Config struct {
 	// Devices runs AlgoGPApriori across this many simulated GPUs with
 	// candidates partitioned per generation (0 or 1 = single device).
 	// The paper's platform, a Tesla S1070, carried four T10s; using them
-	// is the paper's stated future work.
+	// is the paper's stated future work. Devices > 1, HybridCPUShare and
+	// Faults configure the device pool, so any other algorithm rejects
+	// them (see CheckDevicePool).
 	Devices int
 	// HybridCPUShare in [0,1) routes that fraction of each generation's
 	// candidates to the host CPU while the devices count the rest — the
@@ -171,9 +178,11 @@ type Config struct {
 
 	// Checkpoint snapshots mining state to this file at every generation
 	// boundary (crash-safe: write-to-temp + rename), so a killed run can
-	// be resumed with ResumeFrom. Level-wise algorithms only — the
-	// depth-first miners (Eclat, FP-Growth) and the overlapped Pipeline
-	// have no generation boundary to snapshot at, and mining them with
+	// be resumed with ResumeFrom. A snapshot holds only the frequent
+	// itemsets up to its generation, so any algorithm with boundaries
+	// can resume any other's. Algorithms with generation boundaries
+	// only (see Algorithm.HasBoundaries) — the depth-first miners
+	// (Eclat, FP-Growth) have none to snapshot at, and mining them with
 	// Checkpoint set is an error rather than a silent no-op.
 	Checkpoint string
 	// CheckpointEvery saves every N counted generations (0 = every
@@ -192,13 +201,15 @@ type Config struct {
 	// budget too small for every device's copy is rejected up front.
 	MemoryBudgetMB int
 
-	// OnGeneration, when set, is invoked after each counted generation
-	// of a level-wise run with the generation number (the itemset length
-	// just counted) and every frequent itemset found so far, in canonical
-	// order. The serving layer streams per-generation results through it.
-	// The depth-first miners (Eclat, FP-Growth) and the overlapped
-	// Pipeline have no generation boundary; they ignore the hook and
-	// deliver results only through the final Result.
+	// OnGeneration, when set, is invoked at each generation boundary
+	// with the generation number (the itemset length just counted) and
+	// every frequent itemset found so far, in canonical order. The
+	// serving layer streams per-generation results through it. The
+	// pipeline, which skips the level-wise all-subsets prune, may report
+	// one more boundary than the level-wise miners, carrying the same
+	// set. The depth-first miners (Eclat, FP-Growth) have no generation
+	// boundary; they ignore the hook and deliver results only through
+	// the final Result.
 	OnGeneration func(gen int, frequent []Itemset)
 
 	// OnCheckpointError, when set, intercepts a failed checkpoint save
@@ -282,6 +293,22 @@ func (c Config) popcount() bitset.PopcountKind {
 	return bitset.PopcountHardware
 }
 
+// CheckDevicePool rejects device-pool settings that would be silently
+// ignored: Faults must parse, and Devices > 1, HybridCPUShare > 0 or any
+// Faults need the resolved algorithm to be AlgoGPApriori, the only one
+// that mines on simulated devices. MineContext applies it to every run,
+// and the serving layer to every request it decodes.
+func (c Config) CheckDevicePool() error {
+	if _, err := core.ParseFaultSpec(c.Faults); err != nil {
+		return err
+	}
+	if algo := c.Algorithm.Resolve(); algo != AlgoGPApriori && (c.Devices > 1 || c.HybridCPUShare > 0 || c.Faults != "") {
+		return fmt.Errorf("gpapriori: Devices > 1, HybridCPUShare and Faults configure the simulated device pool of algorithm %q; %q has none",
+			AlgoGPApriori, algo)
+	}
+	return nil
+}
+
 // resolveSupport converts the config's threshold to an absolute count.
 func (c Config) resolveSupport(db *Database) (int, error) {
 	if c.MinSupport > 0 {
@@ -300,8 +327,8 @@ func Mine(db *Database, cfg Config) (*Result, error) {
 }
 
 // MineContext is Mine with cancellation. The level-wise algorithms honor
-// ctx at every generation boundary; the depth-first miners (Eclat,
-// FP-Growth) check it only before starting.
+// ctx at every generation boundary and the pipeline at every task; the
+// depth-first miners (Eclat, FP-Growth) check it only before starting.
 func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error) {
 	if db == nil || db.db.Len() == 0 {
 		return nil, fmt.Errorf("gpapriori: empty database")
@@ -310,6 +337,9 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 		return nil, err
 	}
 	algo := cfg.Algorithm.Resolve()
+	if err := cfg.CheckDevicePool(); err != nil {
+		return nil, err
+	}
 	minSup, err := cfg.resolveSupport(db)
 	if err != nil {
 		return nil, err
@@ -479,9 +509,9 @@ func DatasetFingerprint(db *Database) (uint64, error) {
 }
 
 // wireCheckpoint installs the public checkpoint/resume config into the
-// level-wise driver config through checkpoint.Wire, wrapping its save
-// hook for Config.OnCheckpointError and the job manager's checkpointed-
-// state notification.
+// boundary config of the level-wise driver or the pipeline through
+// checkpoint.Wire, wrapping its save hook for Config.OnCheckpointError
+// and the job manager's checkpointed-state notification.
 func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *apriori.Config) error {
 	if cfg.Checkpoint == "" && cfg.ResumeFrom == "" {
 		if cfg.CheckpointEvery != 0 {
@@ -493,8 +523,8 @@ func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *
 		}
 		return nil
 	}
-	if !algo.LevelWise() {
-		return fmt.Errorf("gpapriori: algorithm %q cannot checkpoint or resume: it has no generation boundary to snapshot at (use a level-wise algorithm)", algo)
+	if !algo.HasBoundaries() {
+		return fmt.Errorf("gpapriori: algorithm %q cannot checkpoint or resume: it has no generation boundary to snapshot at (use one that has, e.g. %q)", algo, AlgoPipeline)
 	}
 	if cfg.CheckpointEvery < 0 {
 		return fmt.Errorf("gpapriori: Config.CheckpointEvery %d must be ≥0", cfg.CheckpointEvery)
@@ -533,7 +563,7 @@ func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *
 // wireCheckpoint — a streamed generation is only announced once it is
 // durable. Depth-first algorithms have no boundary and skip the hook.
 func wireGenerationHook(algo Algorithm, cfg Config, acfg *apriori.Config) {
-	if cfg.OnGeneration == nil || !algo.LevelWise() {
+	if cfg.OnGeneration == nil || !algo.HasBoundaries() {
 		return
 	}
 	prev := acfg.Checkpoint

@@ -472,6 +472,7 @@ func TestMineWithFaultsMatchesCleanRun(t *testing.T) {
 		t.Fatalf("clean run reported faults: %+v", clean.Faults)
 	}
 	faulty, err := Mine(db, Config{
+		Algorithm:  AlgoGPApriori,
 		MinSupport: 2,
 		Devices:    2,
 		Faults:     "dev0:kernel-fail@gen2,dev1:dead@gen3",
@@ -497,9 +498,23 @@ func TestMineWithFaultsMatchesCleanRun(t *testing.T) {
 	}
 }
 
+// TestMineRejectsBadFaultSpec: the fault spec is validated for every
+// algorithm, and device-pool settings on an algorithm without a device
+// pool are an error rather than a silently fault-free run.
 func TestMineRejectsBadFaultSpec(t *testing.T) {
-	if _, err := Mine(figure2(), Config{MinSupport: 2, Faults: "garbage"}); err == nil {
-		t.Fatal("bad fault spec accepted")
+	for _, cfg := range []Config{
+		{Faults: "garbage"},
+		{Algorithm: AlgoGPApriori, Faults: "garbage"},
+		{Algorithm: AlgoEclat, Faults: "garbage"},
+		{Faults: "dev0:dead@gen2"},
+		{Devices: 2},
+		{Algorithm: AlgoPipeline, HybridCPUShare: 0.25},
+		{Algorithm: AlgoCPUBitset, Devices: 2, Faults: "dev1:dead@gen2"},
+	} {
+		cfg.MinSupport = 2
+		if _, err := Mine(figure2(), cfg); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
 	}
 }
 

@@ -53,17 +53,20 @@ type Config struct {
 	// Apriori's only durable state at a boundary is exactly that set, so
 	// the callback's argument is a complete resume point. A checkpoint
 	// error aborts the run: continuing would silently mine without the
-	// durability the caller asked for.
+	// durability the caller asked for. The Pipeline calls it at its
+	// depth watermarks on the same schedule, from the goroutine that
+	// called MineContext.
 	Checkpoint func(gen int, frequent *dataset.ResultSet) error
 	// CheckpointEvery calls Checkpoint every N counted generations
 	// (≤1 = every generation). The final boundary is always
 	// checkpointed so a completed run's file holds the full result.
 	CheckpointEvery int
 	// Resume fast-forwards the run past already-counted generations: the
-	// candidate trie is rebuilt from Resume.Frequent and the level-wise
-	// loop continues at generation Resume.Gen+1. Because candidate
-	// generation is a deterministic function of the frequent sets, a
-	// resumed run produces results bit-identical to an uninterrupted one.
+	// candidate trie is rebuilt from Resume.Frequent and mining continues
+	// at generation Resume.Gen+1. Because candidate generation is a
+	// deterministic function of the frequent sets, a resumed run produces
+	// results bit-identical to an uninterrupted one, whichever engine
+	// wrote the resume point.
 	Resume *Resume
 }
 

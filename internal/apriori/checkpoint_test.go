@@ -9,8 +9,22 @@ import (
 	"gpapriori/internal/dataset"
 	"gpapriori/internal/gen"
 	"gpapriori/internal/oracle"
-	"gpapriori/internal/trie"
 )
+
+// engines lists the miners that share the boundary contract: the
+// level-wise driver (here with CPU_TEST counting) and the pipeline,
+// whose depth watermarks give it the same boundaries.
+var engines = []struct {
+	name string
+	mine func(db *dataset.DB, minSup int, cfg Config) (*dataset.ResultSet, error)
+}{
+	{"levelwise", func(db *dataset.DB, minSup int, cfg Config) (*dataset.ResultSet, error) {
+		return Mine(db, minSup, NewCPUBitset(db, bitset.PopcountHardware), cfg)
+	}},
+	{"pipeline", func(db *dataset.DB, minSup int, cfg Config) (*dataset.ResultSet, error) {
+		return NewPipeline(db, PipelineOptions{Workers: 4, Grain: 2}).Mine(minSup, cfg)
+	}},
+}
 
 // TestCheckpointHookSequence verifies the hook fires at every generation
 // boundary with the cumulative frequent sets, and that the final boundary
@@ -18,31 +32,33 @@ import (
 func TestCheckpointHookSequence(t *testing.T) {
 	db := gen.Small()
 	minSup := 2
-	var gens []int
-	var last *dataset.ResultSet
-	cfg := Config{
-		Checkpoint: func(g int, rs *dataset.ResultSet) error {
-			gens = append(gens, g)
-			last = rs
-			return nil
-		},
-	}
-	want, err := Mine(db, minSup, NewCPUBitset(db, bitset.PopcountHardware), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gens) == 0 {
-		t.Fatal("checkpoint hook never fired")
-	}
-	for i := 1; i < len(gens); i++ {
-		if gens[i] != gens[i-1]+1 {
-			t.Errorf("generations not consecutive: %v", gens)
+	for _, e := range engines {
+		var gens []int
+		var last *dataset.ResultSet
+		cfg := Config{
+			Checkpoint: func(g int, rs *dataset.ResultSet) error {
+				gens = append(gens, g)
+				last = rs
+				return nil
+			},
 		}
-	}
-	// The final checkpoint must hold the complete result.
-	if !last.Equal(want) {
-		t.Errorf("final checkpoint differs from mining result:\n%s",
-			strings.Join(last.Diff(want), "\n"))
+		want, err := e.mine(db, minSup, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gens) == 0 {
+			t.Fatalf("%s: checkpoint hook never fired", e.name)
+		}
+		for i := 1; i < len(gens); i++ {
+			if gens[i] != gens[i-1]+1 {
+				t.Errorf("%s: generations not consecutive: %v", e.name, gens)
+			}
+		}
+		// The final checkpoint must hold the complete result.
+		if !last.Equal(want) {
+			t.Errorf("%s: final checkpoint differs from mining result:\n%s",
+				e.name, strings.Join(last.Diff(want), "\n"))
+		}
 	}
 }
 
@@ -50,23 +66,25 @@ func TestCheckpointHookSequence(t *testing.T) {
 // only every other boundary fires, plus always the final one.
 func TestCheckpointEvery(t *testing.T) {
 	db := gen.Random(80, 10, 0.4, 11)
-	var gens []int
-	cfg := Config{
-		CheckpointEvery: 2,
-		Checkpoint: func(g int, rs *dataset.ResultSet) error {
-			gens = append(gens, g)
-			return nil
-		},
-	}
-	if _, err := Mine(db, 4, NewCPUBitset(db, bitset.PopcountHardware), cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(gens) == 0 {
-		t.Fatal("no checkpoints at interval 2")
-	}
-	for i := 1; i < len(gens)-1; i++ {
-		if gens[i]-gens[i-1] != 2 {
-			t.Errorf("interior checkpoint interval broken: %v", gens)
+	for _, e := range engines {
+		var gens []int
+		cfg := Config{
+			CheckpointEvery: 2,
+			Checkpoint: func(g int, rs *dataset.ResultSet) error {
+				gens = append(gens, g)
+				return nil
+			},
+		}
+		if _, err := e.mine(db, 4, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if len(gens) == 0 {
+			t.Fatalf("%s: no checkpoints at interval 2", e.name)
+		}
+		for i := 1; i < len(gens)-1; i++ {
+			if gens[i]-gens[i-1] != 2 {
+				t.Errorf("%s: interior checkpoint interval broken: %v", e.name, gens)
+			}
 		}
 	}
 }
@@ -76,15 +94,22 @@ func TestCheckpointEvery(t *testing.T) {
 func TestCheckpointErrorAborts(t *testing.T) {
 	db := gen.Small()
 	boom := errors.New("disk full")
-	cfg := Config{Checkpoint: func(int, *dataset.ResultSet) error { return boom }}
-	if _, err := Mine(db, 2, NewCPUBitset(db, bitset.PopcountHardware), cfg); !errors.Is(err, boom) {
-		t.Errorf("want checkpoint error to propagate, got %v", err)
+	for _, e := range engines {
+		// A run capped at generation 1 reaches the hook only at its
+		// final boundary, which must abort the run all the same.
+		for _, maxLen := range []int{0, 1} {
+			cfg := Config{MaxLen: maxLen, Checkpoint: func(int, *dataset.ResultSet) error { return boom }}
+			if _, err := e.mine(db, 2, cfg); !errors.Is(err, boom) {
+				t.Errorf("%s maxLen=%d: want checkpoint error to propagate, got %v", e.name, maxLen, err)
+			}
+		}
 	}
 }
 
 // TestResumeEquivalence is the core invariant: resuming from any
 // generation boundary produces results bit-identical to an uninterrupted
-// run, for every boundary of several databases and thresholds.
+// run, for every boundary of several databases and thresholds, whichever
+// engine wrote the boundary and whichever resumes it.
 func TestResumeEquivalence(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -98,35 +123,34 @@ func TestResumeEquivalence(t *testing.T) {
 	cases[2].minSup = cases[2].db.AbsoluteSupport(0.85)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			// Capture every boundary of an uninterrupted run.
-			type point struct {
-				gen int
-				rs  *dataset.ResultSet
-			}
-			var points []point
-			cfg := Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
-				points = append(points, point{g, rs})
-				return nil
-			}}
-			counter := NewCPUBitset(c.db, bitset.PopcountHardware)
-			want, err := Mine(c.db, c.minSup, counter, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref := oracle.Mine(c.db, c.minSup); !want.Equal(ref) {
-				t.Fatalf("uninterrupted run wrong vs oracle:\n%s",
-					strings.Join(want.Diff(ref), "\n"))
-			}
-			// Resume from every boundary; each must reproduce want exactly.
-			for _, p := range points {
-				got, err := Mine(c.db, c.minSup, NewCPUBitset(c.db, bitset.PopcountHardware),
-					Config{Resume: &Resume{Gen: p.gen, Frequent: p.rs}})
+			want := oracle.Mine(c.db, c.minSup)
+			for _, writer := range engines {
+				// Capture every boundary of an uninterrupted run.
+				var points []*Resume
+				cfg := Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
+					points = append(points, &Resume{Gen: g, Frequent: rs})
+					return nil
+				}}
+				got, err := writer.mine(c.db, c.minSup, cfg)
 				if err != nil {
-					t.Fatalf("resume from gen %d: %v", p.gen, err)
+					t.Fatal(err)
 				}
 				if !got.Equal(want) {
-					t.Errorf("resume from gen %d not bit-identical:\n%s",
-						p.gen, strings.Join(got.Diff(want), "\n"))
+					t.Fatalf("%s: uninterrupted run wrong vs oracle:\n%s",
+						writer.name, strings.Join(got.Diff(want), "\n"))
+				}
+				// Resume from every boundary; each must reproduce want exactly.
+				for _, p := range points {
+					for _, reader := range engines {
+						got, err := reader.mine(c.db, c.minSup, Config{Resume: p})
+						if err != nil {
+							t.Fatalf("%s resuming %s gen %d: %v", reader.name, writer.name, p.Gen, err)
+						}
+						if !got.Equal(want) {
+							t.Errorf("%s resuming %s gen %d not bit-identical:\n%s",
+								reader.name, writer.name, p.Gen, strings.Join(got.Diff(want), "\n"))
+						}
+					}
 				}
 			}
 		})
@@ -134,94 +158,118 @@ func TestResumeEquivalence(t *testing.T) {
 }
 
 // TestResumeEquivalenceAcrossStrategies: a checkpoint taken by one
-// counting strategy must resume under another — the boundary state is
-// strategy-independent.
+// counting strategy or engine must resume under another — the boundary
+// state is strategy-independent.
 func TestResumeEquivalenceAcrossStrategies(t *testing.T) {
 	db := gen.Random(60, 12, 0.35, 3)
 	minSup := 3
-	var mid *Resume
-	cfg := Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
-		if g == 2 {
-			mid = &Resume{Gen: g, Frequent: rs}
+	strategies := []struct {
+		name string
+		mine func(cfg Config) (*dataset.ResultSet, error)
+	}{
+		{"bodon", func(cfg Config) (*dataset.ResultSet, error) { return Mine(db, minSup, NewBodon(db), cfg) }},
+		{"borgelt", func(cfg Config) (*dataset.ResultSet, error) { return Mine(db, minSup, NewBorgelt(db), cfg) }},
+		{"pipeline", func(cfg Config) (*dataset.ResultSet, error) {
+			return NewPipeline(db, PipelineOptions{Workers: 3}).Mine(minSup, cfg)
+		}},
+	}
+	for _, writer := range strategies {
+		var mid *Resume
+		cfg := Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
+			if g == 2 {
+				mid = &Resume{Gen: g, Frequent: rs}
+			}
+			return nil
+		}}
+		want, err := writer.mine(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	}}
-	want, err := Mine(db, minSup, NewBodon(db), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mid == nil {
-		t.Skip("run ended before generation 2")
-	}
-	got, err := Mine(db, minSup, NewBorgelt(db), Config{Resume: mid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Errorf("cross-strategy resume differs:\n%s", strings.Join(got.Diff(want), "\n"))
+		if mid == nil {
+			t.Fatalf("%s: run ended before generation 2", writer.name)
+		}
+		for _, reader := range strategies {
+			if reader.name == writer.name {
+				continue
+			}
+			got, err := reader.mine(Config{Resume: mid})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s resuming %s differs:\n%s", reader.name, writer.name, strings.Join(got.Diff(want), "\n"))
+			}
+		}
 	}
 }
 
 // TestResumeFromFinalCheckpoint: resuming from a completed run's
-// checkpoint terminates immediately with the full result.
+// checkpoint counts no further generation — its only boundary is the
+// checkpoint's own, announced as final — and returns the full result.
 func TestResumeFromFinalCheckpoint(t *testing.T) {
 	db := gen.Small()
-	var final *Resume
-	cfg := Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
-		final = &Resume{Gen: g, Frequent: rs}
-		return nil
-	}}
-	want, err := Mine(db, 2, NewCPUBitset(db, bitset.PopcountHardware), cfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, e := range engines {
+		var final *Resume
+		cfg := Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
+			final = &Resume{Gen: g, Frequent: rs}
+			return nil
+		}}
+		want, err := e.mine(db, 2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gens []int
+		got, err := e.mine(db, 2, Config{Resume: final, Checkpoint: func(g int, _ *dataset.ResultSet) error {
+			gens = append(gens, g)
+			return nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gens) != 1 || gens[0] != final.Gen {
+			t.Errorf("%s: resume from final checkpoint at gen %d reported boundaries %v", e.name, final.Gen, gens)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: resume from final checkpoint differs:\n%s", e.name, strings.Join(got.Diff(want), "\n"))
+		}
+		// A resume point with nothing left to extend finishes at once.
+		gens = nil
+		empty := &Resume{Gen: 2, Frequent: &dataset.ResultSet{}}
+		got, err = e.mine(db, 2, Config{Resume: empty, Checkpoint: func(g int, _ *dataset.ResultSet) error {
+			gens = append(gens, g)
+			return nil
+		}})
+		if err != nil {
+			t.Fatalf("%s: empty resume point: %v", e.name, err)
+		}
+		if got.Len() != 0 || len(gens) != 1 || gens[0] != 2 {
+			t.Errorf("%s: empty resume point: %d sets, boundaries %v", e.name, got.Len(), gens)
+		}
 	}
-	counted := 0
-	got, err := Mine(db, 2, &countingCounter{inner: NewCPUBitset(db, bitset.PopcountHardware), n: &counted},
-		Config{Resume: final})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counted != 0 {
-		t.Errorf("resume from final checkpoint recounted %d generations", counted)
-	}
-	if !got.Equal(want) {
-		t.Errorf("resume from final checkpoint differs:\n%s", strings.Join(got.Diff(want), "\n"))
-	}
-}
-
-type countingCounter struct {
-	inner Counter
-	n     *int
-}
-
-func (c *countingCounter) Name() string { return "counting(" + c.inner.Name() + ")" }
-func (c *countingCounter) Count(t *trie.Trie, cands []trie.Candidate, k int) error {
-	*c.n++
-	return c.inner.Count(t, cands, k)
 }
 
 // TestResumeValidation rejects malformed resume points with clear errors.
 func TestResumeValidation(t *testing.T) {
 	db := gen.Small()
-	counter := NewCPUBitset(db, bitset.PopcountHardware)
 	rs := &dataset.ResultSet{}
 	rs.Add([]dataset.Item{0}, 5)
-
-	if _, err := Mine(db, 2, counter, Config{Resume: &Resume{Gen: 0, Frequent: rs}}); err == nil {
-		t.Error("accepted resume generation 0")
-	}
-	if _, err := Mine(db, 2, counter, Config{Resume: &Resume{Gen: 1}}); err == nil {
-		t.Error("accepted resume with nil frequent sets")
-	}
 	low := &dataset.ResultSet{}
 	low.Add([]dataset.Item{0}, 1)
-	if _, err := Mine(db, 2, counter, Config{Resume: &Resume{Gen: 1, Frequent: low}}); err == nil {
-		t.Error("accepted resume itemset below the support threshold")
-	}
 	long := &dataset.ResultSet{}
 	long.Add([]dataset.Item{0}, 5)
 	long.Add([]dataset.Item{0, 1}, 4)
-	if _, err := Mine(db, 2, counter, Config{Resume: &Resume{Gen: 1, Frequent: long}}); err == nil {
-		t.Error("accepted resume itemset longer than the resume generation")
+	for _, e := range engines {
+		if _, err := e.mine(db, 2, Config{Resume: &Resume{Gen: 0, Frequent: rs}}); err == nil {
+			t.Errorf("%s: accepted resume generation 0", e.name)
+		}
+		if _, err := e.mine(db, 2, Config{Resume: &Resume{Gen: 1}}); err == nil {
+			t.Errorf("%s: accepted resume with nil frequent sets", e.name)
+		}
+		if _, err := e.mine(db, 2, Config{Resume: &Resume{Gen: 1, Frequent: low}}); err == nil {
+			t.Errorf("%s: accepted resume itemset below the support threshold", e.name)
+		}
+		if _, err := e.mine(db, 2, Config{Resume: &Resume{Gen: 1, Frequent: long}}); err == nil {
+			t.Errorf("%s: accepted resume itemset longer than the resume generation", e.name)
+		}
 	}
 }

@@ -37,6 +37,14 @@
 // materializing candidate nodes, and only frequent pairs enter the
 // trie.
 //
+// Depth watermarks give the run the level-wise driver's generation
+// boundaries without its barrier (DESIGN.md §14.6). Every family is
+// counted open under its candidate length until it has pruned and
+// joined; watermark k passes once watermark k−1 has and the length-k
+// count drains, and from then on every frequent itemset of length ≤ k
+// is final. MineContext's own goroutine reports boundaries from a
+// depth-bounded copy of the trie while the workers mine deeper.
+//
 // Correctness relies on downward closure only: a class is extended only
 // through children that counted frequent, so skipping the level-wise
 // all-subsets prune (which would need a synchronized global generation
@@ -310,7 +318,20 @@ type pipeRun struct {
 	perDepth []int // candidates generated per depth
 
 	cachedBytes atomic.Int64
+
+	// Depth watermarks: depths[k] counts the families of candidate
+	// length k, mark is the highest passed watermark, and start the
+	// generation the run begins at (1, or the resume point). kick, set
+	// only when a boundary hook is, wakes MineContext on a new mark.
+	depths []pipeDepth
+	mark   atomic.Int64
+	start  int
+	kick   chan struct{}
 }
+
+// pipeDepth counts the families (and the generation-2 triangle job) of
+// one candidate length: made ever opened, open not yet retired.
+type pipeDepth struct{ made, open atomic.Int64 }
 
 // Mine runs the pipeline at the given absolute minimum support.
 func (p *Pipeline) Mine(minSupport int, cfg Config) (*dataset.ResultSet, error) {
@@ -318,35 +339,32 @@ func (p *Pipeline) Mine(minSupport int, cfg Config) (*dataset.ResultSet, error) 
 }
 
 // MineContext is Mine with cancellation, honored at every task
-// boundary.
+// boundary. cfg.Checkpoint is called on the level-wise driver's
+// schedule and cfg.Resume continues from a boundary of either engine.
 func (p *Pipeline) MineContext(ctx context.Context, minSupport int, cfg Config) (*dataset.ResultSet, error) {
 	if minSupport < 1 {
 		return nil, fmt.Errorf("apriori: minimum support %d must be ≥1", minSupport)
 	}
-	r := &pipeRun{p: p, trie: trie.New(), minsup: minSupport, cfg: cfg, ctx: ctx}
+	r := &pipeRun{p: p, trie: trie.New(), minsup: minSupport, cfg: cfg, ctx: ctx, start: 1}
 	r.parkCond = sync.NewCond(&r.parkMu)
 	r.deques = make([]pipeDeque, p.opt.Workers)
-
-	// Seed generation 1 through a scratch arena and hand the root to
-	// worker 0 as a precounted family.
+	if cfg.Checkpoint != nil {
+		r.kick = make(chan struct{}, 1)
+	}
 	seed := p.getScratch()
-	supports := p.db.ItemSupports()
-	nf := 0
-	for _, sup := range supports {
-		if sup >= minSupport {
-			nf++
-		}
+	tasks, err := r.seed(&seed.arena)
+	if err != nil {
+		p.putScratch(seed)
+		return nil, err
 	}
-	root := r.trie.Root
-	root.Children = seed.arena.NodePtrs(nf)
-	for item, sup := range supports {
-		if sup >= minSupport {
-			n := seed.arena.NewNode(dataset.Item(item), 1)
-			n.Support = sup
-			root.Children = append(root.Children, n)
-		}
+	if len(tasks) == 0 {
+		// A resume point with no class to extend leaves nothing to
+		// mine: its own generation is the final boundary.
+		r.advance()
+		r.halt()
+	} else {
+		r.submit(0, tasks...)
 	}
-	r.submit(0, pipeTask{fam: &pipeFamily{parent: root, k: 1, precounted: true}, lo: -1})
 
 	var wg sync.WaitGroup
 	for w := 0; w < p.opt.Workers; w++ {
@@ -356,6 +374,17 @@ func (p *Pipeline) MineContext(ctx context.Context, minSupport int, cfg Config) 
 			r.worker(self)
 		}(w)
 	}
+	// Boundaries are reported from this goroutine, otherwise idle until
+	// the workers stop, so a hook's fsync never stalls a worker.
+	b := boundaries{r: r, done: r.start}
+	if r.kick != nil {
+		for !r.stopped.Load() {
+			<-r.kick
+			if err := b.report(int(r.mark.Load())); err != nil {
+				r.fail(err)
+			}
+		}
+	}
 	wg.Wait()
 	p.putScratch(seed)
 	if r.err != nil {
@@ -363,7 +392,164 @@ func (p *Pipeline) MineContext(ctx context.Context, minSupport int, cfg Config) 
 	}
 	// Copy results out of arena memory before the scratch pool can
 	// recycle it (FrequentPacked never aliases the trie).
-	return r.trie.FrequentPacked(minSupport), nil
+	rs := r.trie.FrequentPacked(minSupport, 0)
+	if r.kick != nil {
+		if err := b.final(int(r.mark.Load()), rs); err != nil {
+			return nil, err
+		}
+	}
+	return rs, nil
+}
+
+// seed builds the run's first families: the root class over the
+// frequent items, or — resuming at generation g — the class of every
+// depth-(g−1) node of the trie rebuilt from the resume point. Either
+// way the families' children already carry supports, so they go
+// straight to prune and join, as the triangle's pair classes do.
+func (r *pipeRun) seed(a *trie.Arena) ([]pipeTask, error) {
+	// Candidates are strictly increasing paths over the items in the
+	// trie, so the item count bounds their length: the frequent items
+	// of a fresh run, the database's items on resume.
+	root := r.trie.Root
+	bound := r.p.db.NumItems()
+	if r.cfg.Resume != nil {
+		g, err := seedFromResume(r.trie, r.cfg.Resume, r.minsup)
+		if err != nil {
+			return nil, err
+		}
+		r.start = g
+	} else {
+		supports := r.p.db.ItemSupports()
+		nf := 0
+		for _, sup := range supports {
+			if sup >= r.minsup {
+				nf++
+			}
+		}
+		root.Children = a.NodePtrs(nf)
+		for item, sup := range supports {
+			if sup >= r.minsup {
+				n := a.NewNode(dataset.Item(item), 1)
+				n.Support = sup
+				root.Children = append(root.Children, n)
+			}
+		}
+		bound = nf
+	}
+	r.depths = make([]pipeDepth, max(bound, r.start)+2)
+	r.mark.Store(int64(r.start - 1))
+
+	var tasks []pipeTask
+	prefix := make([]dataset.Item, 0, r.start)
+	var walk func(n *trie.Node)
+	walk = func(n *trie.Node) {
+		if n.Depth == r.start-1 {
+			fam := &pipeFamily{parent: n, k: r.start, precounted: true}
+			fam.prefix = append(a.Items(len(prefix)), prefix...)
+			tasks = append(tasks, pipeTask{fam: fam, lo: -1})
+			return
+		}
+		for _, c := range n.Children {
+			prefix = append(prefix, c.Item)
+			walk(c)
+			prefix = prefix[:len(prefix)-1]
+		}
+	}
+	walk(root)
+	r.openFamilies(r.start, len(tasks))
+	return tasks, nil
+}
+
+// boundaries reports passed watermarks to Config.Checkpoint on the
+// level-wise driver's schedule: every CheckpointEvery-th generation
+// counted after the start, then the final one.
+type boundaries struct {
+	r         *pipeRun
+	done      int // highest watermark considered
+	lastSaved int
+}
+
+// report calls the hook for every due boundary up to watermark upTo,
+// each from a copy of the trie bounded at its depth: at watermark k the
+// supports down to depth k and the child lists above it are final.
+func (b *boundaries) report(upTo int) error {
+	r := b.r
+	every := max(r.cfg.CheckpointEvery, 1)
+	for ; b.done < upTo; b.done++ {
+		k := b.done + 1
+		if (k-r.start)%every != 0 {
+			continue
+		}
+		if err := r.cfg.Checkpoint(k, r.trie.FrequentPacked(r.minsup, k)); err != nil {
+			return fmt.Errorf("apriori: checkpoint at generation %d: %w", k, err)
+		}
+		b.lastSaved = k
+	}
+	return nil
+}
+
+// final reports the boundaries the run passed after the last report
+// and always the final one, with the run's result: generation 1 only
+// reaches the hook this way.
+func (b *boundaries) final(last int, rs *dataset.ResultSet) error {
+	if err := b.report(last - 1); err != nil {
+		return err
+	}
+	if b.lastSaved == last {
+		return nil
+	}
+	if err := b.r.cfg.Checkpoint(last, rs); err != nil {
+		return fmt.Errorf("apriori: final checkpoint at generation %d: %w", last, err)
+	}
+	return nil
+}
+
+// openFamilies counts n new families of candidate length k. Their
+// creator has not retired yet, so watermark k cannot pass before they
+// retire in turn.
+func (r *pipeRun) openFamilies(k, n int) {
+	d := &r.depths[k]
+	d.made.Add(int64(n))
+	d.open.Add(int64(n))
+}
+
+// retire closes one family of candidate length k once it has pruned
+// and joined; draining the count may pass watermarks.
+func (r *pipeRun) retire(k int) {
+	if r.depths[k].open.Add(-1) == 0 {
+		r.advance()
+	}
+}
+
+// advance passes every watermark now due: watermark k passes once
+// watermark k−1 has and the length-k count is drained, but past the
+// start only if some length-k family existed — the last such k is the
+// final boundary. Only length-(k−1) families open length-k ones, so
+// once the mark reads k−1 the length-k counts can no longer rise, and a
+// CAS from that mark makes each pass happen once.
+func (r *pipeRun) advance() {
+	for {
+		m := r.mark.Load()
+		k := int(m) + 1
+		if k >= len(r.depths) || r.depths[k].open.Load() != 0 ||
+			(k > r.start && r.depths[k].made.Load() == 0) {
+			return
+		}
+		if r.mark.CompareAndSwap(m, m+1) {
+			r.nudge()
+		}
+	}
+}
+
+// nudge wakes MineContext's boundary loop, if the run has one; a wake
+// already pending covers this one too.
+func (r *pipeRun) nudge() {
+	if r.kick != nil {
+		select {
+		case r.kick <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // submit makes tasks runnable on the given worker's deque. The
@@ -412,6 +598,7 @@ func (r *pipeRun) halt() {
 	r.seq++
 	r.parkCond.Broadcast()
 	r.parkMu.Unlock()
+	r.nudge()
 }
 
 // worker is one pool member's loop.
@@ -606,6 +793,7 @@ func (w *pipeWorker) countRange(fam *pipeFamily, lo, hi int) {
 // families. Only this call touches fam.parent's child list.
 func (w *pipeWorker) finishFamily(fam *pipeFamily) error {
 	r := w.r
+	defer r.retire(fam.k)
 	p := fam.parent
 	kept := p.Children[:0]
 	for _, c := range p.Children {
@@ -633,6 +821,9 @@ func (w *pipeWorker) finishFamily(fam *pipeFamily) error {
 			return err
 		}
 		if ranks, ok := w.planTriangle(kept, pairs); ok {
+			// The triangle job stands in for the length-2 families
+			// until finishTriangle opens the pair classes.
+			r.openFamilies(2, 1)
 			w.startTriangle(kept, pairs, ranks)
 			return nil
 		}
@@ -661,6 +852,7 @@ func (w *pipeWorker) releaseFamily(fam *pipeFamily) {
 func (w *pipeWorker) joinFamily(fam *pipeFamily, kept []*trie.Node, counted bool) error {
 	r := w.r
 	k := fam.k
+	r.openFamilies(k+1, len(kept)-1)
 	for i, x := range kept {
 		sibs := kept[i+1:]
 		if len(sibs) == 0 {
@@ -682,8 +874,9 @@ func (w *pipeWorker) joinFamily(fam *pipeFamily, kept []*trie.Node, counted bool
 		// a single AND while it is still on hand — the cross-generation
 		// reuse of prefix-class caching, under the run's budget. Pair
 		// classes (k == 1 here) need none: their prefix item's vector
-		// is the intersection.
-		if k >= 2 {
+		// is the intersection. Resumed classes have no base to derive
+		// from, so their children rematerialize.
+		if k >= 2 && fam.base != nil {
 			if cb := r.acquireCached(); cb != nil {
 				cb.And(fam.base, r.p.v.Vectors[x.Item])
 				child.cached = cb

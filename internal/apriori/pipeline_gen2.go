@@ -146,6 +146,7 @@ func (w *pipeWorker) countTriangle(tj *triJob, lo, hi, idx int) {
 // proceed through the normal machinery.
 func (w *pipeWorker) finishTriangle(tj *triJob) error {
 	r := w.r
+	defer r.retire(2)
 	total := tj.parts[0]
 	for _, part := range tj.parts[1:] {
 		for i, c := range part {
@@ -185,6 +186,7 @@ func (w *pipeWorker) finishTriangle(tj *triJob) error {
 		tasks = append(tasks, pipeTask{fam: fam, lo: -1})
 	}
 	if len(tasks) > 0 {
+		r.openFamilies(2, len(tasks))
 		r.submit(w.self, tasks...)
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"gpapriori/internal/gen"
 	"gpapriori/internal/oracle"
 	"gpapriori/internal/testutil"
+	"gpapriori/internal/trie"
 )
 
 // TestPipelineSchedulerMatrix is the scheduler's oracle-equivalence
@@ -18,40 +19,76 @@ import (
 // including degenerate grains that force heavy splitting and stealing —
 // produces bit-identical results to the level-wise driver and the
 // oracle, both with the derived cache budget and with none (every deep
-// family rematerializes). Run under -race this also exercises the
-// deque/parking protocol and the budget accounting for data races.
+// family rematerializes). Every boundary the depth watermarks report
+// must equal the oracle's itemsets up to its generation; the sparse
+// database takes the generation-2 triangle path. Run under -race this
+// also exercises the deque/parking protocol, the budget accounting and
+// the boundary copies taken while workers mine deeper.
 func TestPipelineSchedulerMatrix(t *testing.T) {
-	dbs := map[string]*dataset.DB{
-		"rand":  gen.Random(150, 12, 0.5, 21),
-		"small": gen.Small(),
+	dbs := []struct {
+		name   string
+		db     *dataset.DB
+		minSup int
+	}{
+		{"rand", gen.Random(150, 12, 0.5, 21), 3},
+		{"small", gen.Small(), 3},
+		{"sparse", triangleDB(), triangleMinSup},
 	}
-	for name, db := range dbs {
-		want, err := Mine(db, 3, NewCPUBitset(db, bitset.PopcountHardware), Config{})
+	for _, c := range dbs {
+		want, err := Mine(c.db, c.minSup, NewCPUBitset(c.db, bitset.PopcountHardware), Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !want.Equal(oracle.Mine(db, 3)) {
-			t.Fatalf("%s: level-wise driver disagrees with the oracle", name)
+		ref := oracle.Mine(c.db, c.minSup)
+		if !want.Equal(ref) {
+			t.Fatalf("%s: level-wise driver disagrees with the oracle", c.name)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, grain := range []int{0, 1, 7, 64} {
 				for _, steal := range []int{0, 1} {
-					p := NewPipeline(db, PipelineOptions{Workers: workers, Grain: grain, StealBatch: steal})
+					p := NewPipeline(c.db, PipelineOptions{Workers: workers, Grain: grain, StealBatch: steal})
 					for _, budget := range []int64{p.cacheBudget, 0} {
 						p.cacheBudget = budget
-						got, err := p.Mine(3, Config{})
+						label := fmt.Sprintf("%s w=%d g=%d s=%d budget=%d", c.name, workers, grain, steal, budget)
+						var gens []int
+						var last *dataset.ResultSet
+						got, err := p.Mine(c.minSup, Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
+							gens, last = append(gens, g), rs
+							if up := upTo(ref, g); !rs.Equal(up) {
+								t.Errorf("%s: boundary %d differs from the oracle: %v", label, g, rs.Diff(up))
+							}
+							return nil
+						}})
 						if err != nil {
-							t.Fatalf("%s w=%d g=%d s=%d budget=%d: %v", name, workers, grain, steal, budget, err)
+							t.Fatalf("%s: %v", label, err)
 						}
 						if !got.Equal(want) {
-							t.Fatalf("%s w=%d g=%d s=%d budget=%d diff: %v",
-								name, workers, grain, steal, budget, got.Diff(want))
+							t.Fatalf("%s diff: %v", label, got.Diff(want))
+						}
+						if last == nil || !last.Equal(want) {
+							t.Fatalf("%s: the final boundary must carry the whole result", label)
+						}
+						for i, g := range gens {
+							if g != i+2 && !(len(gens) == 1 && g == 1) {
+								t.Fatalf("%s: boundaries %v, want consecutive generations from 2", label, gens)
+							}
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// upTo returns the itemsets of rs no longer than k.
+func upTo(rs *dataset.ResultSet, k int) *dataset.ResultSet {
+	out := &dataset.ResultSet{}
+	for _, s := range rs.Sets {
+		if len(s.Items) <= k {
+			out.Add(s.Items, s.Support)
+		}
+	}
+	return out
 }
 
 // skewedDB builds the steal-heavy fixture: one item co-occurs with
@@ -102,19 +139,47 @@ func TestPipelineSkewedClassStealing(t *testing.T) {
 	}
 }
 
+// triangleDB is the generation-2 triangle fixture: ~300 frequent items
+// over short transactions make the pair matrix decisively cheaper than
+// pair-at-a-time intersection, and a planted pattern keeps the classes
+// of generations 3 to 5 populated.
+func triangleDB() *dataset.DB {
+	db := gen.Random(1500, 300, 0.02, 22)
+	for i := 0; i < 30; i++ {
+		db.Append([]dataset.Item{0, 1, 2, 3, dataset.Item(4 + i%3)})
+	}
+	return db
+}
+
+const triangleMinSup = 8
+
 // TestPipelineTriangleGen2 drives the generation-2 horizontal fast
-// path: many frequent items over short transactions make the pair
-// matrix decisively cheaper than pair-at-a-time intersection, and the
-// result must still match the level-wise driver bit for bit.
+// path; the result must still match the level-wise driver bit for bit.
 func TestPipelineTriangleGen2(t *testing.T) {
-	db := gen.Random(400, 8, 0.013, 22) // ~600+ frequent items, sparse pairs
-	want, err := Mine(db, 2, NewCPUBitset(db, bitset.PopcountHardware), Config{})
+	db := triangleDB()
+	want, err := Mine(db, triangleMinSup, NewCPUBitset(db, bitset.PopcountHardware), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want.MaxLen() < 4 {
+		t.Fatalf("fixture mines itemsets of length ≤ %d, want the planted deeper classes", want.MaxLen())
+	}
+	// The fixture must take the triangle path, or this test covers
+	// nothing the others do not.
+	p := NewPipeline(db, PipelineOptions{Workers: 1})
+	var kept []*trie.Node
+	for item, sup := range db.ItemSupports() {
+		if sup >= triangleMinSup {
+			kept = append(kept, &trie.Node{Item: dataset.Item(item), Support: sup})
+		}
+	}
+	w := &pipeWorker{r: &pipeRun{p: p}}
+	if _, ok := w.planTriangle(kept, len(kept)*(len(kept)-1)/2); !ok {
+		t.Fatalf("cost model keeps the bitset path for %d frequent items", len(kept))
+	}
 	for _, workers := range []int{1, 4} {
 		p := NewPipeline(db, PipelineOptions{Workers: workers})
-		got, err := p.Mine(2, Config{})
+		got, err := p.Mine(triangleMinSup, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +208,13 @@ func TestPipelineCancellationMidRun(t *testing.T) {
 			cancel()
 			close(done)
 		}()
-		_, err := p.MineContext(ctx, 2, Config{})
+		// Odd iterations report boundaries, so MineContext's own
+		// goroutine must wind down with the workers too.
+		var cfg Config
+		if i%2 == 1 {
+			cfg.Checkpoint = func(int, *dataset.ResultSet) error { return nil }
+		}
+		_, err := p.MineContext(ctx, 2, cfg)
 		if err != nil && err != context.Canceled {
 			t.Fatalf("iteration %d: %v", i, err)
 		}

@@ -140,5 +140,11 @@ func ValidateMineRequest(req *gpapriori.ServeMineRequest) *gpapriori.ServeError 
 	if err := pool.Validate(); err != nil {
 		return badRequest("%v", err)
 	}
+	// A pool the miner would accept still needs an algorithm that mines
+	// on it, or the job would run without the devices and faults asked
+	// for.
+	if err := req.MiningConfig().CheckDevicePool(); err != nil {
+		return badRequest("%v", err)
+	}
 	return nil
 }

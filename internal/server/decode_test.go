@@ -11,10 +11,11 @@ func TestDecodeMineRequestAccepts(t *testing.T) {
 		`{"dataset":"q","min_support":5}`,
 		`{"dataset":"q","relative_support":0.5,"algorithm":"eclat"}`,
 		`{"dataset":"q","min_support":1,"max_len":4,"priority":10,"deadline_sec":30,
-		  "workers":4,"devices":2,"hybrid_cpu_share":0.25,
+		  "workers":4,"devices":2,"hybrid_cpu_share":0.25,"algorithm":"gpapriori",
 		  "faults":"dev1:kernel-fail@gen2","fault_seed":7,"no_cache":true}`,
-		`{"dataset":"q","min_support":5,"devices":16,"hybrid_cpu_share":0.99}`,
-		`{"dataset":"q","min_support":5,"faults":"dev0:dead@gen2"}`,
+		`{"dataset":"q","min_support":5,"devices":16,"hybrid_cpu_share":0.99,"algorithm":"gpapriori"}`,
+		`{"dataset":"q","min_support":5,"faults":"dev0:dead@gen2","algorithm":"gpapriori"}`,
+		`{"dataset":"q","min_support":5,"devices":1,"algorithm":"pipeline"}`,
 	} {
 		if _, se := DecodeMineRequest(strings.NewReader(body)); se != nil {
 			t.Errorf("%s: unexpected reject: %v", body, se)
@@ -54,6 +55,13 @@ func TestDecodeMineRequestRejects(t *testing.T) {
 		{"bad fault spec", `{"dataset":"q","min_support":5,"faults":"dev0:meltdown@gen1"}`},
 		{"fault on a device outside the pool", `{"dataset":"q","min_support":5,"faults":"dev3:dead@gen2"}`},
 		{"fault past the device count", `{"dataset":"q","min_support":5,"devices":2,"faults":"dev2:kernel-fail@gen2"}`},
+		{"devices on the default algorithm", `{"dataset":"q","min_support":5,"devices":2}`},
+		{"hybrid share on the default algorithm", `{"dataset":"q","min_support":5,"hybrid_cpu_share":0.25}`},
+		{"faults on the default algorithm", `{"dataset":"q","min_support":5,"faults":"dev0:dead@gen2"}`},
+		{"devices on pipeline", `{"dataset":"q","min_support":5,"algorithm":"pipeline","devices":4}`},
+		{"faults on pipeline", `{"dataset":"q","min_support":5,"algorithm":"pipeline","faults":"dev0:kernel-fail@gen2"}`},
+		{"hybrid share on cpu-bitset", `{"dataset":"q","min_support":5,"algorithm":"cpu-bitset","hybrid_cpu_share":0.5}`},
+		{"faults on cpu-bitset", `{"dataset":"q","min_support":5,"algorithm":"cpu-bitset","faults":"dev0:dead@gen2"}`},
 		{"removed cache_blocked knob", `{"dataset":"q","min_support":5,"cache_blocked":true}`},
 		{"removed prefix_cache knob", `{"dataset":"q","min_support":5,"prefix_cache":true}`},
 		{"removed prefix_cache_budget_mb knob", `{"dataset":"q","min_support":5,"prefix_cache_budget_mb":16}`},

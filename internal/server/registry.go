@@ -1,10 +1,13 @@
-// The dataset registry: named databases loaded and transposed once,
-// mined many times. The registry is the serving analogue of a loaded
-// model — the expensive part of a one-shot CLI run (reading the file,
-// building the vertical layout) is paid at registration, and every
-// subsequent query hits the resident database. Entries carry the
-// modeled vertical-bitset footprint so admission control and /statsz
-// account for what residency costs.
+// The dataset registry: named databases loaded once, mined many times.
+// The registry is the serving analogue of a loaded model — reading or
+// generating the database is paid at registration, and every
+// subsequent query hits the resident horizontal database. The vertical
+// bitset layout is not resident: every job transposes its database
+// itself (vertical.BuildBitsets, ~1.5ms per query of perfbench's miss
+// mix on a 2-CPU host). Keeping the layouts resident would add ~4.4MB
+// to that mix's ~9.2MB live heap, a resident-memory cost the saving
+// does not buy back. Entries carry the modeled vertical-bitset footprint so
+// admission control and /statsz account for what a job's layout costs.
 package server
 
 import (

@@ -371,7 +371,7 @@ func (s *Server) submitLocal(req gpapriori.ServeMineRequest, id, idemKey string)
 		}
 	}
 
-	if s.stateDir != "" && cfg.Algorithm.LevelWise() {
+	if s.stateDir != "" && cfg.Algorithm.HasBoundaries() {
 		// Durability wiring: snapshot every generation, resume any
 		// progress an interrupted earlier run of this fingerprint left.
 		// A failing disk degrades the job (it mines on, checkpoint-less)

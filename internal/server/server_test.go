@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gpapriori"
+	"gpapriori/internal/checkpoint"
 	"gpapriori/internal/testutil"
 )
 
@@ -331,41 +332,91 @@ func TestDrainRejectsSubmissions(t *testing.T) {
 	}
 }
 
-// TestStreamDeliversGenerations: a level-wise run streams more than one
-// event, each generation's itemsets have the right length, and the
-// union equals the full result.
+// TestStreamDeliversGenerations: a run with generation boundaries —
+// the default pipeline, named or not, and a level-wise miner — streams
+// more than one event, each generation's itemsets have the right
+// length, and the union equals the full result.
 func TestStreamDeliversGenerations(t *testing.T) {
 	// A streaming handler that outlives its client is the leak this
 	// suite exists to catch; check after the cleanup-managed teardown.
 	t.Cleanup(testutil.LeakCheck(t, 2, 10*time.Second))
 	_, cl, _ := newTestServer(t, Config{})
+	for _, algo := range []string{"", "pipeline", "gpapriori"} {
+		events, final := streamJob(t, cl, gpapriori.ServeMineRequest{Dataset: "q", Algorithm: algo, MinSupport: 20, NoCache: true})
+		if len(events) < 2 {
+			t.Fatalf("%q: got %d stream events, want at least one generation plus the final", algo, len(events))
+		}
+		total := 0
+		for _, ev := range events {
+			total += len(ev.Itemsets)
+		}
+		for _, ev := range events[:len(events)-1] {
+			for _, s := range ev.Itemsets {
+				if len(s.Items) > ev.Gen {
+					t.Fatalf("%q: generation %d event carries a length-%d itemset", algo, ev.Gen, len(s.Items))
+				}
+			}
+		}
+		if final.Itemsets != total {
+			t.Fatalf("%q: streamed %d itemsets, final reports %d", algo, total, final.Itemsets)
+		}
+	}
+}
+
+// streamJob submits req and collects its stream events, the final one
+// included, and the final job info.
+func streamJob(t *testing.T, cl *gpapriori.ServeClient, req gpapriori.ServeMineRequest) ([]gpapriori.ServeGenerationEvent, *gpapriori.ServeJobInfo) {
+	t.Helper()
 	ctx := context.Background()
-	job, err := cl.Submit(ctx, gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 20, NoCache: true})
+	job, err := cl.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var events []gpapriori.ServeGenerationEvent
-	var total int
 	final, err := cl.Stream(ctx, job.ID, func(ev gpapriori.ServeGenerationEvent) error {
 		events = append(events, ev)
-		total += len(ev.Itemsets)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) < 2 {
-		t.Fatalf("got %d stream events, want at least one generation plus the final", len(events))
+	return events, final
+}
+
+// TestDefaultJobCheckpointsAndResumes: with a state directory, a job on
+// the default algorithm checkpoints at its generation boundaries, and a
+// resubmission of the same query fast-forwards from the final
+// checkpoint: it streams the checkpoint's generation alone instead of
+// counting again from generation 2.
+func TestDefaultJobCheckpointsAndResumes(t *testing.T) {
+	s, cl, _ := newTestServer(t, Config{StateDir: t.TempDir()})
+	req := gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 8, NoCache: true}
+	first, final := streamJob(t, cl, req)
+	if final.Algorithm != string(gpapriori.AlgoPipeline) || final.State != gpapriori.JobDone.String() {
+		t.Fatalf("default job ran %q and ended %s, want pipeline and done", final.Algorithm, final.State)
 	}
-	for _, ev := range events[:len(events)-1] {
-		for _, s := range ev.Itemsets {
-			if len(s.Items) > ev.Gen {
-				t.Fatalf("generation %d event carries a length-%d itemset", ev.Gen, len(s.Items))
-			}
-		}
+	if len(first) < 3 {
+		t.Fatalf("default job streamed %d events, want several generations", len(first))
 	}
-	if final.Itemsets != total {
-		t.Fatalf("streamed %d itemsets, final reports %d", total, final.Itemsets)
+	key, _, err := gpapriori.ResultFingerprint(testDB(t), req.MiningConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Load(s.ckptPath(key))
+	if err != nil {
+		t.Fatalf("default job left no checkpoint: %v", err)
+	}
+	if snap.Frequent.Len() != final.Itemsets || snap.Gen < first[len(first)-2].Gen {
+		t.Fatalf("checkpoint holds %d sets at generation %d, want the final %d sets at ≥ %d",
+			snap.Frequent.Len(), snap.Gen, final.Itemsets, first[len(first)-2].Gen)
+	}
+	second, final2 := streamJob(t, cl, req)
+	if len(second) != 2 || second[0].Gen != snap.Gen || len(second[0].Itemsets) != final.Itemsets {
+		t.Fatalf("resubmission streamed %d events (first at generation %d), want the checkpoint's generation %d alone",
+			len(second), second[0].Gen, snap.Gen)
+	}
+	if final2.Itemsets != final.Itemsets {
+		t.Fatalf("resumed job found %d itemsets, first run %d", final2.Itemsets, final.Itemsets)
 	}
 }
 

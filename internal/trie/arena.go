@@ -81,13 +81,17 @@ func (a *Arena) Reset() {
 	a.itemChunk = nil
 }
 
-// FrequentPacked collects every node with support ≥ minSupport into a
-// result set whose itemsets all share one packed backing array — three
-// allocations total instead of two per itemset. Equivalent to Frequent:
-// trie paths are already sorted and duplicate-free, so NewItemset's
-// copy/sort/dedup is skipped, and nothing in the result aliases trie
-// (and therefore possibly arena) memory.
-func (t *Trie) FrequentPacked(minSupport int) *dataset.ResultSet {
+// FrequentPacked collects every node with support ≥ minSupport, down to
+// depth maxDepth (0 = unbounded), into a result set whose itemsets all
+// share one packed backing array — three allocations total instead of
+// two per itemset. Equivalent to Frequent: trie paths are already
+// sorted and duplicate-free, so NewItemset's copy/sort/dedup is
+// skipped, and nothing in the result aliases trie (and therefore
+// possibly arena) memory. The walk never reads the child list of a node
+// at maxDepth, so the pipelined miner can copy a depth-bounded result
+// while its workers still prune those lists.
+func (t *Trie) FrequentPacked(minSupport, maxDepth int) *dataset.ResultSet {
+	deeper := func(n *Node) bool { return maxDepth <= 0 || n.Depth < maxDepth }
 	nsets, nitems := 0, 0
 	var size func(n *Node)
 	size = func(n *Node) {
@@ -96,7 +100,9 @@ func (t *Trie) FrequentPacked(minSupport int) *dataset.ResultSet {
 				nsets++
 				nitems += c.Depth
 			}
-			size(c)
+			if deeper(c) {
+				size(c)
+			}
 		}
 	}
 	size(t.Root)
@@ -113,7 +119,9 @@ func (t *Trie) FrequentPacked(minSupport int) *dataset.ResultSet {
 				backing = append(backing, prefix...)
 				sets = append(sets, dataset.Itemset{Items: backing[lo:len(backing):len(backing)], Support: c.Support})
 			}
-			walk(c)
+			if deeper(c) {
+				walk(c)
+			}
 			prefix = prefix[:len(prefix)-1]
 		}
 	}

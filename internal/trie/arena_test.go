@@ -96,16 +96,27 @@ func TestFrequentPackedMatchesFrequent(t *testing.T) {
 	tr := buildTestTrie()
 	for _, minsup := range []int{1, 5, 7, 100} {
 		want := tr.Frequent(minsup)
-		got := tr.FrequentPacked(minsup)
+		got := tr.FrequentPacked(minsup, 0)
 		if !got.Equal(want) {
 			t.Fatalf("minsup=%d: packed %v != %v", minsup, got.Sets, want.Sets)
+		}
+		for depth := 1; depth <= 3; depth++ {
+			bounded := &dataset.ResultSet{}
+			for _, s := range want.Sets {
+				if len(s.Items) <= depth {
+					bounded.Add(s.Items, s.Support)
+				}
+			}
+			if got := tr.FrequentPacked(minsup, depth); !got.Equal(bounded) {
+				t.Fatalf("minsup=%d depth=%d: packed %v != %v", minsup, depth, got.Sets, bounded.Sets)
+			}
 		}
 	}
 }
 
 func TestFrequentPackedDoesNotAliasTrie(t *testing.T) {
 	tr := buildTestTrie()
-	rs := tr.FrequentPacked(5)
+	rs := tr.FrequentPacked(5, 0)
 	// Mutating the trie after extraction must not change the results.
 	var scramble func(n *Node)
 	scramble = func(n *Node) {

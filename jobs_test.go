@@ -94,7 +94,7 @@ func TestPublicResumeMismatchRejected(t *testing.T) {
 // boundaries refuse checkpointing loudly.
 func TestPublicCheckpointRejectsDepthFirst(t *testing.T) {
 	db := jobsDB(7)
-	for _, algo := range []Algorithm{AlgoEclat, AlgoEclatDiffset, AlgoFPGrowth, AlgoPipeline} {
+	for _, algo := range []Algorithm{AlgoEclat, AlgoEclatDiffset, AlgoFPGrowth} {
 		_, err := Mine(db, Config{Algorithm: algo, MinSupport: 6, Checkpoint: "x"})
 		if err == nil || !strings.Contains(err.Error(), "cannot checkpoint") {
 			t.Errorf("%s: want a cannot-checkpoint error, got %v", algo, err)
@@ -105,22 +105,28 @@ func TestPublicCheckpointRejectsDepthFirst(t *testing.T) {
 	}
 }
 
-// TestPublicCheckpointGPApriori: the device path checkpoints and resumes
-// through the same public config.
+// TestPublicCheckpointGPApriori: the device path and the default
+// pipeline checkpoint and resume through the same public config, and a
+// checkpoint written by either resumes under the other.
 func TestPublicCheckpointGPApriori(t *testing.T) {
 	db := jobsDB(3)
-	path := filepath.Join(t.TempDir(), "gpu.ckpt")
-	cfg := Config{Algorithm: AlgoGPApriori, MinSupport: 6, Checkpoint: path, ResumeFrom: path}
-	want, err := Mine(db, cfg)
+	want, err := Mine(db, Config{Algorithm: AlgoCPUBitset, MinSupport: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Mine(db, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != want.Len() {
-		t.Errorf("resumed device run found %d sets, want %d", got.Len(), want.Len())
+	for _, pair := range [][2]Algorithm{{AlgoGPApriori, AlgoGPApriori}, {"", ""}, {AlgoGPApriori, ""}, {"", AlgoGPApriori}} {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if _, err := Mine(db, Config{Algorithm: pair[0], MinSupport: 6, Checkpoint: path}); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Mine(db, Config{Algorithm: pair[1], MinSupport: 6, Checkpoint: path, ResumeFrom: path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got.Itemsets) != fmt.Sprint(want.Itemsets) {
+			t.Errorf("%q resuming %q's checkpoint found %d sets, want the %d of a clean run",
+				pair[1].Resolve(), pair[0].Resolve(), got.Len(), want.Len())
+		}
 	}
 }
 
@@ -346,9 +352,6 @@ func TestEstimateMemoryBytesScalesWithDevices(t *testing.T) {
 	if four != 4*one {
 		t.Errorf("4-device estimate %d, want 4×%d", four, one)
 	}
-	if def := EstimateMemoryBytes(db, Config{}); def != one {
-		t.Errorf("default-algorithm estimate %d, want the GPApriori one %d", def, one)
-	}
 	for _, devices := range []int{1, 4} {
 		m, err := core.New(db.db, core.Options{Devices: devices})
 		if err != nil {
@@ -369,7 +372,11 @@ func TestEstimateMemoryBytesScalesWithDevices(t *testing.T) {
 	if cpu <= 0 {
 		t.Errorf("CPU estimate %d must be positive", cpu)
 	}
-	if pipe := EstimateMemoryBytes(db, Config{Algorithm: AlgoPipeline}); pipe != 2*cpu {
+	pipe := EstimateMemoryBytes(db, Config{Algorithm: AlgoPipeline})
+	if pipe != 2*cpu {
 		t.Errorf("pipeline estimate %d, want bitsets plus cache bound 2×%d", pipe, cpu)
+	}
+	if def := EstimateMemoryBytes(db, Config{}); def != pipe {
+		t.Errorf("default-algorithm estimate %d, want the pipeline one %d", def, pipe)
 	}
 }

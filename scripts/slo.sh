@@ -67,9 +67,11 @@ go build -o "$tmpdir/gpaserve" ./cmd/gpaserve
 go build -o "$tmpdir/gpaload" ./cmd/gpaload
 
 # Tight capacity on purpose: one worker per node, a short queue, and
-# queries that take ~200ms each (quest:80:3000 at 0.15 support), so the
-# offered load is a small multiple of what the fleet can absorb and the
-# snapshot exercises the sojourn controller rather than idle daemons.
+# queries that take ~100-200ms each on the default engine (quest:80:3000
+# at 0.002 support: ~90ms of pipeline mining and ~51k itemsets to
+# stream), so the offered load is a small multiple of what the fleet
+# can absorb and the snapshot exercises the sojourn controller rather
+# than idle daemons.
 # Both the result cache and the state dir are off: a cached answer or a
 # checkpoint-resumed run would complete in microseconds and quietly
 # deflate the load. (No spaces inside these values — the variable is
@@ -95,7 +97,7 @@ if [ "$PEERS" -le 1 ]; then
     "$tmpdir/gpaload" -target "http://$addr" \
         -duration "$DURATION" -rate "$RATE" \
         -burst 10 -burst-every 2s \
-        -relative-support 0.15 \
+        -relative-support 0.002 \
         -drop-frac 0.1 -slow-frac 0.1 -slow-delay 100ms \
         -retries 4 -seed 1 -out "$OUT"
 else
@@ -147,7 +149,7 @@ EOF
     "$tmpdir/gpaload" -targets "$PEER_CSV" -spread rr \
         -duration "$DURATION" -rate "$RATE" \
         -burst 10 -burst-every 2s \
-        -relative-support 0.15 \
+        -relative-support 0.002 \
         -drop-frac 0.1 -slow-frac 0.1 -slow-delay 100ms \
         -kill-after "$KILL_AFTER" -kill-cmd "kill -9 $KILL_PID" \
         -retries 4 -seed 1 -out "$OUT"

@@ -76,29 +76,47 @@ go test -fuzz='^FuzzRead$' -fuzztime=10s ./internal/dataset/
 go test -fuzz='^FuzzReadNamed$' -fuzztime=10s ./internal/dataset/
 
 # Kill/resume smoke: SIGKILL a checkpointing mine mid-run, resume it,
-# and require the itemsets to be bit-identical to an uninterrupted run.
-# (If the kill lands after completion the resume fast-forwards from the
-# final checkpoint; the equality check is timing-independent.)
+# and require the itemsets to be bit-identical to an uninterrupted run,
+# for a level-wise miner and for the default pipeline. cpu-bitset is
+# killed after 0.8s (if the kill lands after completion the resume
+# fast-forwards from the final checkpoint; the equality check is
+# timing-independent). The pipeline mines depth-first, so its first
+# boundary passes late in the run: it is killed by the
+# checkpoint.after-rename crashpoint right after that first durable
+# boundary, while deeper generations are still in flight.
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 go build -o "$SMOKE/gpapriori" ./cmd/gpapriori
-MINE="-dataset accidents -scale 0.3 -minsup 0.25 -algo cpu-bitset -json -top 0"
+for ALGO in cpu-bitset pipeline; do
+    MINE="-dataset accidents -scale 0.3 -minsup 0.25 -algo $ALGO -json -top 0"
+    rm -f "$SMOKE/run.ckpt"
 
-"$SMOKE/gpapriori" $MINE > "$SMOKE/oracle.json"
+    "$SMOKE/gpapriori" $MINE > "$SMOKE/oracle.json"
 
-"$SMOKE/gpapriori" $MINE -checkpoint "$SMOKE/run.ckpt" > /dev/null 2>&1 &
-PID=$!
-sleep 0.8
-kill -9 "$PID" 2>/dev/null || true
-wait "$PID" || true
+    if [ "$ALGO" = pipeline ]; then
+        set +e
+        GPAPRIORI_CRASHPOINT=checkpoint.after-rename \
+            "$SMOKE/gpapriori" $MINE -checkpoint "$SMOKE/run.ckpt" > /dev/null 2>&1
+        KILL_STATUS=$?
+        set -e
+        [ "$KILL_STATUS" -eq 137 ]
+        [ -s "$SMOKE/run.ckpt" ]
+    else
+        "$SMOKE/gpapriori" $MINE -checkpoint "$SMOKE/run.ckpt" > /dev/null 2>&1 &
+        PID=$!
+        sleep 0.8
+        kill -9 "$PID" 2>/dev/null || true
+        wait "$PID" || true
+    fi
 
-"$SMOKE/gpapriori" $MINE -checkpoint "$SMOKE/run.ckpt" -resume > "$SMOKE/resumed.json"
+    "$SMOKE/gpapriori" $MINE -checkpoint "$SMOKE/run.ckpt" -resume > "$SMOKE/resumed.json"
 
-# Timings differ run to run; everything else must match exactly.
-grep -v '_seconds"' "$SMOKE/oracle.json"  > "$SMOKE/oracle.cmp"
-grep -v '_seconds"' "$SMOKE/resumed.json" > "$SMOKE/resumed.cmp"
-diff -u "$SMOKE/oracle.cmp" "$SMOKE/resumed.cmp"
-echo "kill/resume smoke: OK"
+    # Timings differ run to run; everything else must match exactly.
+    grep -v '_seconds"' "$SMOKE/oracle.json"  > "$SMOKE/oracle.cmp"
+    grep -v '_seconds"' "$SMOKE/resumed.json" > "$SMOKE/resumed.cmp"
+    diff -u "$SMOKE/oracle.cmp" "$SMOKE/resumed.cmp"
+    echo "kill/resume smoke ($ALGO): OK"
+done
 
 # Fault-failover smoke: losing a device of a pool and routing a hybrid
 # CPU share must not change a single byte of the result, and a
@@ -198,7 +216,9 @@ wait "$SRV2_PID"
 echo "crashpoint chaos smoke: OK"
 
 # Overload smoke: boot a deliberately tiny daemon (one worker, short
-# queue, no cache so every job mines for real), drive it with gpaload
+# queue, no cache so every job mines for real — the default pipeline
+# needs ~90ms and finds ~51k itemsets per query at 0.002 support on
+# these datasets), drive it with gpaload
 # well above capacity with chaos mixed in, and hold it to the overload
 # contract: gpaload exits non-zero on any 5xx outside the 503
 # shed/drain protocol, any 429/503 without a Retry-After pacing hint,
@@ -220,7 +240,7 @@ LOAD_ADDR=$(cat "$SMOKE/loadport")
 
 "$SMOKE/gpaload" -target "http://$LOAD_ADDR" \
     -duration 5s -rate 12 -burst 8 -burst-every 2s \
-    -relative-support 0.15 -retries 3 \
+    -relative-support 0.002 -retries 3 \
     -drop-frac 0.1 -slow-frac 0.1 -slow-delay 50ms \
     -seed 1 -out "$SMOKE/slo.json"
 

@@ -37,7 +37,8 @@ import (
 type ServeMineRequest struct {
 	// Dataset names a database in the daemon's registry.
 	Dataset string `json:"dataset"`
-	// Algorithm defaults to AlgoGPApriori.
+	// Algorithm defaults to AlgoPipeline (see Algorithm.Resolve);
+	// Devices > 1, HybridCPUShare and Faults require "gpapriori".
 	Algorithm string `json:"algorithm,omitempty"`
 	// MinSupport is the absolute threshold (0 = use RelativeSupport).
 	MinSupport int `json:"min_support,omitempty"`
