@@ -28,7 +28,6 @@ import (
 	"gpapriori/internal/gen"
 	"gpapriori/internal/gpusim"
 	"gpapriori/internal/kernels"
-	"gpapriori/internal/sampling"
 	"gpapriori/internal/vertical"
 )
 
@@ -626,71 +625,6 @@ func BenchmarkCPUCountingStrategies(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-func BenchmarkSamplingVsExact(b *testing.B) {
-	db, err := gen.Paper("T40I10D100K", 0.03)
-	if err != nil {
-		b.Fatal(err)
-	}
-	minSup := db.AbsoluteSupport(0.02)
-	b.Run("exact", func(b *testing.B) {
-		c := apriori.NewCPUBitset(db, bitset.PopcountHardware)
-		for i := 0; i < b.N; i++ {
-			if _, err := apriori.Mine(db, minSup, c, apriori.Config{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sampled-10pct", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := sampling.Mine(db, minSup, sampling.Options{SampleFraction: 0.1, Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkAblationPerfectExtensionPruning(b *testing.B) {
-	// Dense data with duplicated structure is where PEP pays: echo items
-	// that mirror frequent attributes exactly (the real-world analogue is
-	// redundant encodings of one field). Measure intersections saved.
-	cfg := gen.Chess()
-	cfg.NumTrans = 600
-	raw := gen.AttributeValue(cfg)
-	rows := make([][]dataset.Item, raw.Len())
-	base := dataset.Item(raw.NumItems())
-	for i := 0; i < raw.Len(); i++ {
-		tr := raw.Transaction(i)
-		rows[i] = append([]dataset.Item{}, tr...)
-		for e, src := range []dataset.Item{0, 2, 4} {
-			if tr.Contains(src) {
-				rows[i] = append(rows[i], base+dataset.Item(e))
-			}
-		}
-	}
-	db := dataset.New(rows)
-	minSup := db.AbsoluteSupport(0.75)
-	for _, pep := range []bool{false, true} {
-		name := "pep-off"
-		if pep {
-			name = "pep-on"
-		}
-		b.Run(name, func(b *testing.B) {
-			var stats eclat.MineStats
-			for i := 0; i < b.N; i++ {
-				var err error
-				_, stats, err = eclat.MineOpt(db, minSup, eclat.Options{
-					Mode: eclat.Diffsets, PerfectExtensionPruning: pep,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(stats.Intersections), "intersections")
-			b.ReportMetric(float64(stats.PerfectExtensions), "perfect_exts")
 		})
 	}
 }

@@ -8,12 +8,9 @@
 //	gpapriori -dataset accidents -scale 0.02 -minsup 0.5 -algo borgelt
 //	gpapriori -dataset chess -scale 0.1 -minsup 0.8 -rules 0.9 -top 20
 //	gpapriori -named baskets.txt -minsup 0.05 -rules 0.5      # string items
-//	gpapriori -input t40.dat -minsup 0.02 -approx 0.1         # sampling
-//	gpapriori -dataset chess -scale 0.2 -minsup 0.8 -condense maximal
 //	gpapriori -input chess.dat -minsup 0.9 -json > result.json
 //	gpapriori -input t40.dat -minsup 0.02 -checkpoint run.ckpt       # durable
 //	gpapriori -input t40.dat -minsup 0.02 -checkpoint run.ckpt -resume
-//	gpapriori -input chess.dat -batch jobs.txt -batch-mem-mb 512     # job manager
 //	gpapriori -serve-url http://127.0.0.1:8080 -dataset chess -minsup 0.8
 //
 // Exit status: 0 on success, 1 on any other error, 2 when -resume finds
@@ -28,9 +25,8 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"gpapriori"
@@ -44,7 +40,7 @@ func main() {
 		named    = flag.String("named", "", "basket file with arbitrary string items")
 		dsName   = flag.String("dataset", "", "generated paper dataset: T40I10D100K, pumsb, chess, accidents")
 		scale    = flag.Float64("scale", 0.05, "scale of the generated dataset (1.0 = published size)")
-		minsup   = flag.Float64("minsup", 0, "minimum support: ratio in (0,1) or absolute count ≥ 1")
+		minsup   = flag.Float64("minsup", 0, "minimum support: ratio in (0,1) or whole-number count ≥ 1")
 		algo     = flag.String("algo", string(gpapriori.Algorithm("").Resolve()), "algorithm (see gpapriori.Algorithms); gpapriori runs the simulated GPU")
 		maxLen   = flag.Int("maxlen", 0, "maximum itemset length (0 = unbounded)")
 		workers  = flag.Int("workers", 0, "worker count for the pipeline algorithm (0 = GOMAXPROCS)")
@@ -53,16 +49,9 @@ func main() {
 		faults   = flag.String("faults", "", `inject device faults into -algo gpapriori, e.g. "dev1:kernel-fail@gen3,dev2:dead@gen2" (kinds: kernel-fail, xfer-fail, hang[=sec], dead)`)
 		seed     = flag.Int64("seed", 0, "fault-injector seed for reproducible fault runs")
 		minConf  = flag.Float64("rules", 0, "also derive association rules at this confidence (0 = off)")
-		condense = flag.String("condense", "", "condense output: closed or maximal")
-		approx   = flag.Float64("approx", 0, "approximate mining: sample this fraction first (0 = exact)")
-		topk     = flag.Int("topk", 0, "mine the K most frequent itemsets instead of using -minsup")
 		ckpt     = flag.String("checkpoint", "", "write a crash-safe checkpoint here at generation boundaries")
 		ckptN    = flag.Int("checkpoint-every", 1, "checkpoint every N generations")
 		resume   = flag.Bool("resume", false, "fast-forward from the -checkpoint file if it exists")
-		batch    = flag.String("batch", "", `batch job file: one "name priority minsup [algo] [deadline_sec]" per line`)
-		batchQ   = flag.Int("batch-queue", 0, "batch mode: max jobs queued for admission (0 = default)")
-		batchMem = flag.Int("batch-mem-mb", 1024, "batch mode: modeled memory budget for admitted jobs, MiB")
-		batchW   = flag.Int("batch-workers", 0, "batch mode: concurrently running jobs (0 = default)")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON instead of text")
 		top      = flag.Int("top", 25, "print at most this many itemsets/rules (0 = all)")
 		quiet    = flag.Bool("quiet", false, "print only summary counts and timings")
@@ -83,11 +72,9 @@ func main() {
 		input: *input, named: *named, dsName: *dsName, scale: *scale,
 		minsup: *minsup, algo: *algo, maxLen: *maxLen, workers: *workers,
 		devices: *devices, cpuShare: *cpuShare, minConf: *minConf,
-		condense: *condense, approx: *approx, jsonOut: *jsonOut,
-		top: *top, quiet: *quiet, topk: *topk,
+		jsonOut: *jsonOut, top: *top, quiet: *quiet,
 		faults: *faults, seed: *seed,
 		checkpoint: *ckpt, ckptEvery: *ckptN, resume: *resume,
-		batch: *batch, batchQueue: *batchQ, batchMemMB: *batchMem, batchWorkers: *batchW,
 		resultOnly: *resOnly, serveURL: *serveURL, serveStats: *srvStats,
 		priority: *priority, deadlineSec: *deadline, noCache: *noCache,
 		retryMax: *retryMax, retryBaseMS: *retryMS, retryJitter: *retryJit,
@@ -115,23 +102,19 @@ func exitStatus(err error) (int, string) {
 }
 
 type runOpts struct {
-	input, named, dsName      string
-	scale, minsup             float64
-	algo                      string
-	maxLen, workers, devices  int
-	cpuShare, minConf, approx float64
-	condense                  string
-	jsonOut, quiet            bool
-	top, topk                 int
-	faults                    string
-	seed                      int64
+	input, named, dsName     string
+	scale, minsup            float64
+	algo                     string
+	maxLen, workers, devices int
+	cpuShare, minConf        float64
+	jsonOut, quiet           bool
+	top                      int
+	faults                   string
+	seed                     int64
 
 	checkpoint string
 	ckptEvery  int
 	resume     bool
-
-	batch                                string
-	batchQueue, batchMemMB, batchWorkers int
 
 	resultOnly  bool
 	serveURL    string
@@ -154,7 +137,6 @@ type jsonReport struct {
 	Rules         []jsonRule    `json:"rules,omitempty"`
 	HostSeconds   float64       `json:"host_seconds"`
 	DeviceSeconds float64       `json:"device_seconds,omitempty"`
-	Approx        *jsonApprox   `json:"approx,omitempty"`
 	Faults        *jsonFaults   `json:"fault_stats,omitempty"`
 }
 
@@ -184,12 +166,6 @@ type jsonRule struct {
 	Lift       float64          `json:"lift"`
 }
 
-type jsonApprox struct {
-	SampleSize int  `json:"sample_size"`
-	Candidates int  `json:"candidates"`
-	Exact      bool `json:"exact"`
-}
-
 func run(w io.Writer, o runOpts) error {
 	if o.serveURL != "" {
 		return runServe(w, o)
@@ -198,38 +174,25 @@ func run(w io.Writer, o runOpts) error {
 	if err != nil {
 		return err
 	}
-	if o.batch == "" && o.minsup <= 0 && o.topk <= 0 {
-		return fmt.Errorf("-minsup (ratio or absolute count) or -topk is required")
+	rel, abs, err := splitMinsup(o.minsup)
+	if err != nil {
+		return err
 	}
 	cfg := gpapriori.Config{
-		Algorithm:      gpapriori.Algorithm(o.algo),
-		MaxLen:         o.maxLen,
-		Workers:        o.workers,
-		Devices:        o.devices,
-		HybridCPUShare: o.cpuShare,
-		Faults:         o.faults,
-		FaultSeed:      o.seed,
+		Algorithm:       gpapriori.Algorithm(o.algo),
+		MinSupport:      abs,
+		RelativeSupport: rel,
+		MaxLen:          o.maxLen,
+		Workers:         o.workers,
+		Devices:         o.devices,
+		HybridCPUShare:  o.cpuShare,
+		Faults:          o.faults,
+		FaultSeed:       o.seed,
 	}
-	if o.minsup < 1 {
-		cfg.RelativeSupport = o.minsup
-	} else {
-		cfg.MinSupport = int(o.minsup)
-	}
-
-	if o.batch != "" {
-		if o.minConf > 0 || o.condense != "" || o.approx > 0 || o.topk > 0 {
-			return fmt.Errorf("-batch cannot be combined with -rules, -condense, -approx, or -topk")
-		}
-		return runBatch(w, db, cfg, o)
-	}
-
 	if o.resume && o.checkpoint == "" {
 		return fmt.Errorf("-resume needs -checkpoint to know where the snapshot lives")
 	}
 	if o.checkpoint != "" {
-		if o.topk > 0 || o.approx > 0 {
-			return fmt.Errorf("-checkpoint supports plain mining only, not -topk or -approx")
-		}
 		cfg.Checkpoint = o.checkpoint
 		cfg.CheckpointEvery = o.ckptEvery
 		if o.resume {
@@ -237,42 +200,13 @@ func run(w io.Writer, o runOpts) error {
 		}
 	}
 
-	var res *gpapriori.Result
-	var approxInfo *jsonApprox
-	if o.topk > 0 {
-		res, err = gpapriori.MineTopK(db, o.topk, 1, cfg)
-		if err != nil {
-			return err
-		}
-	} else if o.approx > 0 {
-		s, err := gpapriori.MineSampled(db, cfg, gpapriori.SamplingConfig{Fraction: o.approx})
-		if err != nil {
-			return err
-		}
-		res = &s.Result
-		approxInfo = &jsonApprox{SampleSize: s.SampleSize, Candidates: s.Candidates, Exact: s.Exact}
-	} else {
-		res, err = gpapriori.Mine(db, cfg)
-		if err != nil {
-			return err
-		}
-	}
-
-	switch o.condense {
-	case "":
-	case "closed":
-		res = gpapriori.ClosedItemsets(res)
-	case "maximal":
-		res = gpapriori.MaximalItemsets(res)
-	default:
-		return fmt.Errorf("-condense must be 'closed' or 'maximal'")
+	res, err := gpapriori.Mine(db, cfg)
+	if err != nil {
+		return err
 	}
 
 	var rules []gpapriori.Rule
 	if o.minConf > 0 {
-		if o.condense != "" {
-			return fmt.Errorf("-rules needs the full (non-condensed) result")
-		}
 		rules, err = gpapriori.GenerateRules(res, db, o.minConf)
 		if err != nil {
 			return err
@@ -283,10 +217,25 @@ func run(w io.Writer, o runOpts) error {
 		return writeCanonical(w, res.Itemsets)
 	}
 	if o.jsonOut {
-		return emitJSON(w, db, dict, res, rules, approxInfo)
+		return emitJSON(w, db, dict, res, rules)
 	}
-	emitText(w, db, dict, res, rules, approxInfo, o)
+	emitText(w, db, dict, res, rules, o)
 	return nil
+}
+
+// splitMinsup reads -minsup as the library's two thresholds: a value in
+// (0,1) is a ratio, a whole number ≥ 1 an absolute count. A fractional
+// count is an error rather than silently rounded down.
+func splitMinsup(minsup float64) (rel float64, abs int, err error) {
+	switch {
+	case minsup <= 0:
+		return 0, 0, fmt.Errorf("-minsup (ratio or absolute count) is required")
+	case minsup < 1:
+		return minsup, 0, nil
+	case minsup != math.Trunc(minsup) || math.IsInf(minsup, 1):
+		return 0, 0, fmt.Errorf("-minsup %v: a count ≥ 1 must be a whole number", minsup)
+	}
+	return 0, int(minsup), nil
 }
 
 // writeCanonical prints the resultio-normalized result body — the same
@@ -308,33 +257,30 @@ func runServe(w io.Writer, o runOpts) error {
 	if o.dsName == "" {
 		return fmt.Errorf("-serve-url needs -dataset to name a registry entry on the daemon")
 	}
-	if o.input != "" || o.named != "" || o.batch != "" {
-		return fmt.Errorf("-serve-url mines a daemon-registered dataset; -input, -named, and -batch do not apply")
+	if o.input != "" || o.named != "" {
+		return fmt.Errorf("-serve-url mines a daemon-registered dataset; -input and -named do not apply")
 	}
-	if o.minConf > 0 || o.condense != "" || o.approx > 0 || o.topk > 0 ||
-		o.checkpoint != "" || o.resume {
+	if o.minConf > 0 || o.checkpoint != "" || o.resume {
 		return fmt.Errorf("-serve-url supports plain mining only (the daemon owns checkpointing)")
 	}
-	if o.minsup <= 0 {
-		return fmt.Errorf("-minsup (ratio or absolute count) is required")
+	rel, abs, err := splitMinsup(o.minsup)
+	if err != nil {
+		return err
 	}
 	req := gpapriori.ServeMineRequest{
-		Dataset:        o.dsName,
-		Algorithm:      o.algo,
-		MaxLen:         o.maxLen,
-		Priority:       o.priority,
-		DeadlineSec:    o.deadlineSec,
-		Workers:        o.workers,
-		Devices:        o.devices,
-		HybridCPUShare: o.cpuShare,
-		Faults:         o.faults,
-		FaultSeed:      o.seed,
-		NoCache:        o.noCache,
-	}
-	if o.minsup < 1 {
-		req.RelativeSupport = o.minsup
-	} else {
-		req.MinSupport = int(o.minsup)
+		Dataset:         o.dsName,
+		Algorithm:       o.algo,
+		MinSupport:      abs,
+		RelativeSupport: rel,
+		MaxLen:          o.maxLen,
+		Priority:        o.priority,
+		DeadlineSec:     o.deadlineSec,
+		Workers:         o.workers,
+		Devices:         o.devices,
+		HybridCPUShare:  o.cpuShare,
+		Faults:          o.faults,
+		FaultSeed:       o.seed,
+		NoCache:         o.noCache,
 	}
 	cl, err := gpapriori.NewServeClient(gpapriori.ServeConfig{
 		BaseURL: o.serveURL,
@@ -457,14 +403,13 @@ func emitServeStats(w io.Writer, st *gpapriori.ServeStats) error {
 	return nil
 }
 
-func emitJSON(w io.Writer, db *gpapriori.Database, dict *gpapriori.Dictionary, res *gpapriori.Result, rules []gpapriori.Rule, approx *jsonApprox) error {
+func emitJSON(w io.Writer, db *gpapriori.Database, dict *gpapriori.Dictionary, res *gpapriori.Result, rules []gpapriori.Rule) error {
 	rep := jsonReport{
 		Algorithm:     string(res.Algorithm),
 		MinSupport:    res.MinSupport,
 		Transactions:  db.Len(),
 		HostSeconds:   res.HostSeconds,
 		DeviceSeconds: res.DeviceSeconds,
-		Approx:        approx,
 	}
 	if f := res.Faults; f != nil {
 		rep.Faults = &jsonFaults{
@@ -496,15 +441,11 @@ func emitJSON(w io.Writer, db *gpapriori.Database, dict *gpapriori.Dictionary, r
 	return enc.Encode(rep)
 }
 
-func emitText(w io.Writer, db *gpapriori.Database, dict *gpapriori.Dictionary, res *gpapriori.Result, rules []gpapriori.Rule, approx *jsonApprox, o runOpts) {
+func emitText(w io.Writer, db *gpapriori.Database, dict *gpapriori.Dictionary, res *gpapriori.Result, rules []gpapriori.Rule, o runOpts) {
 	st := db.Stats()
 	fmt.Fprintf(w, "database: %d transactions, %d items, avg length %.1f\n",
 		st.NumTrans, st.NumItems, st.AvgLength)
 	fmt.Fprintf(w, "%s @ minsup %d: %d frequent itemsets\n", res.Algorithm, res.MinSupport, res.Len())
-	if approx != nil {
-		fmt.Fprintf(w, "approximate: sample %d, %d candidates verified, exact=%v\n",
-			approx.SampleSize, approx.Candidates, approx.Exact)
-	}
 	fmt.Fprintf(w, "host time: %.4gs", res.HostSeconds)
 	if res.DeviceSeconds > 0 {
 		fmt.Fprintf(w, "  modeled device time: %.4gs", res.DeviceSeconds)
@@ -578,156 +519,4 @@ func loadDatabase(o runOpts) (*gpapriori.Database, *gpapriori.Dictionary, error)
 		db, err := gpapriori.GeneratePaperDataset(o.dsName, o.scale)
 		return db, nil, err
 	}
-}
-
-// batchJob is one parsed line of a -batch file.
-type batchJob struct {
-	name     string
-	priority int
-	minsup   float64
-	algo     string
-	deadline time.Duration
-}
-
-// parseBatchFile reads a batch job file: one job per line as
-// "name priority minsup [algo] [deadline_sec]", where "-" keeps the
-// command-line algorithm. Blank lines and "#" comments are skipped.
-func parseBatchFile(path string) ([]batchJob, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var jobs []batchJob
-	for i, raw := range strings.Split(string(data), "\n") {
-		text := strings.TrimSpace(raw)
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		f := strings.Fields(text)
-		if len(f) < 3 || len(f) > 5 {
-			return nil, fmt.Errorf("%s: line %d: need 'name priority minsup [algo] [deadline_sec]'", path, i+1)
-		}
-		j := batchJob{name: f[0]}
-		if j.priority, err = strconv.Atoi(f[1]); err != nil {
-			return nil, fmt.Errorf("%s: line %d: bad priority %q: %w", path, i+1, f[1], err)
-		}
-		if j.minsup, err = strconv.ParseFloat(f[2], 64); err != nil || j.minsup <= 0 {
-			return nil, fmt.Errorf("%s: line %d: bad minsup %q", path, i+1, f[2])
-		}
-		if len(f) >= 4 && f[3] != "-" {
-			j.algo = f[3]
-		}
-		if len(f) == 5 {
-			sec, err := strconv.ParseFloat(f[4], 64)
-			if err != nil || sec <= 0 {
-				return nil, fmt.Errorf("%s: line %d: bad deadline %q", path, i+1, f[4])
-			}
-			j.deadline = time.Duration(sec * float64(time.Second))
-		}
-		jobs = append(jobs, j)
-	}
-	if len(jobs) == 0 {
-		return nil, fmt.Errorf("%s: no jobs", path)
-	}
-	return jobs, nil
-}
-
-// jsonBatchJob is one job's line of the batch-mode JSON report.
-type jsonBatchJob struct {
-	Name     string `json:"name"`
-	Priority int    `json:"priority"`
-	State    string `json:"state"`
-	Itemsets int    `json:"itemsets,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-
-// runBatch mines every job of a -batch file over the loaded database
-// under the admission-controlled job manager, then reports each job's
-// lifecycle outcome. Exit status is non-zero when any job fails.
-func runBatch(w io.Writer, db *gpapriori.Database, base gpapriori.Config, o runOpts) error {
-	specs, err := parseBatchFile(o.batch)
-	if err != nil {
-		return err
-	}
-	jm, err := gpapriori.NewJobManager(gpapriori.JobManagerConfig{
-		QueueLimit:     o.batchQueue,
-		MemoryBudgetMB: o.batchMemMB,
-		Workers:        o.batchWorkers,
-	})
-	if err != nil {
-		return err
-	}
-	defer jm.Close()
-
-	if !o.jsonOut {
-		fmt.Fprintf(w, "batch: %d jobs, %d MiB budget\n", len(specs), o.batchMemMB)
-	}
-	handles := make([]*gpapriori.MiningJob, len(specs))
-	submitErrs := make([]error, len(specs))
-	for i, s := range specs {
-		cfg := base
-		if s.minsup < 1 {
-			cfg.RelativeSupport = s.minsup
-			cfg.MinSupport = 0
-		} else {
-			cfg.MinSupport = int(s.minsup)
-			cfg.RelativeSupport = 0
-		}
-		if s.algo != "" {
-			cfg.Algorithm = gpapriori.Algorithm(s.algo)
-		}
-		if o.checkpoint != "" {
-			cfg.Checkpoint = o.checkpoint + "." + s.name
-			cfg.CheckpointEvery = o.ckptEvery
-			if o.resume {
-				cfg.ResumeFrom = cfg.Checkpoint
-			}
-		}
-		handles[i], submitErrs[i] = jm.Submit(gpapriori.JobSpec{
-			Name: s.name, Priority: s.priority, Deadline: s.deadline,
-			DB: db, Config: cfg,
-		})
-	}
-
-	failed := 0
-	report := make([]jsonBatchJob, len(specs))
-	for i, s := range specs {
-		jr := jsonBatchJob{Name: s.name, Priority: s.priority}
-		if submitErrs[i] != nil {
-			jr.State = "rejected"
-			jr.Error = submitErrs[i].Error()
-			failed++
-		} else {
-			j := handles[i]
-			<-j.Done()
-			jr.State = j.State().String()
-			if res, err := j.Result(); err != nil {
-				jr.Error = err.Error()
-				failed++
-			} else {
-				jr.Itemsets = res.Len()
-			}
-		}
-		report[i] = jr
-	}
-
-	if o.jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			return err
-		}
-	} else {
-		for _, jr := range report {
-			if jr.Error != "" {
-				fmt.Fprintf(w, "  job %-12s [prio %d] %s: %s\n", jr.Name, jr.Priority, jr.State, jr.Error)
-			} else {
-				fmt.Fprintf(w, "  job %-12s [prio %d] %s: %d frequent itemsets\n", jr.Name, jr.Priority, jr.State, jr.Itemsets)
-			}
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d batch jobs failed", failed, len(specs))
-	}
-	return nil
 }

@@ -69,48 +69,6 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 }
 
-func TestRunCondense(t *testing.T) {
-	path := writeTempFile(t, "fig2.dat", figure2Dat)
-	var full, maximal bytes.Buffer
-	if err := run(&full, runOpts{input: path, minsup: 2, algo: "borgelt", quiet: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(&maximal, runOpts{input: path, minsup: 2, algo: "borgelt", condense: "maximal", quiet: true}); err != nil {
-		t.Fatal(err)
-	}
-	if full.String() == maximal.String() {
-		t.Fatal("condensed output identical to full output")
-	}
-	var bad bytes.Buffer
-	if err := run(&bad, runOpts{input: path, minsup: 2, condense: "bogus"}); err == nil {
-		t.Fatal("bogus condense mode accepted")
-	}
-	if err := run(&bad, runOpts{input: path, minsup: 2, condense: "closed", minConf: 0.5}); err == nil {
-		t.Fatal("rules over condensed result accepted")
-	}
-}
-
-func TestRunApprox(t *testing.T) {
-	// Large enough DB that a 50% sample mines sensibly.
-	var sb strings.Builder
-	for i := 0; i < 300; i++ {
-		if i%2 == 0 {
-			sb.WriteString("1 2\n")
-		} else {
-			sb.WriteString("1 3\n")
-		}
-	}
-	path := writeTempFile(t, "big.dat", sb.String())
-	var out bytes.Buffer
-	err := run(&out, runOpts{input: path, minsup: 0.4, approx: 0.5, quiet: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "approximate: sample") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
 func TestRunDatasetSource(t *testing.T) {
 	var out bytes.Buffer
 	err := run(&out, runOpts{dsName: "chess", scale: 0.02, minsup: 0.9, algo: "cpu-bitset", quiet: true})
@@ -123,22 +81,28 @@ func TestRunDatasetSource(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(&out, runOpts{}); err == nil {
-		t.Fatal("no source accepted")
-	}
-	if err := run(&out, runOpts{input: "a", dsName: "chess"}); err == nil {
-		t.Fatal("two sources accepted")
-	}
 	path := writeTempFile(t, "fig2.dat", figure2Dat)
-	if err := run(&out, runOpts{input: path}); err == nil {
-		t.Fatal("missing minsup accepted")
+	cases := []struct {
+		name string
+		o    runOpts
+		want string
+	}{
+		{"no source", runOpts{}, "need exactly one"},
+		{"two sources", runOpts{input: "a", dsName: "chess"}, "need exactly one"},
+		{"missing minsup", runOpts{input: path}, "-minsup"},
+		{"unknown algorithm", runOpts{input: path, minsup: 2, algo: "nope"}, "unknown algorithm"},
+		{"missing file", runOpts{input: filepath.Join(t.TempDir(), "missing.dat"), minsup: 2}, "missing.dat"},
+		// A fractional count must not be rounded down to 2, offline or
+		// served; the served case fails before it dials.
+		{"fractional count", runOpts{input: path, minsup: 2.9}, "-minsup 2.9"},
+		{"fractional count served", runOpts{serveURL: "http://127.0.0.1:1", dsName: "d", minsup: 2.9}, "-minsup 2.9"},
 	}
-	if err := run(&out, runOpts{input: path, minsup: 2, algo: "nope"}); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if err := run(&out, runOpts{input: filepath.Join(t.TempDir(), "missing.dat"), minsup: 2}); err == nil {
-		t.Fatal("missing file accepted")
+	for _, c := range cases {
+		var out bytes.Buffer
+		err := run(&out, c.o)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want mention of %q", c.name, err, c.want)
+		}
 	}
 }
 
@@ -150,17 +114,6 @@ func TestRunMultiDeviceFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "31 frequent itemsets") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
-func TestRunTopK(t *testing.T) {
-	path := writeTempFile(t, "fig2.dat", figure2Dat)
-	var out bytes.Buffer
-	if err := run(&out, runOpts{input: path, topk: 5, top: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "5 frequent itemsets") {
 		t.Fatalf("output:\n%s", out.String())
 	}
 }
@@ -268,87 +221,5 @@ func TestRunCheckpointValidation(t *testing.T) {
 	var out bytes.Buffer
 	if err := run(&out, runOpts{input: path, minsup: 2, resume: true}); err == nil {
 		t.Fatal("-resume without -checkpoint accepted")
-	}
-	if err := run(&out, runOpts{input: path, topk: 3, checkpoint: "x", ckptEvery: 1}); err == nil {
-		t.Fatal("-checkpoint with -topk accepted")
-	}
-	if err := run(&out, runOpts{input: path, minsup: 2, approx: 0.5, checkpoint: "x", ckptEvery: 1}); err == nil {
-		t.Fatal("-checkpoint with -approx accepted")
-	}
-}
-
-// TestRunBatch drives the job-manager batch mode end to end.
-func TestRunBatch(t *testing.T) {
-	path := writeTempFile(t, "fig2.dat", figure2Dat)
-	jobsFile := writeTempFile(t, "jobs.txt", `
-# name priority minsup [algo] [deadline_sec]
-exact   5  2  cpu-bitset
-device  3  2  gpapriori
-relaxed 1  0.75
-`)
-	var out bytes.Buffer
-	err := run(&out, runOpts{input: path, batch: jobsFile, batchMemMB: 256, algo: "cpu-bitset"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"batch: 3 jobs", "job exact", "job device", "job relaxed", "done: 31 frequent itemsets"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("missing %q in batch output:\n%s", want, s)
-		}
-	}
-}
-
-func TestRunBatchJSON(t *testing.T) {
-	path := writeTempFile(t, "fig2.dat", figure2Dat)
-	jobsFile := writeTempFile(t, "jobs.txt", "a 1 2\nb 2 2\n")
-	var out bytes.Buffer
-	err := run(&out, runOpts{input: path, batch: jobsFile, batchMemMB: 256, algo: "cpu-bitset", jsonOut: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report []jsonBatchJob
-	if err := json.Unmarshal(out.Bytes(), &report); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
-	}
-	if len(report) != 2 || report[0].State != "done" || report[0].Itemsets != 31 {
-		t.Fatalf("report = %+v", report)
-	}
-}
-
-func TestRunBatchValidation(t *testing.T) {
-	path := writeTempFile(t, "fig2.dat", figure2Dat)
-	var out bytes.Buffer
-	cases := map[string]string{
-		"too-few-fields": "a 1\n",
-		"bad-priority":   "a x 2\n",
-		"bad-minsup":     "a 1 -2\n",
-		"bad-deadline":   "a 1 2 - zero\n",
-		"empty":          "# nothing\n",
-	}
-	for name, content := range cases {
-		jobsFile := writeTempFile(t, name+".txt", content)
-		if err := run(&out, runOpts{input: path, batch: jobsFile, batchMemMB: 64}); err == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-	jobsFile := writeTempFile(t, "ok.txt", "a 1 2\n")
-	if err := run(&out, runOpts{input: path, batch: jobsFile, batchMemMB: 64, topk: 5}); err == nil {
-		t.Error("-batch with -topk accepted")
-	}
-}
-
-// TestRunBatchFailedJobNonZero: a job that exceeds its deadline fails the
-// batch run (non-zero exit) while the others still complete.
-func TestRunBatchFailedJobNonZero(t *testing.T) {
-	path := writeTempFile(t, "fig2.dat", figure2Dat)
-	jobsFile := writeTempFile(t, "jobs.txt", "ok 2 2 cpu-bitset\ndoomed 1 2 cpu-bitset 0.000000001\n")
-	var out bytes.Buffer
-	err := run(&out, runOpts{input: path, batch: jobsFile, batchMemMB: 256})
-	if err == nil || !strings.Contains(err.Error(), "1 of 2 batch jobs failed") {
-		t.Fatalf("err = %v, want one failed job", err)
-	}
-	if !strings.Contains(out.String(), "job ok") {
-		t.Fatalf("surviving job missing from output:\n%s", out.String())
 	}
 }

@@ -83,20 +83,3 @@ func ExampleAlgorithms() {
 	// fpgrowth 3
 	// pipeline 3
 }
-
-// Closed itemsets are a lossless condensation of the result.
-func ExampleClosedItemsets() {
-	db := gpapriori.NewDatabase([][]gpapriori.Item{
-		{1, 2}, {1, 2}, {1, 2, 3},
-	})
-	full, _ := gpapriori.Mine(db, gpapriori.Config{Algorithm: gpapriori.AlgoEclat, MinSupport: 1})
-	closed := gpapriori.ClosedItemsets(full)
-	fmt.Println("full:", full.Len(), "closed:", closed.Len())
-	for _, s := range closed.Itemsets {
-		fmt.Println(s.Items, s.Support)
-	}
-	// Output:
-	// full: 7 closed: 2
-	// [1 2] 3
-	// [1 2 3] 1
-}

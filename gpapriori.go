@@ -329,8 +329,10 @@ func Mine(db *Database, cfg Config) (*Result, error) {
 // MineContext is Mine with cancellation. The level-wise algorithms honor
 // ctx at every generation boundary and the pipeline at every task; the
 // depth-first miners (Eclat, FP-Growth) check it only before starting.
+// A database without items, even one of empty transactions, is an
+// error for every algorithm: the device path has no bitset to upload.
 func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error) {
-	if db == nil || db.db.Len() == 0 {
+	if db == nil || db.db.NumItems() == 0 {
 		return nil, fmt.Errorf("gpapriori: empty database")
 	}
 	if err := ctx.Err(); err != nil {

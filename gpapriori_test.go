@@ -83,6 +83,14 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Mine(nil, Config{MinSupport: 2}); err == nil {
 		t.Fatal("nil database accepted")
 	}
+	// Only empty transactions: no items, so every algorithm agrees with
+	// the device path, which has no bitset to upload.
+	blank := NewDatabase([][]Item{{}, {}})
+	for _, algo := range Algorithms() {
+		if _, err := Mine(blank, Config{Algorithm: algo, MinSupport: 1}); err == nil {
+			t.Errorf("%s accepted a database without items", algo)
+		}
+	}
 }
 
 func TestMaxLenAppliesToAllAlgorithms(t *testing.T) {
@@ -289,75 +297,6 @@ func TestMultiDeviceAndHybridViaPublicAPI(t *testing.T) {
 	}
 }
 
-func TestClosedAndMaximalItemsets(t *testing.T) {
-	db := figure2()
-	full, err := Mine(db, Config{Algorithm: AlgoEclat, MinSupport: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed := ClosedItemsets(full)
-	maximal := MaximalItemsets(full)
-	if !(maximal.Len() <= closed.Len() && closed.Len() <= full.Len()) {
-		t.Fatalf("sizes: maximal %d, closed %d, full %d",
-			maximal.Len(), closed.Len(), full.Len())
-	}
-	if maximal.Len() == 0 {
-		t.Fatal("no maximal itemsets")
-	}
-	// {3,4} has support 4, equal to its subsets {3} and {4}: those
-	// subsets must not be closed.
-	for _, s := range closed.Itemsets {
-		if len(s.Items) == 1 && (s.Items[0] == 3 || s.Items[0] == 4) {
-			t.Fatalf("non-closed singleton %v survived", s.Items)
-		}
-	}
-	if ClosedItemsets(nil) != nil {
-		t.Fatal("nil input not propagated")
-	}
-}
-
-func TestMineSampledExactSupports(t *testing.T) {
-	rows := make([][]Item, 0, 600)
-	for i := 0; i < 600; i++ {
-		row := []Item{Item(i % 3)}
-		if i%2 == 0 {
-			row = append(row, 10)
-		}
-		rows = append(rows, row)
-	}
-	db := NewDatabase(rows)
-	res, err := MineSampled(db, Config{RelativeSupport: 0.25}, SamplingConfig{Fraction: 0.5, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := Mine(db, Config{Algorithm: AlgoEclat, RelativeSupport: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sampled supports must match the exact run for shared itemsets.
-	want := map[string]int{}
-	for _, s := range exact.Itemsets {
-		want[fmt.Sprint(s.Items)] = s.Support
-	}
-	for _, s := range res.Itemsets {
-		if want[fmt.Sprint(s.Items)] != s.Support {
-			t.Fatalf("itemset %v support %d, exact %d", s.Items, s.Support, want[fmt.Sprint(s.Items)])
-		}
-	}
-	if res.SampleSize == 0 || res.Candidates == 0 {
-		t.Fatalf("degenerate sampled run: %+v", res)
-	}
-}
-
-func TestMineSampledValidation(t *testing.T) {
-	if _, err := MineSampled(nil, Config{MinSupport: 1}, SamplingConfig{}); err == nil {
-		t.Fatal("nil db accepted")
-	}
-	if _, err := MineSampled(figure2(), Config{}, SamplingConfig{}); err == nil {
-		t.Fatal("missing threshold accepted")
-	}
-}
-
 func TestAutoTuneKernelConfig(t *testing.T) {
 	db := figure2()
 	tuned, err := Mine(db, Config{Algorithm: AlgoGPApriori, MinSupport: 2, AutoTuneKernel: true})
@@ -370,29 +309,6 @@ func TestAutoTuneKernelConfig(t *testing.T) {
 	}
 	if tuned.Len() != ref.Len() {
 		t.Fatalf("auto-tuned run found %d itemsets, default %d", tuned.Len(), ref.Len())
-	}
-}
-
-func TestMineTopKPublic(t *testing.T) {
-	db := figure2()
-	res, err := MineTopK(db, 3, 2, Config{Algorithm: AlgoBorgelt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Len() != 3 {
-		t.Fatalf("got %d itemsets", res.Len())
-	}
-	if res.Itemsets[0].Support < res.Itemsets[1].Support {
-		t.Fatal("top-k not sorted by support")
-	}
-	if res.MinSupport < 1 {
-		t.Fatalf("threshold = %d", res.MinSupport)
-	}
-	if _, err := MineTopK(nil, 3, 1, Config{}); err == nil {
-		t.Fatal("nil db accepted")
-	}
-	if _, err := MineTopK(db, 0, 1, Config{}); err == nil {
-		t.Fatal("k=0 accepted")
 	}
 }
 

@@ -38,15 +38,14 @@ var orderedSinkWriters = map[string]bool{
 // assemble result sets, reports and persisted artifacts — everywhere a
 // randomized iteration order could reach bytes that get diffed.
 var MapOrderPkgs = map[string]bool{
-	"gpapriori":   true, // public root package: report assembly
-	"resultio":    true,
-	"postprocess": true,
-	"rules":       true,
-	"jobs":        true,
-	"vertical":    true,
-	"dataset":     true,
-	"fpgrowth":    true,
-	"eclat":       true,
+	"gpapriori": true, // public root package: report assembly
+	"resultio":  true,
+	"rules":     true,
+	"jobs":      true,
+	"vertical":  true,
+	"dataset":   true,
+	"fpgrowth":  true,
+	"eclat":     true,
 }
 
 func runMapOrder(pass *Pass) error {

@@ -109,13 +109,3 @@ func (g *GPUMiner) Mine(minSupport int) (*dataset.ResultSet, gpusim.TimeBreakdow
 	}
 	return rs, g.ddb.Device().ModeledTime(), nil
 }
-
-// MineGPURelative is a convenience wrapper creating a default miner and
-// running it at a relative threshold.
-func MineGPURelative(db *dataset.DB, rel float64) (*dataset.ResultSet, gpusim.TimeBreakdown, error) {
-	m, err := NewGPU(db, gpusim.Config{}, kernels.Options{})
-	if err != nil {
-		return nil, gpusim.TimeBreakdown{}, err
-	}
-	return m.Mine(db.AbsoluteSupport(rel))
-}

@@ -102,15 +102,3 @@ func TestGPUStatsResetBetweenRuns(t *testing.T) {
 		t.Fatalf("modeled time differs across identical runs: %v vs %v", a, b)
 	}
 }
-
-func TestMineGPURelative(t *testing.T) {
-	db := gen.Small()
-	got, _, err := MineGPURelative(db, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracle.Mine(db, 3)
-	if !got.Equal(want) {
-		t.Fatalf("diff: %v", got.Diff(want))
-	}
-}

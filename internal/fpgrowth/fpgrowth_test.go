@@ -99,46 +99,3 @@ func TestValidation(t *testing.T) {
 		t.Fatal("minSupport=0 accepted")
 	}
 }
-
-func TestMineParallelMatchesSerial(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		for seed := int64(0); seed < 4; seed++ {
-			db := gen.Random(80, 12, 0.4, seed)
-			want, err := Mine(db, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := MineParallel(db, 8, workers)
-			if err != nil {
-				t.Fatalf("workers=%d: %v", workers, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("workers=%d seed=%d: diff %v", workers, seed, got.Diff(want))
-			}
-		}
-	}
-}
-
-func TestMineParallelDense(t *testing.T) {
-	cfg := gen.Chess()
-	cfg.NumTrans = 150
-	db := gen.AttributeValue(cfg)
-	minSup := db.AbsoluteSupport(0.85)
-	want, err := Mine(db, minSup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MineParallel(db, minSup, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("dense diff: %v", got.Diff(want))
-	}
-}
-
-func TestMineParallelValidation(t *testing.T) {
-	if _, err := MineParallel(gen.Small(), 0, 2); err == nil {
-		t.Fatal("minSupport 0 accepted")
-	}
-}

@@ -107,7 +107,7 @@ func TestRingSpreadsPrimaries(t *testing.T) {
 	counts := map[string]int{}
 	const n = 3000
 	for i := 0; i < n; i++ {
-		counts[r.Sequence(uint64(i)*0x9e3779b97f4a7c15)[0]]++
+		counts[r.Sequence(uint64(i) * 0x9e3779b97f4a7c15)[0]]++
 	}
 	for _, p := range peers {
 		if counts[p] < n/10 {

@@ -119,23 +119,3 @@ func Read(r io.Reader) (*dataset.ResultSet, error) {
 	}
 	return rs, nil
 }
-
-// Verify checks a stored result set against a database: every itemset's
-// support must equal its exact support in db. Returns the first
-// discrepancy as an error (nil when everything matches) — how a cached
-// result is validated before reuse.
-func Verify(rs *dataset.ResultSet, db *dataset.DB) error {
-	for _, s := range rs.Sets {
-		want := 0
-		for _, tr := range db.Transactions() {
-			if tr.ContainsAll(s.Items) {
-				want++
-			}
-		}
-		if s.Support != want {
-			return fmt.Errorf("resultio: itemset %v stored support %d, database says %d",
-				s.Items, s.Support, want)
-		}
-	}
-	return nil
-}

@@ -65,15 +65,3 @@ func TestReadSkipsBlankLines(t *testing.T) {
 		t.Fatalf("read %d itemsets, want 2", rs.Len())
 	}
 }
-
-func TestVerify(t *testing.T) {
-	db := gen.Small()
-	rs := oracle.Mine(db, 2)
-	if err := Verify(rs, db); err != nil {
-		t.Fatalf("correct results failed verification: %v", err)
-	}
-	rs.Sets[0].Support++
-	if err := Verify(rs, db); err == nil {
-		t.Fatal("corrupted support passed verification")
-	}
-}

@@ -130,15 +130,3 @@ func SortRules(rules []Rule) {
 		return a.String() < b.String()
 	})
 }
-
-// Filter returns the rules whose lift is at least minLift — rules where
-// the antecedent genuinely raises the consequent's probability.
-func Filter(rules []Rule, minLift float64) []Rule {
-	out := make([]Rule, 0, len(rules))
-	for _, r := range rules {
-		if r.Lift >= minLift {
-			out = append(out, r)
-		}
-	}
-	return out
-}

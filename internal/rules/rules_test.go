@@ -140,14 +140,6 @@ func TestSortOrder(t *testing.T) {
 	}
 }
 
-func TestFilterByLift(t *testing.T) {
-	rules := []Rule{{Lift: 0.5}, {Lift: 1.0}, {Lift: 2.0}}
-	got := Filter(rules, 1.0)
-	if len(got) != 2 {
-		t.Fatalf("Filter kept %d rules, want 2", len(got))
-	}
-}
-
 func TestRuleString(t *testing.T) {
 	r := Rule{
 		Antecedent: []dataset.Item{1, 2},

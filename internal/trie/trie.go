@@ -67,13 +67,6 @@ func (n *Node) addChild(item dataset.Item) *Node {
 	return c
 }
 
-// AddChild inserts a child labeled item (keeping children sorted) and
-// returns it; if one already exists it is returned unchanged. Exposed for
-// the pipelined miner, which joins sibling classes without a global
-// generation barrier; callers must ensure no other goroutine touches this
-// node concurrently.
-func (n *Node) AddChild(item dataset.Item) *Node { return n.addChild(item) }
-
 // Insert adds the sorted itemset to the trie, creating intermediate nodes
 // as needed, and returns the final node.
 func (t *Trie) Insert(items []dataset.Item) *Node {

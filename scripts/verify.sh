@@ -9,6 +9,10 @@ cd "$(dirname "$0")/.."
 
 go vet ./...
 
+# Formatting gate: every tracked Go file must be gofmt-clean. It runs
+# before the gpalint stage so a lint finding cannot mask it.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
+
 # Project-specific invariant linter (internal/analysis suite): any
 # finding — nondeterminism source, bare device op on a fault-aware
 # path, broken ctx chain, untyped error check, lock held across a
@@ -69,11 +73,13 @@ ALLOCS=$(go test -run='^$' -bench='^BenchmarkMinePipeline$/shape=T40I10D100K/wor
 }
 echo "alloc gate: $ALLOCS allocs/op <= $ALLOC_CEILING: OK"
 
-# Fuzz smoke: each hardened parser fuzzes for 10s (one target per
-# invocation, as go test requires).
+# Fuzz smoke: each hardened parser, and the differential check of every
+# algorithm and its streamed generations against the oracle, fuzzes for
+# 10s (one target per invocation, as go test requires).
 go test -fuzz='^FuzzRead$' -fuzztime=10s ./internal/resultio/
 go test -fuzz='^FuzzRead$' -fuzztime=10s ./internal/dataset/
 go test -fuzz='^FuzzReadNamed$' -fuzztime=10s ./internal/dataset/
+go test -fuzz='^FuzzMineMatchesOracle$' -fuzztime=10s .
 
 # Kill/resume smoke: SIGKILL a checkpointing mine mid-run, resume it,
 # and require the itemsets to be bit-identical to an uninterrupted run,
