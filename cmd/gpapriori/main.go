@@ -49,8 +49,7 @@ func main() {
 		faults   = flag.String("faults", "", `inject device faults into -algo gpapriori, e.g. "dev1:kernel-fail@gen3,dev2:dead@gen2" (kinds: kernel-fail, xfer-fail, hang[=sec], dead)`)
 		seed     = flag.Int64("seed", 0, "fault-injector seed for reproducible fault runs")
 		minConf  = flag.Float64("rules", 0, "also derive association rules at this confidence (0 = off)")
-		ckpt     = flag.String("checkpoint", "", "write a crash-safe checkpoint here at generation boundaries")
-		ckptN    = flag.Int("checkpoint-every", 1, "checkpoint every N generations")
+		ckpt     = flag.String("checkpoint", "", "write a crash-safe checkpoint here at every generation boundary")
 		resume   = flag.Bool("resume", false, "fast-forward from the -checkpoint file if it exists")
 		jsonOut  = flag.Bool("json", false, "emit machine-readable JSON instead of text")
 		top      = flag.Int("top", 25, "print at most this many itemsets/rules (0 = all)")
@@ -74,7 +73,7 @@ func main() {
 		devices: *devices, cpuShare: *cpuShare, minConf: *minConf,
 		jsonOut: *jsonOut, top: *top, quiet: *quiet,
 		faults: *faults, seed: *seed,
-		checkpoint: *ckpt, ckptEvery: *ckptN, resume: *resume,
+		checkpoint: *ckpt, resume: *resume,
 		resultOnly: *resOnly, serveURL: *serveURL, serveStats: *srvStats,
 		priority: *priority, deadlineSec: *deadline, noCache: *noCache,
 		retryMax: *retryMax, retryBaseMS: *retryMS, retryJitter: *retryJit,
@@ -113,7 +112,6 @@ type runOpts struct {
 	seed                     int64
 
 	checkpoint string
-	ckptEvery  int
 	resume     bool
 
 	resultOnly  bool
@@ -194,7 +192,6 @@ func run(w io.Writer, o runOpts) error {
 	}
 	if o.checkpoint != "" {
 		cfg.Checkpoint = o.checkpoint
-		cfg.CheckpointEvery = o.ckptEvery
 		if o.resume {
 			cfg.ResumeFrom = o.checkpoint
 		}

@@ -189,7 +189,7 @@ func TestRunCheckpointResume(t *testing.T) {
 	path := writeTempFile(t, "fig2.dat", figure2Dat)
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 	var first, second bytes.Buffer
-	base := runOpts{input: path, minsup: 2, algo: "cpu-bitset", top: 0, checkpoint: ckpt, ckptEvery: 1}
+	base := runOpts{input: path, minsup: 2, algo: "cpu-bitset", top: 0, checkpoint: ckpt}
 	if err := run(&first, base); err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func TestResumeExitPaths(t *testing.T) {
 	ckpt := writeTempFile(t, "run.ckpt", "") // placeholder; overwritten below
 	var out bytes.Buffer
 	if err := run(&out, runOpts{input: path, minsup: 2, algo: "gpapriori",
-		checkpoint: ckpt, ckptEvery: 1, quiet: true}); err != nil {
+		checkpoint: ckpt, quiet: true}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -53,7 +53,7 @@ func TestResumeExitPaths(t *testing.T) {
 	// run. This is recoverable by rerunning without -resume, so it gets
 	// its own exit code.
 	err := run(&out, runOpts{input: path, minsup: 3, algo: "gpapriori",
-		checkpoint: ckpt, ckptEvery: 1, resume: true, quiet: true})
+		checkpoint: ckpt, resume: true, quiet: true})
 	if !errors.Is(err, gpapriori.ErrCheckpointMismatch) {
 		t.Fatalf("mismatched resume: got %v, want ErrCheckpointMismatch", err)
 	}
@@ -66,7 +66,7 @@ func TestResumeExitPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = run(&out, runOpts{input: path, minsup: 2, algo: "gpapriori",
-		checkpoint: ckpt, ckptEvery: 1, resume: true, quiet: true})
+		checkpoint: ckpt, resume: true, quiet: true})
 	if !errors.Is(err, gpapriori.ErrCheckpointCorrupt) {
 		t.Fatalf("corrupt resume: got %v, want ErrCheckpointCorrupt", err)
 	}

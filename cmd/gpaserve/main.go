@@ -73,7 +73,6 @@ type options struct {
 	// Latency-aware admission (see gpapriori.JobManagerConfig).
 	sojournTarget   time.Duration
 	sojournInterval time.Duration
-	latencyTarget   time.Duration
 
 	// Cluster mode (see internal/peer): a static peer list turns the
 	// daemon into one node of a consistent-hash placement ring.
@@ -124,7 +123,6 @@ func main() {
 	flag.IntVar(&opts.maxBodyKB, "max-body-kb", opts.maxBodyKB, "JSON request body limit in KiB (0 = server default 1024)")
 	flag.DurationVar(&opts.sojournTarget, "sojourn-target", opts.sojournTarget, "queue sojourn target for latency-aware admission (0 disables shedding)")
 	flag.DurationVar(&opts.sojournInterval, "sojourn-interval", opts.sojournInterval, "sustain window before the sojourn controller sheds (0 = 4x target)")
-	flag.DurationVar(&opts.latencyTarget, "latency-target", opts.latencyTarget, "job completion latency target for the AIMD concurrency limiter (0 disables)")
 	flag.Var(&datasets, "dataset", "name=spec dataset to register (repeatable); spec is file:<path>, gen:<name>:<scale>, or quest:<items>:<trans>:<avglen>:<seed>")
 	flag.StringVar(&opts.peers, "peers", opts.peers, "comma-separated base URLs of every cluster peer, including this one (empty = single-node)")
 	flag.StringVar(&opts.self, "self", opts.self, "this daemon's own base URL as it appears in -peers (required with -peers)")
@@ -198,7 +196,6 @@ func run(logw io.Writer, opts options) error {
 			Workers:         opts.workers,
 			SojournTarget:   opts.sojournTarget,
 			SojournInterval: opts.sojournInterval,
-			LatencyTarget:   opts.latencyTarget,
 		},
 		CacheBudgetBytes: int64(opts.cacheMB) << 20,
 		StateDir:         opts.stateDir,

@@ -39,9 +39,7 @@ import (
 	"gpapriori/internal/dataset"
 	"gpapriori/internal/eclat"
 	"gpapriori/internal/fpgrowth"
-	"gpapriori/internal/gpusim"
 	"gpapriori/internal/kernels"
-	"gpapriori/internal/vertical"
 )
 
 // Item is a transaction item identifier (a small dense non-negative
@@ -131,16 +129,10 @@ type Config struct {
 	// MaxLen bounds the itemset length (0 = unbounded).
 	MaxLen int
 
-	// GPU kernel knobs (AlgoGPApriori only); zero values mean the paper's
-	// tuned defaults (256-thread blocks, preloading on, 4× unroll).
+	// BlockSize sets the GPU kernel's threads per block (AlgoGPApriori
+	// only); 0 means the paper's tuned default of 256, with preloading
+	// on and a 4× unroll.
 	BlockSize int
-	NoPreload bool
-	Unroll    int
-	// AutoTuneKernel probes block size / preload / unroll by modeled time
-	// on a sample of frequent-pair candidates before mining, overriding
-	// the knobs above — the automated version of the paper's Section IV.3
-	// hand-tuning (AlgoGPApriori only).
-	AutoTuneKernel bool
 
 	// EraPopcount makes CPU bitset counting use the 2011-era 8-bit-table
 	// software popcount instead of the hardware instruction
@@ -185,10 +177,6 @@ type Config struct {
 	// (Eclat, FP-Growth) have none to snapshot at, and mining them with
 	// Checkpoint set is an error rather than a silent no-op.
 	Checkpoint string
-	// CheckpointEvery saves every N counted generations (0 = every
-	// generation when Checkpoint is set). The final boundary is always
-	// saved.
-	CheckpointEvery int
 	// ResumeFrom fast-forwards the run past the generations recorded in
 	// the checkpoint at this path. A missing file starts fresh; a
 	// checkpoint from a different database or support threshold is an
@@ -196,10 +184,6 @@ type Config struct {
 	// Checkpoint: kill the process, rerun the same config, and the
 	// result is bit-identical to an uninterrupted run.
 	ResumeFrom string
-	// MemoryBudgetMB caps the modeled memory of an AlgoGPApriori run's
-	// replicated first-generation bitsets in MiB (0 = uncapped); a
-	// budget too small for every device's copy is rejected up front.
-	MemoryBudgetMB int
 
 	// OnGeneration, when set, is invoked at each generation boundary
 	// with the generation number (the itemset length just counted) and
@@ -361,31 +345,17 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 		if cfg.BlockSize > 0 {
 			kopt.BlockSize = cfg.BlockSize
 		}
-		if cfg.NoPreload {
-			kopt.Preload = false
-		}
-		if cfg.Unroll > 0 {
-			kopt.Unroll = cfg.Unroll
-		}
-		if cfg.AutoTuneKernel {
-			tuned, err := autoTuneKernel(db, minSup)
-			if err != nil {
-				return nil, err
-			}
-			kopt = tuned
-		}
 		faults, err := core.ParseFaultSpec(cfg.Faults)
 		if err != nil {
 			return nil, err
 		}
 		m, err := core.New(db.db, core.Options{
-			Devices:           cfg.Devices,
-			Kernel:            kopt,
-			HybridCPUShare:    cfg.HybridCPUShare,
-			CPUPopcount:       cfg.popcount(),
-			Faults:            faults,
-			FaultSeed:         cfg.FaultSeed,
-			MemoryBudgetBytes: int64(cfg.MemoryBudgetMB) << 20,
+			Devices:        cfg.Devices,
+			Kernel:         kopt,
+			HybridCPUShare: cfg.HybridCPUShare,
+			CPUPopcount:    cfg.popcount(),
+			Faults:         faults,
+			FaultSeed:      cfg.FaultSeed,
 		})
 		if err != nil {
 			return nil, err
@@ -516,10 +486,6 @@ func DatasetFingerprint(db *Database) (uint64, error) {
 // and the job manager's checkpointed-state notification.
 func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *apriori.Config) error {
 	if cfg.Checkpoint == "" && cfg.ResumeFrom == "" {
-		if cfg.CheckpointEvery != 0 {
-			return fmt.Errorf("gpapriori: Config.CheckpointEvery %d set without Config.Checkpoint",
-				cfg.CheckpointEvery)
-		}
 		if cfg.OnCheckpointError != nil {
 			return fmt.Errorf("gpapriori: Config.OnCheckpointError set without Config.Checkpoint")
 		}
@@ -528,13 +494,9 @@ func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *
 	if !algo.HasBoundaries() {
 		return fmt.Errorf("gpapriori: algorithm %q cannot checkpoint or resume: it has no generation boundary to snapshot at (use one that has, e.g. %q)", algo, AlgoPipeline)
 	}
-	if cfg.CheckpointEvery < 0 {
-		return fmt.Errorf("gpapriori: Config.CheckpointEvery %d must be ≥0", cfg.CheckpointEvery)
-	}
 	spec := checkpoint.Spec{ResumeFrom: cfg.ResumeFrom}
 	if cfg.Checkpoint != "" {
 		spec.Path = cfg.Checkpoint
-		spec.EveryGens = max(cfg.CheckpointEvery, 1)
 		spec.Meta = map[string]string{"algorithm": string(algo)}
 	}
 	if err := checkpoint.Wire(spec, db.db, minSup, acfg); err != nil || acfg.Checkpoint == nil {
@@ -579,9 +541,6 @@ func wireGenerationHook(algo Algorithm, cfg Config, acfg *apriori.Config) {
 		notify(gen, toItemsets(frequent))
 		return nil
 	}
-	if acfg.CheckpointEvery == 0 {
-		acfg.CheckpointEvery = 1
-	}
 }
 
 // toItemsets converts a result set to the public shape in canonical
@@ -609,32 +568,4 @@ func capLen(rs *dataset.ResultSet, maxLen int) *dataset.ResultSet {
 		}
 	}
 	return out
-}
-
-// autoTuneKernel builds a probe batch of frequent item pairs and runs the
-// modeled-time tuner over it.
-func autoTuneKernel(db *Database, minSup int) (kernels.Options, error) {
-	sup := db.db.ItemSupports()
-	var freq []Item
-	for it, s := range sup {
-		if s >= minSup {
-			freq = append(freq, Item(it))
-		}
-	}
-	probe := make([][]Item, 0, 32)
-	for i := 0; i < len(freq) && len(probe) < 32; i++ {
-		for j := i + 1; j < len(freq) && len(probe) < 32; j++ {
-			probe = append(probe, []Item{freq[i], freq[j]})
-		}
-	}
-	if len(probe) == 0 {
-		// Nothing frequent to probe with: fall back to the defaults.
-		return kernels.DefaultOptions(), nil
-	}
-	bits := vertical.BuildBitsets(db.db)
-	best, _, err := kernels.AutoTune(bits, gpusim.TeslaT10(), probe)
-	if err != nil {
-		return kernels.Options{}, err
-	}
-	return best, nil
 }

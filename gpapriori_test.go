@@ -136,7 +136,7 @@ func TestKernelKnobsAccepted(t *testing.T) {
 	db := figure2()
 	res, err := Mine(db, Config{
 		Algorithm: AlgoGPApriori, MinSupport: 2,
-		BlockSize: 64, NoPreload: true, Unroll: 1,
+		BlockSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,21 +294,6 @@ func TestMultiDeviceAndHybridViaPublicAPI(t *testing.T) {
 		if got := keys(res.DeviceBreakdown); !slices.Equal(got, want) {
 			t.Errorf("breakdown keys %v, want %v", got, want)
 		}
-	}
-}
-
-func TestAutoTuneKernelConfig(t *testing.T) {
-	db := figure2()
-	tuned, err := Mine(db, Config{Algorithm: AlgoGPApriori, MinSupport: 2, AutoTuneKernel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Mine(db, Config{Algorithm: AlgoGPApriori, MinSupport: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuned.Len() != ref.Len() {
-		t.Fatalf("auto-tuned run found %d itemsets, default %d", tuned.Len(), ref.Len())
 	}
 }
 

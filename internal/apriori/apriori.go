@@ -42,25 +42,18 @@ type Config struct {
 	// been counted (0 = unbounded). Benchmarks use it to hold generation
 	// depth constant across strategies.
 	MaxLen int
-	// MaxCandidates aborts the run if one generation exceeds this many
-	// candidates (0 = unbounded) — a guard against pattern explosion at
-	// too-low thresholds.
-	MaxCandidates int
 
-	// Checkpoint, when non-nil, is invoked at generation boundaries —
-	// after generation gen (the itemset length just counted) has been
-	// counted and pruned — with every frequent itemset found so far.
-	// Apriori's only durable state at a boundary is exactly that set, so
-	// the callback's argument is a complete resume point. A checkpoint
-	// error aborts the run: continuing would silently mine without the
-	// durability the caller asked for. The Pipeline calls it at its
-	// depth watermarks on the same schedule, from the goroutine that
-	// called MineContext.
+	// Checkpoint, when non-nil, is invoked at every generation boundary
+	// — after generation gen (the itemset length just counted) has been
+	// counted and pruned — with every frequent itemset found so far, and
+	// always at the final boundary, so a completed run's file holds the
+	// full result. Apriori's only durable state at a boundary is exactly
+	// that set, so the callback's argument is a complete resume point. A
+	// checkpoint error aborts the run: continuing would silently mine
+	// without the durability the caller asked for. The Pipeline calls it
+	// at its depth watermarks on the same schedule, from the goroutine
+	// that called MineContext.
 	Checkpoint func(gen int, frequent *dataset.ResultSet) error
-	// CheckpointEvery calls Checkpoint every N counted generations
-	// (≤1 = every generation). The final boundary is always
-	// checkpointed so a completed run's file holds the full result.
-	CheckpointEvery int
 	// Resume fast-forwards the run past already-counted generations: the
 	// candidate trie is rebuilt from Resume.Frequent and mining continues
 	// at generation Resume.Gen+1. Because candidate generation is a
@@ -104,11 +97,7 @@ func MineContext(ctx context.Context, db *dataset.DB, minSupport int, c Counter,
 	} else {
 		t.SeedFrequentItems(db.ItemSupports(), minSupport)
 	}
-	every := cfg.CheckpointEvery
-	if every < 1 {
-		every = 1
-	}
-	counted, lastSaved, lastGen := 0, 0, start
+	lastGen := start
 	for depth := start; ; depth++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -120,28 +109,23 @@ func MineContext(ctx context.Context, db *dataset.DB, minSupport int, c Counter,
 		if len(cands) == 0 {
 			break
 		}
-		if cfg.MaxCandidates > 0 && len(cands) > cfg.MaxCandidates {
-			return nil, fmt.Errorf("apriori: generation %d has %d candidates (limit %d)",
-				depth+1, len(cands), cfg.MaxCandidates)
-		}
 		if err := c.Count(t, cands, depth+1); err != nil {
 			return nil, fmt.Errorf("apriori: counting generation %d: %w", depth+1, err)
 		}
 		t.PruneInfrequent(depth+1, minSupport)
 		lastGen = depth + 1
-		counted++
-		if cfg.Checkpoint != nil && counted%every == 0 {
+		if cfg.Checkpoint != nil {
 			if err := cfg.Checkpoint(lastGen, t.Frequent(minSupport)); err != nil {
 				return nil, fmt.Errorf("apriori: checkpoint at generation %d: %w", lastGen, err)
 			}
-			lastSaved = lastGen
 		}
 	}
 	rs := t.Frequent(minSupport)
-	// Final boundary: persist the completed state even when the loop
-	// ended between EveryGens intervals, so a rerun fast-forwards past
-	// the whole run instead of redoing the tail generations.
-	if cfg.Checkpoint != nil && lastSaved != lastGen {
+	// Final boundary: the loop saved every generation it counted, so
+	// only a run that counted nothing past its start (generation 1, or
+	// the resume point) still owes the save that lets a rerun
+	// fast-forward past the whole run.
+	if cfg.Checkpoint != nil && lastGen == start {
 		if err := cfg.Checkpoint(lastGen, rs); err != nil {
 			return nil, fmt.Errorf("apriori: final checkpoint at generation %d: %w", lastGen, err)
 		}

@@ -169,13 +169,6 @@ func TestMaxLenStopsEarly(t *testing.T) {
 	}
 }
 
-func TestMaxCandidatesGuard(t *testing.T) {
-	db := gen.Small()
-	if _, err := Mine(db, 1, NewBodon(db), Config{MaxCandidates: 1}); err == nil {
-		t.Fatal("candidate explosion guard did not trip")
-	}
-}
-
 func TestBorgeltReusableAcrossRuns(t *testing.T) {
 	// The same counter instance must be reusable for a second Mine (its
 	// per-generation caches must not leak stale state).

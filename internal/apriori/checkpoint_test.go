@@ -62,33 +62,6 @@ func TestCheckpointHookSequence(t *testing.T) {
 	}
 }
 
-// TestCheckpointEvery verifies the interval semantics: with EveryGens=2
-// only every other boundary fires, plus always the final one.
-func TestCheckpointEvery(t *testing.T) {
-	db := gen.Random(80, 10, 0.4, 11)
-	for _, e := range engines {
-		var gens []int
-		cfg := Config{
-			CheckpointEvery: 2,
-			Checkpoint: func(g int, rs *dataset.ResultSet) error {
-				gens = append(gens, g)
-				return nil
-			},
-		}
-		if _, err := e.mine(db, 4, cfg); err != nil {
-			t.Fatal(err)
-		}
-		if len(gens) == 0 {
-			t.Fatalf("%s: no checkpoints at interval 2", e.name)
-		}
-		for i := 1; i < len(gens)-1; i++ {
-			if gens[i]-gens[i-1] != 2 {
-				t.Errorf("%s: interior checkpoint interval broken: %v", e.name, gens)
-			}
-		}
-	}
-}
-
 // TestCheckpointErrorAborts: a failing save must abort the run — mining on
 // without the durability the caller asked for is worse than stopping.
 func TestCheckpointErrorAborts(t *testing.T) {

@@ -314,9 +314,6 @@ type pipeRun struct {
 	errMu sync.Mutex
 	err   error
 
-	genMu    sync.Mutex
-	perDepth []int // candidates generated per depth
-
 	cachedBytes atomic.Int64
 
 	// Depth watermarks: depths[k] counts the families of candidate
@@ -461,8 +458,8 @@ func (r *pipeRun) seed(a *trie.Arena) ([]pipeTask, error) {
 }
 
 // boundaries reports passed watermarks to Config.Checkpoint on the
-// level-wise driver's schedule: every CheckpointEvery-th generation
-// counted after the start, then the final one.
+// level-wise driver's schedule: every generation counted after the
+// start, then the final one.
 type boundaries struct {
 	r         *pipeRun
 	done      int // highest watermark considered
@@ -474,12 +471,8 @@ type boundaries struct {
 // supports down to depth k and the child lists above it are final.
 func (b *boundaries) report(upTo int) error {
 	r := b.r
-	every := max(r.cfg.CheckpointEvery, 1)
 	for ; b.done < upTo; b.done++ {
 		k := b.done + 1
-		if (k-r.start)%every != 0 {
-			continue
-		}
 		if err := r.cfg.Checkpoint(k, r.trie.FrequentPacked(r.minsup, k)); err != nil {
 			return fmt.Errorf("apriori: checkpoint at generation %d: %w", k, err)
 		}
@@ -616,9 +609,7 @@ func (r *pipeRun) worker(self int) {
 			r.taskDone()
 			continue
 		}
-		if err := w.run(t); err != nil {
-			r.fail(err)
-		}
+		w.run(t)
 		r.taskDone()
 	}
 }
@@ -689,22 +680,20 @@ func (w *pipeWorker) sweep() (pipeTask, bool) {
 }
 
 // run dispatches one task.
-func (w *pipeWorker) run(t pipeTask) error {
+func (w *pipeWorker) run(t pipeTask) {
 	switch {
 	case t.tj != nil:
 		w.countTriangle(t.tj, t.lo, t.hi, t.idx)
 		if t.tj.pending.Add(-1) == 0 {
-			return w.finishTriangle(t.tj)
+			w.finishTriangle(t.tj)
 		}
-		return nil
 	case t.lo < 0:
-		return w.startFamily(t.fam)
+		w.startFamily(t.fam)
 	default:
 		w.countRange(t.fam, t.lo, t.hi)
 		if t.fam.pending.Add(-1) == 0 {
-			return w.finishFamily(t.fam)
+			w.finishFamily(t.fam)
 		}
-		return nil
 	}
 }
 
@@ -712,11 +701,12 @@ func (w *pipeWorker) run(t pipeTask) error {
 // intersection once, then split the candidate range into grain-sized
 // subtasks. The first range runs on this worker immediately; the rest
 // go to its deque, where siblings can steal them.
-func (w *pipeWorker) startFamily(fam *pipeFamily) error {
+func (w *pipeWorker) startFamily(fam *pipeFamily) {
 	r := w.r
 	m := len(fam.parent.Children)
 	if fam.precounted || m == 0 {
-		return w.finishFamily(fam)
+		w.finishFamily(fam)
+		return
 	}
 	switch {
 	case fam.cached != nil:
@@ -759,9 +749,8 @@ func (w *pipeWorker) startFamily(fam *pipeFamily) error {
 	}
 	w.countRange(fam, 0, hi)
 	if fam.pending.Add(-1) == 0 {
-		return w.finishFamily(fam)
+		w.finishFamily(fam)
 	}
-	return nil
 }
 
 // countRange writes supports into candidates [lo,hi) of the family,
@@ -791,7 +780,7 @@ func (w *pipeWorker) countRange(fam *pipeFamily, lo, hi int) {
 // finishFamily runs once per family, after every candidate has a
 // support: prune the infrequent, then join survivors into child
 // families. Only this call touches fam.parent's child list.
-func (w *pipeWorker) finishFamily(fam *pipeFamily) error {
+func (w *pipeWorker) finishFamily(fam *pipeFamily) {
 	r := w.r
 	defer r.retire(fam.k)
 	p := fam.parent
@@ -809,7 +798,7 @@ func (w *pipeWorker) finishFamily(fam *pipeFamily) error {
 	k := fam.k
 	defer w.releaseFamily(fam)
 	if len(kept) < 2 || (r.cfg.MaxLen > 0 && k+1 > r.cfg.MaxLen) {
-		return nil
+		return
 	}
 
 	// Generation 2 grows out of the root class all at once; when the
@@ -817,19 +806,15 @@ func (w *pipeWorker) finishFamily(fam *pipeFamily) error {
 	// intersections, take it and skip materializing candidates.
 	if k == 1 {
 		pairs := len(kept) * (len(kept) - 1) / 2
-		if err := r.addGenerated(2, pairs); err != nil {
-			return err
-		}
 		if ranks, ok := w.planTriangle(kept, pairs); ok {
 			// The triangle job stands in for the length-2 families
 			// until finishTriangle opens the pair classes.
 			r.openFamilies(2, 1)
 			w.startTriangle(kept, pairs, ranks)
-			return nil
+			return
 		}
-		return w.joinFamily(fam, kept, false)
 	}
-	return w.joinFamily(fam, kept, true)
+	w.joinFamily(fam, kept)
 }
 
 // releaseFamily returns the family's pooled vectors.
@@ -849,7 +834,7 @@ func (w *pipeWorker) releaseFamily(fam *pipeFamily) {
 // Nodes, child lists and prefixes are carved exact-size from the
 // worker's arena; kept is sorted, so child lists come out sorted
 // without insert-sort.
-func (w *pipeWorker) joinFamily(fam *pipeFamily, kept []*trie.Node, counted bool) error {
+func (w *pipeWorker) joinFamily(fam *pipeFamily, kept []*trie.Node) {
 	r := w.r
 	k := fam.k
 	r.openFamilies(k+1, len(kept)-1)
@@ -857,11 +842,6 @@ func (w *pipeWorker) joinFamily(fam *pipeFamily, kept []*trie.Node, counted bool
 		sibs := kept[i+1:]
 		if len(sibs) == 0 {
 			break
-		}
-		if counted {
-			if err := r.addGenerated(k+1, len(sibs)); err != nil {
-				return err
-			}
 		}
 		x.Children = w.s.arena.NodePtrs(len(sibs))
 		for _, y := range sibs {
@@ -884,27 +864,6 @@ func (w *pipeWorker) joinFamily(fam *pipeFamily, kept []*trie.Node, counted bool
 		}
 		r.submit(w.self, pipeTask{fam: child, lo: -1})
 	}
-	return nil
-}
-
-// addGenerated records n candidates generated at the given itemset
-// length and enforces Config.MaxCandidates per generation.
-func (r *pipeRun) addGenerated(length, n int) error {
-	if r.cfg.MaxCandidates <= 0 {
-		return nil
-	}
-	r.genMu.Lock()
-	for len(r.perDepth) <= length {
-		r.perDepth = append(r.perDepth, 0)
-	}
-	r.perDepth[length] += n
-	total := r.perDepth[length]
-	r.genMu.Unlock()
-	if total > r.cfg.MaxCandidates {
-		return fmt.Errorf("apriori: generation %d has %d candidates (limit %d)",
-			length, total, r.cfg.MaxCandidates)
-	}
-	return nil
 }
 
 // acquireCached returns a class-intersection vector from the pool if

@@ -144,7 +144,7 @@ func (w *pipeWorker) countTriangle(tj *triJob, lo, hi, idx int) {
 // block arrays, materialize only the frequent pairs as trie nodes, and
 // seed their classes as precounted families so generation 3 joins
 // proceed through the normal machinery.
-func (w *pipeWorker) finishTriangle(tj *triJob) error {
+func (w *pipeWorker) finishTriangle(tj *triJob) {
 	r := w.r
 	defer r.retire(2)
 	total := tj.parts[0]
@@ -189,5 +189,4 @@ func (w *pipeWorker) finishTriangle(tj *triJob) error {
 		r.openFamilies(2, len(tasks))
 		r.submit(w.self, tasks...)
 	}
-	return nil
 }

@@ -2,7 +2,6 @@ package apriori
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"gpapriori/internal/bitset"
@@ -102,18 +101,6 @@ func TestPipelineMaxLen(t *testing.T) {
 		if got.MaxLen() > maxLen {
 			t.Fatalf("maxLen=%d: result contains length-%d itemset", maxLen, got.MaxLen())
 		}
-	}
-}
-
-func TestPipelineMaxCandidatesGuard(t *testing.T) {
-	db := gen.Random(60, 14, 0.7, 6)
-	p := NewPipeline(db, PipelineOptions{Workers: 4})
-	_, err := p.Mine(1, Config{MaxCandidates: 3})
-	if err == nil {
-		t.Fatal("expected candidate-explosion error")
-	}
-	if !strings.Contains(err.Error(), "candidates") {
-		t.Fatalf("unexpected error: %v", err)
 	}
 }
 

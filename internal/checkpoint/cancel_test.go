@@ -70,7 +70,7 @@ func TestMineContextCancelledMidCheckpoint(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "run.ckpt")
-			spec := Spec{Path: path, EveryGens: 1}
+			spec := Spec{Path: path}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 

@@ -312,32 +312,14 @@ func TryResume(path string, fingerprint uint64, minSupport int) (*Snapshot, erro
 // Spec is a run's checkpoint configuration. The zero value neither
 // saves nor resumes.
 type Spec struct {
-	// Path is the checkpoint file saved at generation boundaries
+	// Path is the checkpoint file saved at every generation boundary
 	// ("" = no saves).
 	Path string
-	// EveryGens saves every N counted generations. It must be ≥1
-	// whenever Path is set: an accidental zero would mean "never", which
-	// on a crash silently loses the whole run.
-	EveryGens int
 	// ResumeFrom fast-forwards the run from a compatible checkpoint at
 	// this path ("" = start fresh); a missing file starts fresh.
 	ResumeFrom string
 	// Meta is stamped into every saved snapshot.
 	Meta map[string]string
-}
-
-// Validate rejects unusable specs with errors naming the field.
-func (s Spec) Validate() error {
-	if s.Path == "" {
-		if s.EveryGens != 0 {
-			return fmt.Errorf("checkpoint: Spec.EveryGens %d set without Spec.Path", s.EveryGens)
-		}
-		return nil
-	}
-	if s.EveryGens < 1 {
-		return fmt.Errorf("checkpoint: Spec.EveryGens %d must be ≥1 when Spec.Path is set", s.EveryGens)
-	}
-	return nil
 }
 
 // Wire installs spec into an apriori.Config: the resume point recovered
@@ -346,9 +328,6 @@ func (s Spec) Validate() error {
 // checkpoint at ResumeFrom that belongs to a different run is
 // ErrMismatch, never silently mixed in.
 func Wire(spec Spec, db *dataset.DB, minSupport int, cfg *apriori.Config) error {
-	if err := spec.Validate(); err != nil {
-		return err
-	}
 	fp := Fingerprint(db, minSupport, cfg.MaxLen)
 	if spec.ResumeFrom != "" {
 		snap, err := TryResume(spec.ResumeFrom, fp, minSupport)
@@ -363,7 +342,6 @@ func Wire(spec Spec, db *dataset.DB, minSupport int, cfg *apriori.Config) error 
 		return nil
 	}
 	maxLen := cfg.MaxLen
-	cfg.CheckpointEvery = spec.EveryGens
 	cfg.Checkpoint = func(gen int, frequent *dataset.ResultSet) error {
 		return Save(spec.Path, Snapshot{
 			Gen: gen, MinSupport: minSupport, MaxLen: maxLen,

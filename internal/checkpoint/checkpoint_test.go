@@ -288,34 +288,11 @@ func TestSaveSlowWriterNeverTorn(t *testing.T) {
 	}
 }
 
-func TestSpecValidate(t *testing.T) {
-	cases := []struct {
-		spec Spec
-		ok   bool
-	}{
-		{Spec{}, true},
-		{Spec{Path: "x", EveryGens: 1}, true},
-		{Spec{Path: "x", EveryGens: 5}, true},
-		{Spec{Path: "x"}, false},
-		{Spec{Path: "x", EveryGens: -1}, false},
-		{Spec{EveryGens: 2}, false},
-	}
-	for _, c := range cases {
-		err := c.spec.Validate()
-		if (err == nil) != c.ok {
-			t.Errorf("Validate(%+v) = %v, want ok=%v", c.spec, err, c.ok)
-		}
-		if err != nil && !strings.Contains(err.Error(), "EveryGens") {
-			t.Errorf("Validate(%+v) error %q does not name the field", c.spec, err)
-		}
-	}
-}
-
 func TestWire(t *testing.T) {
 	db := sampleDB()
 	path := filepath.Join(t.TempDir(), "ck")
 	var cfg apriori.Config
-	spec := Spec{Path: path, EveryGens: 1, ResumeFrom: path}
+	spec := Spec{Path: path, ResumeFrom: path}
 	if err := Wire(spec, db, 2, &cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -356,18 +333,13 @@ func TestWire(t *testing.T) {
 	if err := Wire(Spec{}, db, 2, &cfg5); err != nil || cfg5.Checkpoint != nil || cfg5.Resume != nil {
 		t.Errorf("Wire with disabled spec: err=%v hook=%v", err, cfg5.Checkpoint != nil)
 	}
-	// An invalid spec is rejected before anything is installed.
-	var cfg6 apriori.Config
-	if err := Wire(Spec{Path: path}, db, 2, &cfg6); err == nil || cfg6.Checkpoint != nil {
-		t.Errorf("Wire with zero interval: err=%v hook=%v", err, cfg6.Checkpoint != nil)
-	}
 }
 
 func TestWireMeta(t *testing.T) {
 	db := sampleDB()
 	path := filepath.Join(t.TempDir(), "ck")
 	var cfg apriori.Config
-	err := Wire(Spec{Path: path, EveryGens: 1, Meta: map[string]string{"algorithm": "gpapriori"}}, db, 2, &cfg)
+	err := Wire(Spec{Path: path, Meta: map[string]string{"algorithm": "gpapriori"}}, db, 2, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

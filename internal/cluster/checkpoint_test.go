@@ -20,7 +20,7 @@ var errCrash = errors.New("simulated master crash")
 func wired(t *testing.T, path string, db *dataset.DB, minSup int) apriori.Config {
 	t.Helper()
 	var cfg apriori.Config
-	spec := checkpoint.Spec{Path: path, EveryGens: 1, ResumeFrom: path}
+	spec := checkpoint.Spec{Path: path, ResumeFrom: path}
 	if err := checkpoint.Wire(spec, db, minSup, &cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -108,25 +108,5 @@ func TestClusterCheckpointResumeUnderNodeFaults(t *testing.T) {
 	if !rep.Result.Equal(want) {
 		t.Errorf("faulted cluster resume differs from oracle:\n%s",
 			strings.Join(rep.Result.Diff(want), "\n"))
-	}
-}
-
-// TestClusterValidateCheckpointAndBudget: undersized and negative
-// budgets are rejected with field names. (The checkpoint interval is
-// validated by checkpoint.Spec, where it is set.)
-func TestClusterValidateCheckpointAndBudget(t *testing.T) {
-	db := gen.Random(80, 10, 0.4, 11)
-
-	_, err := New(db, Config{Nodes: 2, GPUsPerNode: 1, MemoryBudgetBytes: -5})
-	if err == nil || !strings.Contains(err.Error(), "MemoryBudgetBytes") {
-		t.Errorf("negative budget: want error naming MemoryBudgetBytes, got %v", err)
-	}
-	_, err = New(db, Config{Nodes: 2, GPUsPerNode: 1, MemoryBudgetBytes: 16})
-	if err == nil || !strings.Contains(err.Error(), "MemoryBudgetBytes") ||
-		!strings.Contains(err.Error(), "first-generation bitsets") {
-		t.Errorf("tiny budget: want error naming MemoryBudgetBytes and the bitset size, got %v", err)
-	}
-	if _, err := New(db, Config{Nodes: 2, GPUsPerNode: 1, MemoryBudgetBytes: 1 << 30}); err != nil {
-		t.Errorf("ample budget rejected: %v", err)
 	}
 }

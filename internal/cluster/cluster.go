@@ -72,11 +72,6 @@ type Config struct {
 	// (0 = DefaultDeadlineSec). A node missing it is marked suspect and its
 	// shard re-scattered.
 	DeadlineSec float64
-	// MemoryBudgetBytes caps the modeled memory the replicated bitsets
-	// may occupy per node (0 = uncapped). New rejects a budget smaller
-	// than one node's single-device copy: such a cluster could never
-	// hold generation 1.
-	MemoryBudgetBytes int64
 }
 
 // Validate checks the configuration eagerly, before any node is built.
@@ -96,9 +91,6 @@ func (c Config) Validate() error {
 	}
 	if c.DeadlineSec < 0 {
 		return fmt.Errorf("cluster: negative scatter/gather deadline %v", c.DeadlineSec)
-	}
-	if c.MemoryBudgetBytes < 0 {
-		return fmt.Errorf("cluster: Config.MemoryBudgetBytes %d must be ≥0", c.MemoryBudgetBytes)
 	}
 	for _, f := range c.Faults {
 		if err := f.validate(c.Nodes); err != nil {
@@ -186,10 +178,6 @@ func New(db *dataset.DB, cfg Config) (*Miner, error) {
 
 	bits := vertical.BuildBitsets(db)
 	dbBytes := bits.MemoryBytes()
-	if budget := cfg.MemoryBudgetBytes; budget > 0 && budget < int64(dbBytes) {
-		return nil, fmt.Errorf("cluster: Config.MemoryBudgetBytes %d is smaller than one device's first-generation bitsets (%d bytes)",
-			budget, dbBytes)
-	}
 	m := &Miner{db: db, cfg: cfg, dbBytes: dbBytes}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &node{}

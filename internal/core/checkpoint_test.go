@@ -21,7 +21,7 @@ var errCrash = errors.New("simulated crash")
 func wired(t *testing.T, path string, db *dataset.DB, minSup int) apriori.Config {
 	t.Helper()
 	var cfg apriori.Config
-	spec := checkpoint.Spec{Path: path, EveryGens: 1, ResumeFrom: path}
+	spec := checkpoint.Spec{Path: path, ResumeFrom: path}
 	if err := checkpoint.Wire(spec, db, minSup, &cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -149,27 +149,5 @@ func TestMultiCheckpointResume(t *testing.T) {
 	if !rep.Result.Equal(want) {
 		t.Errorf("multi-device resume differs from oracle:\n%s",
 			strings.Join(rep.Result.Diff(want), "\n"))
-	}
-}
-
-// TestMultiValidateCheckpointAndBudget: undersized and negative memory
-// budgets are rejected with errors naming the offending field. (The
-// checkpoint interval is validated by checkpoint.Spec, where it is set.)
-func TestMultiValidateCheckpointAndBudget(t *testing.T) {
-	db := gen.Random(80, 10, 0.4, 11)
-
-	_, err := New(db, Options{Devices: 2, MemoryBudgetBytes: -1})
-	if err == nil || !strings.Contains(err.Error(), "MemoryBudgetBytes") {
-		t.Errorf("negative budget: want error naming MemoryBudgetBytes, got %v", err)
-	}
-	// A 16-byte budget cannot hold any database's first generation.
-	_, err = New(db, Options{Devices: 2, MemoryBudgetBytes: 16})
-	if err == nil || !strings.Contains(err.Error(), "MemoryBudgetBytes") ||
-		!strings.Contains(err.Error(), "first-generation bitsets") {
-		t.Errorf("tiny budget: want error naming MemoryBudgetBytes and the bitset size, got %v", err)
-	}
-	// A generous budget passes.
-	if _, err := New(db, Options{Devices: 2, MemoryBudgetBytes: 1 << 30}); err != nil {
-		t.Errorf("ample budget rejected: %v", err)
 	}
 }

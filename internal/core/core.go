@@ -76,12 +76,6 @@ type Options struct {
 	// to the surviving devices, or degrade to the host CPU when none
 	// survive.
 	Retry RetryPolicy
-	// MemoryBudgetBytes caps the modeled memory the replicated
-	// first-generation bitsets may occupy across the device pool
-	// (0 = uncapped). New rejects a budget smaller than even one
-	// device's bitsets: such a miner could never hold generation 1, so
-	// admission control must shed the job instead of constructing it.
-	MemoryBudgetBytes int64
 }
 
 // MaxDevices is the largest simulated device pool a Miner accepts.
@@ -102,9 +96,6 @@ func (o Options) Validate() error {
 	}
 	if err := o.Retry.validate(); err != nil {
 		return err
-	}
-	if o.MemoryBudgetBytes < 0 {
-		return fmt.Errorf("core: Options.MemoryBudgetBytes %d must be ≥0", o.MemoryBudgetBytes)
 	}
 	for _, f := range o.Faults {
 		if err := f.validate(o.devices()); err != nil {
@@ -180,17 +171,6 @@ func New(db *dataset.DB, opt Options) (*Miner, error) {
 	opt.Kernel.DeadlineSec = opt.Retry.DeadlineSec
 
 	bits := vertical.BuildBitsets(db)
-	if budget := opt.MemoryBudgetBytes; budget > 0 {
-		perDevice := int64(bits.MemoryBytes())
-		if budget < perDevice {
-			return nil, fmt.Errorf("core: Options.MemoryBudgetBytes %d is smaller than one device's first-generation bitsets (%d bytes)",
-				budget, perDevice)
-		}
-		if total := perDevice * int64(opt.Devices); budget < total {
-			return nil, fmt.Errorf("core: Options.MemoryBudgetBytes %d cannot hold the bitsets replicated across %d devices (%d bytes)",
-				budget, opt.Devices, total)
-		}
-	}
 	m := &Miner{
 		db:       db,
 		cpu:      apriori.NewCPUBitsetOver(bits, opt.CPUPopcount, apriori.CountOptions{}),

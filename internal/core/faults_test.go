@@ -86,7 +86,6 @@ func TestMultiOptionsValidate(t *testing.T) {
 		{Devices: 17},
 		{Devices: 1, HybridCPUShare: 1},
 		{Devices: 1, HybridCPUShare: -0.5},
-		{Devices: 1, MemoryBudgetBytes: -1},
 		{Faults: []DeviceFault{{Device: 1, Gen: 2, Kind: gpusim.FaultDead}}},
 		{Devices: 1, Retry: RetryPolicy{MaxRetries: -1}},
 		{Devices: 1, Retry: RetryPolicy{BackoffSec: -1}},

@@ -207,11 +207,6 @@ type Options struct {
 	// sojourn controller (0 = 4 × SojournTarget). Requires
 	// SojournTarget.
 	SojournInterval time.Duration
-	// LatencyTarget enables the AIMD concurrency limiter: a job
-	// completing slower than this halves the effective worker limit
-	// (at most once per interval), completions within it add a worker
-	// back up to Workers. 0 disables the limiter.
-	LatencyTarget time.Duration
 }
 
 // DefaultQueueLimit bounds the admission queue when Options.QueueLimit
@@ -241,9 +236,6 @@ func (o Options) Validate() error {
 	if o.SojournInterval > 0 && o.SojournTarget == 0 {
 		return fmt.Errorf("jobs: Options.SojournInterval %v requires a SojournTarget", o.SojournInterval)
 	}
-	if o.LatencyTarget < 0 {
-		return fmt.Errorf("jobs: Options.LatencyTarget %v must be ≥0", o.LatencyTarget)
-	}
 	return nil
 }
 
@@ -272,7 +264,7 @@ type Counters struct {
 type Manager struct {
 	opt Options
 	// now is the clock seam: production time.Now, replaceable by tests
-	// so the sojourn/AIMD controllers run on scripted time.
+	// so the sojourn controller runs on scripted time.
 	now func() time.Time
 
 	mu      sync.Mutex
@@ -510,7 +502,7 @@ func (m *Manager) schedule() {
 			m.cond.Wait()
 			continue
 		}
-		if best == nil || m.running >= m.over.limit() ||
+		if best == nil || m.running >= m.opt.Workers ||
 			m.inUse+best.MemBytes > m.opt.MemoryBudgetBytes {
 			m.cond.Wait()
 			continue
@@ -551,9 +543,7 @@ func (m *Manager) run(j *Job) {
 		// before Run starts, so the job returns promptly.
 		cancel()
 	}
-	started := m.now()
 	err := j.Run(ctx)
-	runDur := m.now().Sub(started)
 	cancel()
 	j.mu.Lock()
 	canceled := j.cancelReq
@@ -575,7 +565,7 @@ func (m *Manager) run(j *Job) {
 	m.inUse -= j.MemBytes
 	m.running--
 	now := m.now()
-	m.over.observeCompletion(now, runDur)
+	m.over.observeCompletion(now)
 	m.observeQueueLocked(now)
 	switch state {
 	case Done:
@@ -616,8 +606,7 @@ func (m *Manager) QueueLen() int {
 }
 
 // Overload snapshots the overload controller: sojourn state, shed and
-// rejection counts, the drain-rate-derived Retry-After hint, and the
-// AIMD concurrency limit.
+// rejection counts, and the drain-rate-derived Retry-After hint.
 func (m *Manager) Overload() OverloadStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()

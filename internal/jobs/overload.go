@@ -3,28 +3,16 @@
 // Capacity-based admission (queue limit, memory budget) bounds how much
 // work can wait, but says nothing about how long it waits: a queue of
 // 64 thirty-second jobs is "healthy" by capacity and a two-minute wait
-// by latency. The overload controller closes that gap with two feedback
-// loops borrowed from network queue management:
-//
-//   - a CoDel-style sojourn controller. The head-of-queue sojourn (the
-//     age of the oldest queued job) is the overload signal: sojourn
-//     above Options.SojournTarget sustained for Options.SojournInterval
-//     flips the manager into the overloaded state, where it sheds
-//     lowest-priority-first — queued victims at most one per interval,
-//     and new submissions that would not outrank the current shed
-//     candidate are refused with a typed rejection carrying a
-//     Retry-After hint. Any observation below the target exits the
-//     state immediately, so a drained queue stops shedding without a
-//     timer.
-//
-//   - an AIMD concurrency limiter. Completion latency above
-//     Options.LatencyTarget halves the effective worker limit (at most
-//     once per interval, floor 1); completions within the target add
-//     one worker back, up to Options.Workers. When latency inflates
-//     because admitted jobs contend (memory pressure, device faults,
-//     CPU oversubscription), running fewer of them concurrently is what
-//     actually restores it — the sojourn controller then stops
-//     shedding on its own.
+// by latency. The overload controller closes that gap with a CoDel-style
+// sojourn controller borrowed from network queue management. The
+// head-of-queue sojourn (the age of the oldest queued job) is the
+// overload signal: sojourn above Options.SojournTarget sustained for
+// Options.SojournInterval flips the manager into the overloaded state,
+// where it sheds lowest-priority-first — queued victims at most one per
+// interval, and new submissions that would not outrank the current shed
+// candidate are refused with a typed rejection carrying a Retry-After
+// hint. Any observation below the target exits the state immediately,
+// so a drained queue stops shedding without a timer.
 //
 // Retry-After is not a constant: it is derived from the measured drain
 // rate (completions over a recent window) and the current queue length,
@@ -109,20 +97,12 @@ type OverloadStats struct {
 	RetryAfterSec int `json:"retry_after_sec"`
 	// DrainPerSec is the measured completion rate the hint derives from.
 	DrainPerSec float64 `json:"drain_per_sec"`
-	// AIMDLimit is the effective concurrent-worker limit (equals the
-	// configured Workers when the limiter is disabled or fully backed
-	// off in the additive direction).
-	AIMDLimit int `json:"aimd_limit"`
-	// AIMDBackoffs counts multiplicative decreases of the limit.
-	AIMDBackoffs int64 `json:"aimd_backoffs"`
 }
 
 // overload is the controller state. All methods run under Manager.mu.
 type overload struct {
 	target   time.Duration // 0 = sojourn controller disabled
 	interval time.Duration
-	latency  time.Duration // 0 = AIMD limiter disabled
-	workers  int           // configured ceiling for the AIMD limit
 
 	// Sojourn-controller state.
 	firstAbove time.Time // first observation above target ("" = none)
@@ -135,11 +115,6 @@ type overload struct {
 
 	// Drain-rate window: completion timestamps, pruned to the window.
 	completions []time.Time
-
-	// AIMD state.
-	aimdLimit   int
-	backoffs    int64
-	lastBackoff time.Time
 }
 
 // newOverload builds the controller from validated, defaulted options.
@@ -151,23 +126,12 @@ func newOverload(opt Options) overload {
 	return overload{
 		target:     opt.SojournTarget,
 		interval:   interval,
-		latency:    opt.LatencyTarget,
-		workers:    opt.Workers,
-		aimdLimit:  opt.Workers,
 		byPriority: map[int]time.Duration{},
 	}
 }
 
 // enabled reports whether the sojourn controller is on.
 func (o *overload) enabled() bool { return o.target > 0 }
-
-// limit is the effective concurrent-worker bound.
-func (o *overload) limit() int {
-	if o.latency <= 0 {
-		return o.workers
-	}
-	return o.aimdLimit
-}
 
 // windowFor is the drain-rate measurement window.
 func (o *overload) window() time.Duration {
@@ -226,34 +190,10 @@ func (o *overload) observeAdmission(priority int, sojourn time.Duration) {
 	o.byPriority[priority] = prev + (sojourn-prev)/4
 }
 
-// observeCompletion records a completion for the drain-rate window and
-// runs the AIMD control law on the job's run duration.
-func (o *overload) observeCompletion(now time.Time, runDur time.Duration) {
+// observeCompletion records a completion for the drain-rate window.
+func (o *overload) observeCompletion(now time.Time) {
 	o.completions = append(o.completions, now)
 	o.pruneCompletions(now)
-	if o.latency <= 0 {
-		return
-	}
-	if runDur > o.latency {
-		// Multiplicative decrease, at most once per interval: one slow
-		// cohort must not collapse the limit to 1 in a single burst.
-		backoffEvery := o.interval
-		if backoffEvery <= 0 {
-			backoffEvery = o.latency
-		}
-		if o.lastBackoff.IsZero() || now.Sub(o.lastBackoff) >= backoffEvery {
-			o.lastBackoff = now
-			if o.aimdLimit > 1 {
-				o.aimdLimit /= 2
-			}
-			o.backoffs++
-		}
-		return
-	}
-	// Additive increase back toward the configured ceiling.
-	if o.aimdLimit < o.workers {
-		o.aimdLimit++
-	}
 }
 
 // pruneCompletions drops completion timestamps older than the window.
@@ -316,8 +256,6 @@ func (o *overload) stats(now time.Time, queueLen int) OverloadStats {
 		Rejections:      o.rejections,
 		RetryAfterSec:   int(o.retryAfter(now, queueLen) / time.Second),
 		DrainPerSec:     o.drainPerSec(now),
-		AIMDLimit:       o.limit(),
-		AIMDBackoffs:    o.backoffs,
 	}
 	if len(o.byPriority) > 0 {
 		st.SojournByPriorityMs = make(map[int]int64, len(o.byPriority))

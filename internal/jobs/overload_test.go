@@ -1,9 +1,8 @@
 package jobs
 
-// Overload-controller tests: the CoDel-style sojourn controller, the
-// AIMD concurrency limiter, and the drain-rate-derived Retry-After
-// hint, all on a scripted clock so the control laws are exercised
-// deterministically and instantly.
+// Overload-controller tests: the CoDel-style sojourn controller and the
+// drain-rate-derived Retry-After hint, both on a scripted clock so the
+// control laws are exercised deterministically and instantly.
 
 import (
 	"context"
@@ -219,60 +218,6 @@ func TestSojournRecoveryExitsOverload(t *testing.T) {
 	}
 }
 
-func TestAIMDLimiterBacksOffAndRecovers(t *testing.T) {
-	latency := 100 * time.Millisecond
-	m, fc := newOverloadManager(t, Options{
-		MemoryBudgetBytes: 100, Workers: 4, QueueLimit: 64,
-		LatencyTarget: latency,
-	})
-	if got := m.Overload().AIMDLimit; got != 4 {
-		t.Fatalf("initial AIMD limit = %d, want 4", got)
-	}
-
-	// One slow completion halves the limit.
-	slow := &Job{Name: "slow", MemBytes: 1, Run: func(ctx context.Context) error {
-		fc.Advance(10 * latency)
-		return nil
-	}}
-	if err := m.Submit(slow); err != nil {
-		t.Fatal(err)
-	}
-	<-slow.Done()
-	st := m.Overload()
-	if st.AIMDLimit != 2 || st.AIMDBackoffs != 1 {
-		t.Fatalf("after slow completion: limit=%d backoffs=%d, want 2/1", st.AIMDLimit, st.AIMDBackoffs)
-	}
-
-	// A second slow completion inside the same pacing window must NOT
-	// halve again (one backoff per interval).
-	fc.Advance(latency / 2)
-	slow2 := &Job{Name: "slow2", MemBytes: 1, Run: func(ctx context.Context) error {
-		fc.Advance(10 * latency)
-		return nil
-	}}
-	if err := m.Submit(slow2); err != nil {
-		t.Fatal(err)
-	}
-	<-slow2.Done()
-	// The job itself advanced the clock well past the window, so only
-	// assert it halved at most once more overall.
-	if st := m.Overload(); st.AIMDLimit < 1 {
-		t.Fatalf("AIMD limit fell below 1: %+v", st)
-	}
-
-	// Fast completions grow the limit back to the ceiling, +1 each.
-	for i := 0; i < 8; i++ {
-		fast := &Job{Name: "fast", MemBytes: 1, Run: func(ctx context.Context) error { return nil }}
-		if err := m.Submit(fast); err != nil {
-			t.Fatal(err)
-		}
-		<-fast.Done()
-	}
-	if st := m.Overload(); st.AIMDLimit != 4 {
-		t.Fatalf("AIMD limit after fast completions = %d, want back at 4", st.AIMDLimit)
-	}
-}
-
 func TestRetryAfterHintTracksDrainRate(t *testing.T) {
 	target := 100 * time.Millisecond
 	m, fc := newOverloadManager(t, Options{
@@ -382,14 +327,13 @@ func TestOverloadOptionsValidate(t *testing.T) {
 		{MemoryBudgetBytes: 1, SojournTarget: -time.Second},
 		{MemoryBudgetBytes: 1, SojournInterval: time.Second},
 		{MemoryBudgetBytes: 1, SojournTarget: time.Second, SojournInterval: -time.Second},
-		{MemoryBudgetBytes: 1, LatencyTarget: -time.Second},
 	}
 	for _, opt := range bad {
 		if err := opt.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", opt)
 		}
 	}
-	ok := Options{MemoryBudgetBytes: 1, SojournTarget: time.Second, LatencyTarget: time.Second}
+	ok := Options{MemoryBudgetBytes: 1, SojournTarget: time.Second}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("Validate(%+v) = %v, want nil", ok, err)
 	}

@@ -288,48 +288,20 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 
 // ---- forwarding ----
 
-// submitForward registers a local record for a remotely-owned job and
-// starts the forwarding goroutine. The record behaves exactly like a
-// local one — long-polls, streams, result, cancel, drain journaling
-// all work — but its progress comes from relaying an owner's stream
-// rather than a local MiningJob.
-func (s *Server) submitForward(req gpapriori.ServeMineRequest, id, idemKey, algo string,
-	key uint64, minSup, trans int, dsKey uint64) (*jobRecord, *gpapriori.ServeError) {
+// submitForward registers rec as a local record for a remotely-owned
+// job and starts the forwarding goroutine. The record behaves exactly
+// like a local one — long-polls, streams, result, cancel, drain
+// journaling all work — but its progress comes from relaying an
+// owner's stream rather than a local MiningJob.
+func (s *Server) submitForward(rec *jobRecord, dsKey uint64) (*jobRecord, *gpapriori.ServeError) {
 	s.mu.Lock()
-	if idemKey != "" {
-		if prevID, ok := s.idem[idemKey]; ok {
-			if prev, ok := s.jobs[prevID]; ok {
-				s.durability.IdempotentHits++
-				s.mu.Unlock()
-				return prev, nil
-			}
-		}
-	}
-	if s.draining {
+	if prev, se := s.admitLocked(rec); prev != nil || se != nil {
 		s.mu.Unlock()
-		return nil, &gpapriori.ServeError{Status: http.StatusServiceUnavailable,
-			Code: "draining", Message: "server is draining; not admitting new jobs",
-			RetryAfter: s.jm.RetryAfterHint()}
-	}
-	if id == "" {
-		s.nextID++
-		id = fmt.Sprintf("job-%d", s.nextID)
+		return prev, se
 	}
 	fctx, cancel := context.WithCancel(s.baseCtx)
-	rec := &jobRecord{
-		id:      id,
-		dataset: req.Dataset,
-		algo:    algo,
-		minSup:  minSup,
-		trans:   trans,
-		key:     key,
-		req:     req,
-		idemKey: idemKey,
-		wake:    make(chan struct{}),
-
-		fwdCancel: cancel,
-		fwdState:  gpapriori.JobQueued.String(),
-	}
+	rec.fwdCancel = cancel
+	rec.fwdState = gpapriori.JobQueued.String()
 	s.registerLocked(rec)
 	s.mu.Unlock()
 	s.cluster.forwarded.Add(1)
@@ -432,7 +404,7 @@ func (s *Server) forwardOnce(ctx context.Context, rec *jobRecord, owner string) 
 		Forwarded: owner,
 	}
 	s.cluster.fwdDone.Add(1)
-	rec.complete(info, renderResult(items), items)
+	s.complete(rec, info, renderResult(items), items)
 	return true, nil
 }
 
@@ -458,7 +430,7 @@ func permanentServeError(err error) *gpapriori.ServeError {
 // refusal.
 func (s *Server) completeForwardFailed(rec *jobRecord, owner string, se *gpapriori.ServeError) {
 	s.cluster.fwdFailed.Add(1)
-	rec.complete(gpapriori.ServeJobInfo{
+	s.complete(rec, gpapriori.ServeJobInfo{
 		ID: rec.id, Dataset: rec.dataset, Algorithm: rec.algo,
 		State: gpapriori.JobFailed.String(), MinSupport: rec.minSup,
 		Transactions: rec.trans, Forwarded: owner,
@@ -476,7 +448,7 @@ func (s *Server) completeForwardMirror(rec *jobRecord, owner string, final *gpap
 	default:
 		s.cluster.fwdCanceled.Add(1)
 	}
-	rec.complete(gpapriori.ServeJobInfo{
+	s.complete(rec, gpapriori.ServeJobInfo{
 		ID: rec.id, Dataset: rec.dataset, Algorithm: final.Algorithm,
 		State: final.State, MinSupport: final.MinSupport,
 		Transactions: final.Transactions, Error: final.Error,
@@ -490,7 +462,7 @@ func (s *Server) completeForwardMirror(rec *jobRecord, owner string, final *gpap
 // through the restart exactly as they would a local one.
 func (s *Server) completeForwardCanceled(rec *jobRecord) {
 	s.cluster.fwdCanceled.Add(1)
-	rec.complete(gpapriori.ServeJobInfo{
+	s.complete(rec, gpapriori.ServeJobInfo{
 		ID: rec.id, Dataset: rec.dataset, Algorithm: rec.algo,
 		State: gpapriori.JobCanceled.String(), MinSupport: rec.minSup,
 		Transactions: rec.trans, Forwarded: rec.forwardTarget(),

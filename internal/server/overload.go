@@ -30,10 +30,11 @@ const (
 	// a subscriber that cannot absorb one event batch in this long is
 	// evicted.
 	DefaultStreamWriteTimeout = 10 * time.Second
-	// DefaultStreamBatch bounds the events rendered per write cycle,
+
+	// streamBatch bounds the events rendered per stream write cycle,
 	// so one reader catching up on a long history cannot monopolize
 	// the record lock or build an unbounded in-flight copy.
-	DefaultStreamBatch = 256
+	streamBatch = 256
 
 	// maxHandlerTimeout / maxStreamWriteTimeout cap the configurable
 	// timeouts: beyond these a "timeout" no longer defends anything.
@@ -59,9 +60,6 @@ type OverloadConfig struct {
 	// larger bodies get a typed 413 (0 = maxRequestBody, the decoder's
 	// own hard ceiling).
 	MaxBodyBytes int64
-	// StreamBatch bounds events rendered per stream write cycle
-	// (0 = DefaultStreamBatch).
-	StreamBatch int
 }
 
 // Validate rejects unusable bounds with errors naming the field.
@@ -74,9 +72,6 @@ func (c OverloadConfig) Validate() error {
 	}
 	if c.MaxBodyBytes < 0 || (c.MaxBodyBytes > 0 && c.MaxBodyBytes < minBodyBytes) || c.MaxBodyBytes > maxRequestBody {
 		return fmt.Errorf("server: OverloadConfig.MaxBodyBytes %d must be 0 or in [%d,%d]", c.MaxBodyBytes, minBodyBytes, maxRequestBody)
-	}
-	if c.StreamBatch < 0 {
-		return fmt.Errorf("server: OverloadConfig.StreamBatch %d must be ≥0", c.StreamBatch)
 	}
 	return nil
 }
@@ -91,9 +86,6 @@ func (c OverloadConfig) withDefaults() OverloadConfig {
 	}
 	if c.MaxBodyBytes == 0 {
 		c.MaxBodyBytes = maxRequestBody
-	}
-	if c.StreamBatch == 0 {
-		c.StreamBatch = DefaultStreamBatch
 	}
 	return c
 }

@@ -103,8 +103,12 @@ type Server struct {
 	// with a known key returns the original job, never a second
 	// enqueue. Sound because the fingerprint cache already proves two
 	// identical requests compute identical results.
-	idem   map[string]string
-	nextID int64
+	idem map[string]string
+	// finished is the ring of the most recent terminal records (see
+	// retireLocked); oldestFinished indexes its oldest entry once full.
+	finished       []*jobRecord
+	oldestFinished int
+	nextID         int64
 	// cachedSubmitted/cachedDone count cache-answered jobs, which never
 	// reach the JobManager but still belong in /statsz's lifecycle view.
 	cachedSubmitted int64
@@ -263,16 +267,17 @@ func (s *Server) ckptPath(key uint64) string {
 	return filepath.Join(s.stateDir, fmt.Sprintf("ckpt-%016x.ckpt", key))
 }
 
-// submit routes one submission. On a single-node daemon it is
-// submitLocal. In cluster mode it resolves the dataset's live owners:
-// a locally-owned (or already-forwarded, or locally-cached) request
-// runs here — after consulting the other owners' result caches — and
+// submit routes one submission. It resolves the request once — the
+// registry entry, the result key and the absolute support — into a new
+// record. On a single-node daemon the record goes to submitLocal. In
+// cluster mode submit resolves the dataset's live owners: a
+// locally-owned (or already-forwarded, or locally-cached) request runs
+// here — after consulting the other owners' result caches — and
 // anything else is forwarded to an owner (cluster.go). ctx bounds only
 // the synchronous peer-cache consult; forwarding outlives the request.
+// id is empty for fresh submissions and fixed when replaying the drain
+// journal; idemKey ("" = none) dedupes retried submissions.
 func (s *Server) submit(ctx context.Context, req gpapriori.ServeMineRequest, id, idemKey string, forwarded bool) (*jobRecord, *gpapriori.ServeError) {
-	if s.cluster == nil {
-		return s.submitLocal(req, id, idemKey)
-	}
 	entry, ok := s.reg.Get(req.Dataset)
 	if !ok {
 		return nil, &gpapriori.ServeError{Status: http.StatusNotFound, Code: "unknown_dataset",
@@ -282,66 +287,10 @@ func (s *Server) submit(ctx context.Context, req gpapriori.ServeMineRequest, id,
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	dsKey, ok := s.cluster.dsKeys[req.Dataset]
-	if !ok {
-		return s.submitLocal(req, id, idemKey)
-	}
-	owners := s.cluster.set.Resolve(dsKey)
-	local := forwarded || containsPeer(owners, s.cluster.self) ||
-		(!req.NoCache && s.cache.Contains(key))
-	if !local {
-		algo := string(gpapriori.Algorithm(req.Algorithm).Resolve())
-		return s.submitForward(req, id, idemKey, algo, key, minSup, entry.Info.Transactions, dsKey)
-	}
-	if !req.NoCache && !s.cache.Contains(key) {
-		s.consultPeerCaches(ctx, req.Dataset, key, minSup, entry.Info.Transactions)
-	}
-	return s.submitLocal(req, id, idemKey)
-}
-
-// submitLocal validates req against the registry, answers from the
-// result cache or the idempotency table when it can, and otherwise
-// queues a mining job. id is empty for fresh submissions and fixed
-// when replaying the drain journal; idemKey ("" = none) dedupes
-// retried submissions.
-func (s *Server) submitLocal(req gpapriori.ServeMineRequest, id, idemKey string) (*jobRecord, *gpapriori.ServeError) {
-	entry, ok := s.reg.Get(req.Dataset)
-	if !ok {
-		return nil, &gpapriori.ServeError{Status: http.StatusNotFound, Code: "unknown_dataset",
-			Message: fmt.Sprintf("dataset %q is not registered", req.Dataset)}
-	}
-	algo := string(gpapriori.Algorithm(req.Algorithm).Resolve())
-	cfg := req.MiningConfig()
-	key, minSup, err := gpapriori.ResultFingerprint(entry.DB, cfg)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if idemKey != "" {
-		// Dedup before the drain check: a retried submit must find its
-		// original job even while the daemon stops admitting new work.
-		if prevID, ok := s.idem[idemKey]; ok {
-			if prev, ok := s.jobs[prevID]; ok {
-				s.durability.IdempotentHits++
-				return prev, nil
-			}
-		}
-	}
-	if s.draining {
-		return nil, &gpapriori.ServeError{Status: http.StatusServiceUnavailable,
-			Code: "draining", Message: "server is draining; not admitting new jobs",
-			RetryAfter: s.jm.RetryAfterHint()}
-	}
-	if id == "" {
-		s.nextID++
-		id = fmt.Sprintf("job-%d", s.nextID)
-	}
 	rec := &jobRecord{
 		id:      id,
 		dataset: req.Dataset,
-		algo:    algo,
+		algo:    string(gpapriori.Algorithm(req.Algorithm).Resolve()),
 		minSup:  minSup,
 		trans:   entry.Info.Transactions,
 		key:     key,
@@ -349,11 +298,36 @@ func (s *Server) submitLocal(req gpapriori.ServeMineRequest, id, idemKey string)
 		idemKey: idemKey,
 		wake:    make(chan struct{}),
 	}
+	if s.cluster != nil {
+		if dsKey, ok := s.cluster.dsKeys[req.Dataset]; ok {
+			cached := !req.NoCache && s.cache.Contains(key)
+			if !forwarded && !cached && !containsPeer(s.cluster.set.Resolve(dsKey), s.cluster.self) {
+				return s.submitForward(rec, dsKey)
+			}
+			if !req.NoCache && !cached {
+				s.consultPeerCaches(ctx, req.Dataset, key, minSup, rec.trans)
+			}
+		}
+	}
+	return s.submitLocal(rec, entry.DB)
+}
+
+// submitLocal answers rec from the idempotency table or the result
+// cache when it can, and otherwise queues a mining job over db.
+func (s *Server) submitLocal(rec *jobRecord, db *gpapriori.Database) (*jobRecord, *gpapriori.ServeError) {
+	req := rec.req
+	cfg := req.MiningConfig()
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev, se := s.admitLocked(rec); prev != nil || se != nil {
+		return prev, se
+	}
 
 	if !req.NoCache {
-		if e, hit := s.cache.Get(key); hit {
+		if e, hit := s.cache.Get(rec.key); hit {
 			info := gpapriori.ServeJobInfo{
-				ID: id, Dataset: req.Dataset, Algorithm: algo,
+				ID: rec.id, Dataset: req.Dataset, Algorithm: rec.algo,
 				State: gpapriori.JobDone.String(), Cached: true,
 				MinSupport: e.minSupport, Transactions: e.transactions,
 				Itemsets: len(e.itemsets),
@@ -367,6 +341,7 @@ func (s *Server) submitLocal(req gpapriori.ServeMineRequest, id, idemKey string)
 			s.cachedSubmitted++
 			s.cachedDone++
 			s.registerLocked(rec)
+			s.retireLocked(rec)
 			return rec, nil
 		}
 	}
@@ -376,10 +351,9 @@ func (s *Server) submitLocal(req gpapriori.ServeMineRequest, id, idemKey string)
 		// progress an interrupted earlier run of this fingerprint left.
 		// A failing disk degrades the job (it mines on, checkpoint-less)
 		// instead of failing it.
-		path := s.ckptPath(key)
+		path := s.ckptPath(rec.key)
 		cfg.Checkpoint = path
 		cfg.ResumeFrom = path
-		cfg.CheckpointEvery = 1
 		cfg.OnCheckpointError = func(gen int, err error) error {
 			s.noteCheckpointError(rec, gen, err)
 			return nil
@@ -388,10 +362,10 @@ func (s *Server) submitLocal(req gpapriori.ServeMineRequest, id, idemKey string)
 	cfg.OnGeneration = rec.addGeneration
 
 	mj, err := s.jm.Submit(gpapriori.JobSpec{
-		Name:     id,
+		Name:     rec.id,
 		Priority: req.Priority,
 		Deadline: time.Duration(req.DeadlineSec * float64(time.Second)),
-		DB:       entry.DB,
+		DB:       db,
 		Config:   cfg,
 	})
 	if err != nil {
@@ -404,6 +378,33 @@ func (s *Server) submitLocal(req gpapriori.ServeMineRequest, id, idemKey string)
 	return rec, nil
 }
 
+// admitLocked readies a new record for registration. A retried
+// submission whose idempotency key is known returns its original job
+// as prev — before the drain check, so a retry finds its job even
+// while the daemon stops admitting new work. A draining daemon
+// refuses, and a record without an id gets the next one. Callers hold
+// s.mu.
+func (s *Server) admitLocked(rec *jobRecord) (prev *jobRecord, se *gpapriori.ServeError) {
+	if rec.idemKey != "" {
+		if prevID, ok := s.idem[rec.idemKey]; ok {
+			if prev, ok := s.jobs[prevID]; ok {
+				s.durability.IdempotentHits++
+				return prev, nil
+			}
+		}
+	}
+	if s.draining {
+		return nil, &gpapriori.ServeError{Status: http.StatusServiceUnavailable,
+			Code: "draining", Message: "server is draining; not admitting new jobs",
+			RetryAfter: s.jm.RetryAfterHint()}
+	}
+	if rec.id == "" {
+		s.nextID++
+		rec.id = fmt.Sprintf("job-%d", s.nextID)
+	}
+	return nil, nil
+}
+
 // registerLocked indexes a new record by id and idempotency key.
 // Callers hold s.mu.
 func (s *Server) registerLocked(rec *jobRecord) {
@@ -411,6 +412,40 @@ func (s *Server) registerLocked(rec *jobRecord) {
 	if rec.idemKey != "" {
 		s.idem[rec.idemKey] = rec.id
 	}
+}
+
+// maxFinishedJobs bounds the finished records a daemon keeps, so a
+// long-lived one does not hold every job's event log and result body
+// outside the cache budget. A client reads a finished job's result
+// right after its final event — a cluster non-owner fetches /result
+// from the owner in the next round trip — and the owner would have to
+// finish this many other jobs within that round trip to lose it.
+const maxFinishedJobs = 4096
+
+// retireLocked adds a record that just became terminal to the finished
+// history. Once the history is full, the oldest finished record and
+// its idempotency entry are dropped, and its id answers 404
+// unknown_job. Live records never enter the history, so they are never
+// dropped. Callers hold s.mu.
+func (s *Server) retireLocked(rec *jobRecord) {
+	if len(s.finished) < maxFinishedJobs {
+		s.finished = append(s.finished, rec)
+		return
+	}
+	old := s.finished[s.oldestFinished]
+	s.finished[s.oldestFinished] = rec
+	s.oldestFinished = (s.oldestFinished + 1) % maxFinishedJobs
+	delete(s.jobs, old.id)
+	delete(s.idem, old.idemKey)
+}
+
+// complete marks a registered record terminal and retires it in one
+// s.mu section, so records retire in the order they finish.
+func (s *Server) complete(rec *jobRecord, info gpapriori.ServeJobInfo, body []byte, itemsets []gpapriori.Itemset) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec.complete(info, body, itemsets)
+	s.retireLocked(rec)
 }
 
 // noteCheckpointError marks rec degraded after a swallowed checkpoint
@@ -518,7 +553,7 @@ func (s *Server) finalize(rec *jobRecord) {
 		})
 		s.addFaults(res.Faults)
 	}
-	rec.complete(info, body, resultItemsets(res))
+	s.complete(rec, info, body, resultItemsets(res))
 }
 
 // resultItemsets guards the itemset slice of a failed run.
@@ -874,8 +909,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		// Bound the in-flight copy per cycle; a truncated batch loops
 		// straight back for the rest instead of waiting.
 		truncated := false
-		if len(evs) > s.over.StreamBatch {
-			evs = evs[:s.over.StreamBatch]
+		if len(evs) > streamBatch {
+			evs = evs[:streamBatch]
 			truncated = true
 		}
 		sent := 0
@@ -1195,6 +1230,7 @@ func (s *Server) failRecord(e journalEntry, se *gpapriori.ServeError) {
 		final:    info,
 	}
 	s.mu.Lock()
-	s.jobs[e.ID] = rec
+	s.registerLocked(rec)
+	s.retireLocked(rec)
 	s.mu.Unlock()
 }

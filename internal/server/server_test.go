@@ -186,6 +186,64 @@ func TestSubmitRejections(t *testing.T) {
 	}
 }
 
+// TestFinishedJobsBounded: a long-lived daemon keeps at most
+// maxFinishedJobs finished records. The oldest finished record goes
+// first, with its idempotency entry, and its id then answers the typed
+// 404; a live record is never dropped, however old.
+func TestFinishedJobsBounded(t *testing.T) {
+	s, cl, _ := newTestServer(t, Config{CacheBudgetBytes: 1 << 20})
+	ctx := context.Background()
+	req := gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 25}
+
+	// The oldest record of all stays live for the whole test.
+	live := &jobRecord{id: "live", dataset: "q", wake: make(chan struct{})}
+	s.mu.Lock()
+	s.registerLocked(live)
+	s.mu.Unlock()
+
+	first, err := cl.SubmitKeyed(ctx, req, "first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cl.Wait(ctx, first.ID); err != nil {
+		t.Fatal(err)
+	}
+	// Every later identical request is a cache hit, finished at once.
+	for i := 1; i < maxFinishedJobs; i++ {
+		if _, se := s.submit(ctx, req, "", "", false); se != nil {
+			t.Fatal(se)
+		}
+	}
+	if _, err := cl.Job(ctx, first.ID); err != nil {
+		t.Fatalf("finished job dropped before %d others finished: %v", maxFinishedJobs, err)
+	}
+	if _, se := s.submit(ctx, req, "", "", false); se != nil {
+		t.Fatal(se)
+	}
+	_, err = cl.Job(ctx, first.ID)
+	if se, ok := err.(*gpapriori.ServeError); !ok || se.Status != http.StatusNotFound || se.Code != "unknown_job" {
+		t.Fatalf("oldest finished job: got %v, want 404 unknown_job", err)
+	}
+	// Its idempotency entry went with it: the same key is a new job.
+	again, err := cl.SubmitKeyed(ctx, req, "first")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ID == first.ID {
+		t.Fatalf("idempotency key of a dropped job still resolves to %s", first.ID)
+	}
+	if _, err := cl.Job(ctx, live.id); err != nil {
+		t.Fatalf("live job dropped: %v", err)
+	}
+	s.mu.Lock()
+	jobs, keys := len(s.jobs), len(s.idem)
+	s.mu.Unlock()
+	if jobs != maxFinishedJobs+1 || keys != 1 {
+		t.Fatalf("daemon holds %d records and %d idempotency keys, want %d and 1",
+			jobs, keys, maxFinishedJobs+1)
+	}
+}
+
 // slowRequest is a mining request that runs long enough (~1s+) to
 // cancel or drain mid-flight, with generation boundaries to checkpoint
 // at.

@@ -1,4 +1,4 @@
-// Job manager: admission-controlled batch mining.
+// Job manager: admission control for the mining jobs gpaserve runs.
 //
 // A MiningJob is one Mine call with a declared memory footprint (modeled
 // from the vertical bitset layout — see EstimateMemoryBytes), a priority,
@@ -45,8 +45,7 @@ var ErrJobCanceled = jobs.ErrCanceled
 var ErrJobOverloaded = jobs.ErrOverloaded
 
 // OverloadStats snapshots the admission controller's overload state:
-// sojourn vs target, shed/rejection counts, the Retry-After hint, and
-// the AIMD concurrency limit.
+// sojourn vs target, shed/rejection counts, and the Retry-After hint.
 type OverloadStats = jobs.OverloadStats
 
 // JobCounters snapshots a JobManager's lifecycle accounting: once every
@@ -71,10 +70,6 @@ type JobManagerConfig struct {
 	// SojournInterval is the sustain window and shed pacing
 	// (0 = 4 × SojournTarget).
 	SojournInterval time.Duration
-	// LatencyTarget enables the AIMD concurrency limiter: completions
-	// slower than this halve the effective worker limit, completions
-	// within it grow it back toward Workers. 0 disables.
-	LatencyTarget time.Duration
 }
 
 // JobSpec describes one mining job.
@@ -151,7 +146,6 @@ func NewJobManagerContext(ctx context.Context, cfg JobManagerConfig) (*JobManage
 		Workers:           cfg.Workers,
 		SojournTarget:     cfg.SojournTarget,
 		SojournInterval:   cfg.SojournInterval,
-		LatencyTarget:     cfg.LatencyTarget,
 	})
 	if err != nil {
 		return nil, err

@@ -100,9 +100,6 @@ func TestPublicCheckpointRejectsDepthFirst(t *testing.T) {
 			t.Errorf("%s: want a cannot-checkpoint error, got %v", algo, err)
 		}
 	}
-	if _, err := Mine(db, Config{Algorithm: AlgoCPUBitset, MinSupport: 6, CheckpointEvery: 2}); err == nil {
-		t.Error("CheckpointEvery without Checkpoint accepted")
-	}
 }
 
 // TestPublicCheckpointGPApriori: the device path and the default

@@ -188,8 +188,8 @@ type ServeStats struct {
 	// Durability is the disk-resilience accounting.
 	Durability ServeDurabilityStats `json:"durability"`
 	// Overload is the overload-control accounting: the admission
-	// controller's sojourn/AIMD state plus the transport's
-	// slow-client and body-limit defenses.
+	// controller's sojourn state plus the transport's slow-client and
+	// body-limit defenses.
 	Overload ServeOverloadStats `json:"overload"`
 	// Datasets lists the registry.
 	Datasets []ServeDatasetInfo `json:"datasets"`
@@ -353,10 +353,9 @@ type RetryPolicy struct {
 	MaxAttempts int
 	// BaseDelay is the backoff before the first retry (0 = 100ms).
 	BaseDelay time.Duration
-	// MaxDelay caps the grown backoff (0 = 5s).
+	// MaxDelay caps the grown backoff, which doubles per attempt
+	// (0 = 5s).
 	MaxDelay time.Duration
-	// Multiplier grows the delay per attempt (0 = 2).
-	Multiplier float64
 	// Jitter in [0,1] spreads each delay uniformly over
 	// [d·(1−Jitter/2), d·(1+Jitter/2)].
 	Jitter float64
@@ -501,13 +500,9 @@ func (c *ServeClient) backoff(attempt int, cause error) time.Duration {
 	if maxd <= 0 {
 		maxd = 5 * time.Second
 	}
-	mult := p.Multiplier
-	if mult <= 0 {
-		mult = 2
-	}
 	d := float64(base)
 	for i := 1; i < attempt; i++ {
-		d *= mult
+		d *= 2
 		if d >= float64(maxd) {
 			break
 		}
@@ -567,11 +562,19 @@ func newIdempotencyKey() string {
 // JSON response into out (skipped when out is nil). Non-2xx responses
 // come back as *ServeError. hdr, when non-nil, is merged into the
 // request headers of every attempt — how idempotency keys stay stable
-// across retries.
-func (c *ServeClient) do(ctx context.Context, method, path string, body, out any, hdr http.Header) error {
+// across retries. timed applies the per-attempt timeout; the long-poll
+// passes false, since it is designed to hold the connection.
+func (c *ServeClient) do(ctx context.Context, method, path string, body, out any, hdr http.Header, timed bool) error {
+	var data []byte
+	if body != nil {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
+			return err
+		}
+	}
 	attempts := c.retry.attempts()
 	for attempt := 1; ; attempt++ {
-		err := c.doOnce(ctx, method, path, body, out, hdr, true)
+		err := c.doOnce(ctx, method, path, data, out, hdr, timed)
 		if err == nil {
 			return nil
 		}
@@ -584,25 +587,38 @@ func (c *ServeClient) do(ctx context.Context, method, path string, body, out any
 	}
 }
 
-// doOnce issues exactly one attempt. timed applies the per-attempt
-// timeout; streaming/long-poll callers pass false.
-func (c *ServeClient) doOnce(ctx context.Context, method, path string, body, out any, hdr http.Header, timed bool) error {
+// doOnce issues exactly one attempt of a do request with the JSON body
+// do marshalled.
+func (c *ServeClient) doOnce(ctx context.Context, method, path string, body []byte, out any, hdr http.Header, timed bool) error {
 	if timed && c.retry.AttemptTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, c.retry.AttemptTimeout)
 		defer cancel()
 	}
+	resp, err := c.send(ctx, method, path, body, hdr)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if out == nil {
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// send issues one HTTP request to the daemon with the client's headers
+// and hdr merged in. A non-nil body is sent as JSON. Only a 2xx response
+// comes back, with its body open for the caller to close; any other
+// status is decoded into a *ServeError.
+func (c *ServeClient) send(ctx context.Context, method, path string, body []byte, hdr http.Header) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			return err
-		}
-		rd = bytes.NewReader(data)
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -611,17 +627,13 @@ func (c *ServeClient) doOnce(ctx context.Context, method, path string, body, out
 	applyHeader(req, hdr)
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return decodeServeError(resp)
+		defer resp.Body.Close()
+		return nil, decodeServeError(resp)
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return resp, nil
 }
 
 // applyHeader merges hdr into the request (per-key Set semantics, so
@@ -668,7 +680,7 @@ func (c *ServeClient) Health(ctx context.Context) (string, error) {
 // section of a multi-node daemon.
 func (c *ServeClient) HealthDetail(ctx context.Context) (*ServeHealth, error) {
 	out := &ServeHealth{}
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, out, nil); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/healthz", nil, out, nil, true); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -677,7 +689,7 @@ func (c *ServeClient) HealthDetail(ctx context.Context) (*ServeHealth, error) {
 // Stats fetches the /statsz metrics snapshot.
 func (c *ServeClient) Stats(ctx context.Context) (*ServeStats, error) {
 	out := &ServeStats{}
-	if err := c.do(ctx, http.MethodGet, "/statsz", nil, out, nil); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/statsz", nil, out, nil, true); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -686,7 +698,7 @@ func (c *ServeClient) Stats(ctx context.Context) (*ServeStats, error) {
 // Datasets lists the daemon's registered datasets.
 func (c *ServeClient) Datasets(ctx context.Context) ([]ServeDatasetInfo, error) {
 	var out []ServeDatasetInfo
-	if err := c.do(ctx, http.MethodGet, "/v1/datasets", nil, &out, nil); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/datasets", nil, &out, nil, true); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -708,25 +720,20 @@ const ForwardedHeader = "X-Gpapriori-Forwarded"
 // retries: a retried POST that double-delivers lands on the same job,
 // never a second enqueue.
 func (c *ServeClient) Submit(ctx context.Context, req ServeMineRequest) (*ServeJobInfo, error) {
-	return c.submitKeyed(ctx, req, newIdempotencyKey())
+	return c.SubmitKeyed(ctx, req, newIdempotencyKey())
 }
 
 // SubmitKeyed is Submit with a caller-chosen idempotency key. The
 // cluster forwarding path derives the key from the forwarding node's
 // own job id, so a failover that revisits an owner collapses onto the
 // remote job the first visit created instead of enqueueing a second
-// run.
+// run; the resubmission path after a daemon restart reuses the
+// original key.
 func (c *ServeClient) SubmitKeyed(ctx context.Context, req ServeMineRequest, key string) (*ServeJobInfo, error) {
-	return c.submitKeyed(ctx, req, key)
-}
-
-// submitKeyed is Submit with a caller-provided idempotency key — the
-// resubmission path after a daemon restart reuses the original key.
-func (c *ServeClient) submitKeyed(ctx context.Context, req ServeMineRequest, key string) (*ServeJobInfo, error) {
 	out := &ServeJobInfo{}
 	hdr := http.Header{}
 	hdr.Set(idempotencyHeader, key)
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", req, out, hdr); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs", req, out, hdr, true); err != nil {
 		return nil, err
 	}
 	if out.Terminal() {
@@ -750,22 +757,19 @@ func (c *ServeClient) recoverUnknownJob(ctx context.Context, id string, cause er
 		return "", false
 	}
 	c.forget(id)
-	job, err := c.submitKeyed(ctx, sub.req, sub.key)
+	job, err := c.SubmitKeyed(ctx, sub.req, sub.key)
 	if err != nil {
 		return "", false
 	}
-	if job.Terminal() {
-		// Already answered (result cache): no record to poll, but the
-		// id resolves, so let the caller's next request find it.
-		return job.ID, true
-	}
+	// A replacement already answered from the result cache has no
+	// record to poll, but its id resolves all the same.
 	return job.ID, true
 }
 
 // Job fetches a job's current state without waiting.
 func (c *ServeClient) Job(ctx context.Context, id string) (*ServeJobInfo, error) {
 	out := &ServeJobInfo{}
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, out, nil); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id), nil, out, nil, true); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -779,7 +783,7 @@ func (c *ServeClient) Wait(ctx context.Context, id string) (*ServeJobInfo, error
 	for {
 		path := fmt.Sprintf("/v1/jobs/%s?wait_sec=%d", url.PathEscape(id), int(c.wait.Seconds()))
 		out := &ServeJobInfo{}
-		if err := c.doPoll(ctx, path, out); err != nil {
+		if err := c.do(ctx, http.MethodGet, path, nil, out, nil, false); err != nil {
 			if newID, ok := c.recoverUnknownJob(ctx, id, err); ok {
 				id = newID
 				continue
@@ -796,29 +800,11 @@ func (c *ServeClient) Wait(ctx context.Context, id string) (*ServeJobInfo, error
 	}
 }
 
-// doPoll is the long-poll variant of do: retries apply, the per-attempt
-// timeout does not (the request is designed to hold the connection).
-func (c *ServeClient) doPoll(ctx context.Context, path string, out any) error {
-	attempts := c.retry.attempts()
-	for attempt := 1; ; attempt++ {
-		err := c.doOnce(ctx, http.MethodGet, path, nil, out, nil, false)
-		if err == nil {
-			return nil
-		}
-		if attempt >= attempts || !retryableError(err) || ctx.Err() != nil {
-			return err
-		}
-		if serr := c.sleep(ctx, c.backoff(attempt, err)); serr != nil {
-			return err
-		}
-	}
-}
-
 // Cancel requests termination of a job and returns its state after the
 // request.
 func (c *ServeClient) Cancel(ctx context.Context, id string) (*ServeJobInfo, error) {
 	out := &ServeJobInfo{}
-	if err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, out, nil); err != nil {
+	if err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+url.PathEscape(id), nil, out, nil, true); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -830,40 +816,22 @@ func (c *ServeClient) Cancel(ctx context.Context, id string) (*ServeJobInfo, err
 // peer-consult path races recomputation, so a missing entry should be
 // answered by mining, not by retrying the lookup.
 func (c *ServeClient) CacheLookup(ctx context.Context, key uint64) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s/v1/cache/%016x", c.base, key), nil)
-	if err != nil {
-		return nil, err
-	}
-	applyHeader(req, c.hdr)
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, fmt.Sprintf("/v1/cache/%016x", key), nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, decodeServeError(resp)
-	}
 	return io.ReadAll(resp.Body)
 }
 
 // Result fetches a done job's full frequent-itemset result (the
 // resultio-normalized canonical order).
 func (c *ServeClient) Result(ctx context.Context, id string) ([]Itemset, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.base+"/v1/jobs/"+url.PathEscape(id)+"/result", nil)
-	if err != nil {
-		return nil, err
-	}
-	applyHeader(req, c.hdr)
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, decodeServeError(resp)
-	}
 	rs, err := resultio.Read(resp.Body)
 	if err != nil {
 		return nil, fmt.Errorf("gpapriori: parsing served result: %w", err)
@@ -943,23 +911,15 @@ func (c *ServeClient) Stream(ctx context.Context, id string, fn func(ServeGenera
 // progressed reports whether any event was delivered on this
 // connection.
 func (c *ServeClient) streamOnce(ctx context.Context, id string, lastGen *int, fn func(ServeGenerationEvent) error) (final *ServeJobInfo, progressed bool, err error) {
-	path := c.base + "/v1/jobs/" + url.PathEscape(id) + "/stream"
+	path := "/v1/jobs/" + url.PathEscape(id) + "/stream"
 	if *lastGen > 0 {
 		path += "?after_gen=" + strconv.Itoa(*lastGen)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, path, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	applyHeader(req, c.hdr)
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, path, nil, nil)
 	if err != nil {
 		return nil, false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, false, decodeServeError(resp)
-	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<26)
 	for sc.Scan() {
