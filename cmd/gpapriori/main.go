@@ -214,7 +214,7 @@ func run(w io.Writer, o runOpts) error {
 		return writeCanonical(w, res.Itemsets)
 	}
 	if o.jsonOut {
-		return emitJSON(w, db, dict, res, rules)
+		return emitJSON(w, db.Len(), dict, res, rules)
 	}
 	emitText(w, db, dict, res, rules, o)
 	return nil
@@ -260,6 +260,9 @@ func runServe(w io.Writer, o runOpts) error {
 	if o.minConf > 0 || o.checkpoint != "" || o.resume {
 		return fmt.Errorf("-serve-url supports plain mining only (the daemon owns checkpointing)")
 	}
+	if o.workers != 0 || o.devices != 0 || o.cpuShare != 0 || o.faults != "" || o.seed != 0 {
+		return fmt.Errorf("-serve-url sends only the query; -workers, -devices, -cpushare, -faults and -seed tune offline mining")
+	}
 	rel, abs, err := splitMinsup(o.minsup)
 	if err != nil {
 		return err
@@ -272,11 +275,6 @@ func runServe(w io.Writer, o runOpts) error {
 		MaxLen:          o.maxLen,
 		Priority:        o.priority,
 		DeadlineSec:     o.deadlineSec,
-		Workers:         o.workers,
-		Devices:         o.devices,
-		HybridCPUShare:  o.cpuShare,
-		Faults:          o.faults,
-		FaultSeed:       o.seed,
 		NoCache:         o.noCache,
 	}
 	cl, err := gpapriori.NewServeClient(gpapriori.ServeConfig{
@@ -303,7 +301,7 @@ func runServe(w io.Writer, o runOpts) error {
 			return err
 		}
 	case o.jsonOut:
-		if err := emitServeJSON(w, info, res); err != nil {
+		if err := emitJSON(w, info.Transactions, nil, res, nil); err != nil {
 			return err
 		}
 	default:
@@ -319,34 +317,6 @@ func runServe(w io.Writer, o runOpts) error {
 	return nil
 }
 
-// emitServeJSON renders a served run in the offline jsonReport shape,
-// so downstream tooling cannot tell where the mining happened.
-func emitServeJSON(w io.Writer, info *gpapriori.ServeJobInfo, res *gpapriori.Result) error {
-	rep := jsonReport{
-		Algorithm:     string(res.Algorithm),
-		MinSupport:    res.MinSupport,
-		Transactions:  info.Transactions,
-		HostSeconds:   res.HostSeconds,
-		DeviceSeconds: res.DeviceSeconds,
-	}
-	if f := res.Faults; f != nil {
-		rep.Faults = &jsonFaults{
-			Injected: f.Injected, KernelFaults: f.KernelFaults,
-			TransferFaults: f.TransferFaults, Hangs: f.Hangs,
-			Retries: f.Retries, Failovers: f.Failovers,
-			DegradedCandidates: f.DegradedCandidates,
-			RecoverySeconds:    f.RecoverySeconds,
-			DeadDevices:        f.DeadDevices,
-		}
-	}
-	for _, s := range res.Itemsets {
-		rep.Itemsets = append(rep.Itemsets, jsonItemset{Items: s.Items, Support: s.Support})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
 // emitServeText is the text report of a served run.
 func emitServeText(w io.Writer, info *gpapriori.ServeJobInfo, res *gpapriori.Result, o runOpts) {
 	from := "mined"
@@ -355,30 +325,7 @@ func emitServeText(w io.Writer, info *gpapriori.ServeJobInfo, res *gpapriori.Res
 	}
 	fmt.Fprintf(w, "job %s on dataset %q (%d transactions): %s\n",
 		info.ID, info.Dataset, info.Transactions, from)
-	fmt.Fprintf(w, "%s @ minsup %d: %d frequent itemsets\n", res.Algorithm, res.MinSupport, res.Len())
-	if res.HostSeconds > 0 || res.DeviceSeconds > 0 {
-		fmt.Fprintf(w, "host time: %.4gs", res.HostSeconds)
-		if res.DeviceSeconds > 0 {
-			fmt.Fprintf(w, "  modeled device time: %.4gs", res.DeviceSeconds)
-		}
-		fmt.Fprintln(w)
-	}
-	if res.Faults != nil {
-		fmt.Fprintf(w, "faults: %s\n", res.Faults)
-	}
-	if o.quiet {
-		return
-	}
-	limit := len(res.Itemsets)
-	if o.top > 0 && o.top < limit {
-		limit = o.top
-	}
-	for _, s := range res.Itemsets[:limit] {
-		fmt.Fprintf(w, "  %v : %d\n", s.Items, s.Support)
-	}
-	if limit < len(res.Itemsets) {
-		fmt.Fprintf(w, "  ... and %d more\n", len(res.Itemsets)-limit)
-	}
+	emitResult(w, nil, res, o)
 }
 
 // emitServeStats summarizes a /statsz snapshot.
@@ -390,21 +337,20 @@ func emitServeStats(w io.Writer, st *gpapriori.ServeStats) error {
 	c := st.Cache
 	fmt.Fprintf(w, "cache: hits=%d misses=%d entries=%d bytes=%d/%d evictions=%d\n",
 		c.Hits, c.Misses, c.Entries, c.Bytes, c.BudgetBytes, c.Evictions)
-	if st.Faults.Injected > 0 {
-		fmt.Fprintf(w, "faults: %s\n", st.Faults)
-	}
 	for _, d := range st.Datasets {
-		fmt.Fprintf(w, "dataset %s: %d transactions, %d items, %dB resident\n",
+		fmt.Fprintf(w, "dataset %s: %d transactions, %d items, %dB per-job bitset footprint\n",
 			d.Name, d.Transactions, d.NumItems, d.BitsetBytes)
 	}
 	return nil
 }
 
-func emitJSON(w io.Writer, db *gpapriori.Database, dict *gpapriori.Dictionary, res *gpapriori.Result, rules []gpapriori.Rule) error {
+// emitJSON renders a run, offline or served, in the one jsonReport
+// shape, so downstream tooling cannot tell where the mining happened.
+func emitJSON(w io.Writer, transactions int, dict *gpapriori.Dictionary, res *gpapriori.Result, rules []gpapriori.Rule) error {
 	rep := jsonReport{
 		Algorithm:     string(res.Algorithm),
 		MinSupport:    res.MinSupport,
-		Transactions:  db.Len(),
+		Transactions:  transactions,
 		HostSeconds:   res.HostSeconds,
 		DeviceSeconds: res.DeviceSeconds,
 	}
@@ -442,32 +388,7 @@ func emitText(w io.Writer, db *gpapriori.Database, dict *gpapriori.Dictionary, r
 	st := db.Stats()
 	fmt.Fprintf(w, "database: %d transactions, %d items, avg length %.1f\n",
 		st.NumTrans, st.NumItems, st.AvgLength)
-	fmt.Fprintf(w, "%s @ minsup %d: %d frequent itemsets\n", res.Algorithm, res.MinSupport, res.Len())
-	fmt.Fprintf(w, "host time: %.4gs", res.HostSeconds)
-	if res.DeviceSeconds > 0 {
-		fmt.Fprintf(w, "  modeled device time: %.4gs", res.DeviceSeconds)
-	}
-	fmt.Fprintln(w)
-	if res.Faults != nil {
-		fmt.Fprintf(w, "faults: %s\n", res.Faults)
-	}
-
-	if !o.quiet {
-		limit := len(res.Itemsets)
-		if o.top > 0 && o.top < limit {
-			limit = o.top
-		}
-		for _, s := range res.Itemsets[:limit] {
-			if dict != nil {
-				fmt.Fprintf(w, "  %s : %d\n", dict.Names(s.Items), s.Support)
-			} else {
-				fmt.Fprintf(w, "  %v : %d\n", s.Items, s.Support)
-			}
-		}
-		if limit < len(res.Itemsets) {
-			fmt.Fprintf(w, "  ... and %d more\n", len(res.Itemsets)-limit)
-		}
-	}
+	emitResult(w, dict, res, o)
 	if rules != nil {
 		fmt.Fprintf(w, "%d rules at confidence ≥ %.2f\n", len(rules), o.minConf)
 		if !o.quiet {
@@ -487,6 +408,40 @@ func emitText(w io.Writer, db *gpapriori.Database, dict *gpapriori.Dictionary, r
 				fmt.Fprintf(w, "  ... and %d more\n", len(rules)-limit)
 			}
 		}
+	}
+}
+
+// emitResult prints a run's headline, its timing line (a cache answer
+// has no timings, so none), any fault line, and unless -quiet the top
+// itemsets, by name when dict is set.
+func emitResult(w io.Writer, dict *gpapriori.Dictionary, res *gpapriori.Result, o runOpts) {
+	fmt.Fprintf(w, "%s @ minsup %d: %d frequent itemsets\n", res.Algorithm, res.MinSupport, res.Len())
+	if res.HostSeconds > 0 || res.DeviceSeconds > 0 {
+		fmt.Fprintf(w, "host time: %.4gs", res.HostSeconds)
+		if res.DeviceSeconds > 0 {
+			fmt.Fprintf(w, "  modeled device time: %.4gs", res.DeviceSeconds)
+		}
+		fmt.Fprintln(w)
+	}
+	if res.Faults != nil {
+		fmt.Fprintf(w, "faults: %s\n", res.Faults)
+	}
+	if o.quiet {
+		return
+	}
+	limit := len(res.Itemsets)
+	if o.top > 0 && o.top < limit {
+		limit = o.top
+	}
+	for _, s := range res.Itemsets[:limit] {
+		if dict != nil {
+			fmt.Fprintf(w, "  %s : %d\n", dict.Names(s.Items), s.Support)
+		} else {
+			fmt.Fprintf(w, "  %v : %d\n", s.Items, s.Support)
+		}
+	}
+	if limit < len(res.Itemsets) {
+		fmt.Fprintf(w, "  ... and %d more\n", len(res.Itemsets)-limit)
 	}
 }
 

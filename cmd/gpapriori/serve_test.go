@@ -160,6 +160,16 @@ func TestRunServeValidation(t *testing.T) {
 		{"with checkpoint", runOpts{serveURL: "http://x", dsName: "d", minsup: 2,
 			checkpoint: "c.ckpt"}, "plain mining"},
 		{"no minsup", runOpts{serveURL: "http://x", dsName: "d"}, "-minsup"},
+		{"with workers", runOpts{serveURL: "http://127.0.0.1:1", dsName: "d", minsup: 2,
+			workers: 4}, "-workers"},
+		{"with devices", runOpts{serveURL: "http://127.0.0.1:1", dsName: "d", minsup: 2,
+			algo: "gpapriori", devices: 2}, "-devices"},
+		{"with cpushare", runOpts{serveURL: "http://127.0.0.1:1", dsName: "d", minsup: 2,
+			algo: "gpapriori", cpuShare: 0.25}, "-cpushare"},
+		{"with faults", runOpts{serveURL: "http://127.0.0.1:1", dsName: "d", minsup: 2,
+			algo: "gpapriori", faults: "dev0:dead@gen2"}, "-faults"},
+		{"with seed", runOpts{serveURL: "http://127.0.0.1:1", dsName: "d", minsup: 2,
+			seed: 7}, "-seed"},
 	}
 	for _, c := range cases {
 		var out bytes.Buffer

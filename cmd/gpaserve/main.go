@@ -184,7 +184,7 @@ func run(logw io.Writer, opts options) error {
 			return fmt.Errorf("-dataset %q: %w", d, err)
 		}
 		info := entry.Info
-		fmt.Fprintf(logw, "gpaserve: dataset %s: %d transactions, %d items, %dB resident\n",
+		fmt.Fprintf(logw, "gpaserve: dataset %s: %d transactions, %d items, %dB per-job bitset footprint\n",
 			info.Name, info.Transactions, info.NumItems, info.BitsetBytes)
 	}
 

@@ -200,15 +200,11 @@ type Config struct {
 	// at a generation boundary. Returning nil degrades the run
 	// gracefully: mining continues without that snapshot (and
 	// OnGeneration keeps streaming); returning an error aborts the run
-	// exactly as an unintercepted save failure would. The serving layer
+	// exactly as an unintercepted save failure would. It runs on the
+	// generation's boundary before OnGeneration does. The serving layer
 	// uses this to keep jobs alive on a sick disk — marked degraded
 	// rather than failed. Requires Config.Checkpoint.
 	OnCheckpointError func(gen int, err error) error
-
-	// onCheckpoint, when set, is notified after each successful
-	// checkpoint save. The job manager uses it to surface the
-	// checkpointed lifecycle state.
-	onCheckpoint func(gen int)
 }
 
 // Itemset is one frequent itemset with its absolute support. The JSON
@@ -280,8 +276,9 @@ func (c Config) popcount() bitset.PopcountKind {
 // CheckDevicePool rejects device-pool settings that would be silently
 // ignored: Faults must parse, and Devices > 1, HybridCPUShare > 0 or any
 // Faults need the resolved algorithm to be AlgoGPApriori, the only one
-// that mines on simulated devices. MineContext applies it to every run,
-// and the serving layer to every request it decodes.
+// that mines on simulated devices. MineContext applies it to every run.
+// A served request cannot set any of these: its wire form carries only
+// the query.
 func (c Config) CheckDevicePool() error {
 	if _, err := core.ParseFaultSpec(c.Faults); err != nil {
 		return err
@@ -482,8 +479,7 @@ func DatasetFingerprint(db *Database) (uint64, error) {
 
 // wireCheckpoint installs the public checkpoint/resume config into the
 // boundary config of the level-wise driver or the pipeline through
-// checkpoint.Wire, wrapping its save hook for Config.OnCheckpointError
-// and the job manager's checkpointed-state notification.
+// checkpoint.Wire, wrapping its save hook for Config.OnCheckpointError.
 func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *apriori.Config) error {
 	if cfg.Checkpoint == "" && cfg.ResumeFrom == "" {
 		if cfg.OnCheckpointError != nil {
@@ -502,19 +498,11 @@ func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *
 	if err := checkpoint.Wire(spec, db.db, minSup, acfg); err != nil || acfg.Checkpoint == nil {
 		return err
 	}
-	save, notify, onErr := acfg.Checkpoint, cfg.onCheckpoint, cfg.OnCheckpointError
+	save, onErr := acfg.Checkpoint, cfg.OnCheckpointError
 	acfg.Checkpoint = func(gen int, frequent *dataset.ResultSet) error {
 		err := save(gen, frequent)
-		if err == nil {
-			if notify != nil {
-				notify(gen)
-			}
-			return nil
-		}
-		if onErr != nil {
-			// The interceptor decides: nil keeps the run alive (degraded —
-			// the checkpointed-state notification is deliberately skipped,
-			// since nothing durable exists for this generation).
+		if err != nil && onErr != nil {
+			// The interceptor decides: nil keeps the run alive, degraded.
 			return onErr(gen, err)
 		}
 		return err

@@ -399,6 +399,36 @@ func TestMineWithFaultsMatchesCleanRun(t *testing.T) {
 	}
 }
 
+// TestFaultRunsDoNotPoisonLaterRuns: every run builds its own devices,
+// so a device lost in one run is not the device of the next. After
+// three runs lose device 0, a fault-free run still counts on its device
+// and reports no fault activity.
+func TestFaultRunsDoNotPoisonLaterRuns(t *testing.T) {
+	db := jobsDB(3)
+	for i := 0; i < 3; i++ {
+		res, err := Mine(db, Config{
+			Algorithm: AlgoGPApriori, MinSupport: 6,
+			Faults: "dev0:dead@gen2", FaultSeed: 1,
+		})
+		if err != nil {
+			t.Fatalf("fault run %d: %v", i, err)
+		}
+		if res.Faults == nil || fmt.Sprint(res.Faults.DeadDevices) != "[0]" {
+			t.Fatalf("fault run %d: faults %v, want device 0 lost", i, res.Faults)
+		}
+	}
+	clean, err := Mine(db, Config{Algorithm: AlgoGPApriori, MinSupport: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if clean.Faults != nil {
+		t.Errorf("fault-free run after fault runs reports faults: %v", clean.Faults)
+	}
+	if clean.DeviceSeconds <= 0 {
+		t.Errorf("fault-free run after fault runs modeled %v device seconds, want > 0", clean.DeviceSeconds)
+	}
+}
+
 // TestMineRejectsBadFaultSpec: the fault spec is validated for every
 // algorithm, and device-pool settings on an algorithm without a device
 // pool are an error rather than a silently fault-free run.

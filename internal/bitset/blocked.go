@@ -67,9 +67,6 @@ func NewBatchCounter(kind PopcountKind, tileWords int) *BatchCounter {
 	return &BatchCounter{popc: kind.Func(), tileWords: tileWords}
 }
 
-// TileWords returns the counter's word-tile width.
-func (c *BatchCounter) TileWords() int { return c.tileWords }
-
 // grow readies the per-candidate scratch for a batch of n candidates over
 // vectors of `words` words.
 func (c *BatchCounter) grow(n, words int) {

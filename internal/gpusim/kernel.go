@@ -140,9 +140,6 @@ func (c *Ctx) StoreShared(idx int, v uint32) {
 	c.blk.shared[idx] = v
 }
 
-// SharedLen returns the block's shared-memory size in words.
-func (c *Ctx) SharedLen() int { return len(c.blk.shared) }
-
 // Popc is the CUDA __popc intrinsic: population count of a 32-bit word.
 func (c *Ctx) Popc(v uint32) uint32 {
 	c.alu++

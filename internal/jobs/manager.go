@@ -120,7 +120,6 @@ type Job struct {
 	err       error
 	done      chan struct{}
 	seq       int64
-	degraded  bool               // a durability write failed; sticky for the job's life
 	cancelReq bool               // Cancel was called before the job finished
 	cancelRun context.CancelFunc // cancels the running job's context
 }
@@ -143,32 +142,16 @@ func (j *Job) Err() error {
 // Shed).
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// MarkCheckpointed transitions a Running job to Checkpointed; run glue
-// calls it from the mining checkpoint hook. It is a no-op in any other
-// state (a checkpoint racing termination must not resurrect the job).
+// MarkCheckpointed transitions a Running job to Checkpointed; the
+// server calls it from its generation hook once that generation's
+// checkpoint save held. It is a no-op in any other state (a checkpoint
+// racing termination must not resurrect the job).
 func (j *Job) MarkCheckpointed() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == Running {
 		j.state = Checkpointed
 	}
-}
-
-// MarkDegraded records that a durability write (checkpoint, journal)
-// failed for this job. Degraded is sticky and orthogonal to the
-// lifecycle state: a degraded job keeps running and may still finish
-// Done — it just has no crash-safety net. Safe in any state.
-func (j *Job) MarkDegraded() {
-	j.mu.Lock()
-	j.degraded = true
-	j.mu.Unlock()
-}
-
-// Degraded reports whether a durability write has failed for this job.
-func (j *Job) Degraded() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.degraded
 }
 
 func (j *Job) setState(s State) {
@@ -253,11 +236,6 @@ type Counters struct {
 	Failed   int64
 	Shed     int64
 	Canceled int64
-	// Degraded counts terminal jobs that ran degraded (a durability
-	// write failed mid-run). It overlaps the outcome counters — a
-	// degraded job still lands in exactly one of them — so it is not
-	// part of the Submitted balance.
-	Degraded int64
 }
 
 // Manager runs jobs under a memory budget with bounded queueing.
@@ -547,7 +525,6 @@ func (m *Manager) run(j *Job) {
 	cancel()
 	j.mu.Lock()
 	canceled := j.cancelReq
-	degraded := j.degraded
 	j.mu.Unlock()
 	state, terr := Done, error(nil)
 	switch {
@@ -574,9 +551,6 @@ func (m *Manager) run(j *Job) {
 		m.counts.Failed++
 	case Canceled:
 		m.counts.Canceled++
-	}
-	if degraded {
-		m.counts.Degraded++
 	}
 	m.cond.Broadcast()
 	m.mu.Unlock()

@@ -231,7 +231,7 @@ type peerState struct {
 }
 
 // Set is the live membership view: the ring plus per-peer probe state.
-// Start launches the prober; Stop tears it down (Drain calls it).
+// StartContext launches the prober; Stop tears it down (Drain calls it).
 type Set struct {
 	cfg  Config
 	ring *Ring
@@ -244,7 +244,7 @@ type Set struct {
 }
 
 // NewSet validates cfg, applies defaults, and builds the membership
-// view. The prober is not started; call Start.
+// view. The prober is not started; call StartContext.
 func NewSet(cfg Config) (*Set, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -270,12 +270,8 @@ func (s *Set) Peers() []string { return append([]string(nil), s.ring.peers...) }
 // Replication returns the effective replication factor.
 func (s *Set) Replication() int { return s.cfg.Replication }
 
-// Start launches the probe loop bound to the process lifetime. Call
-// at most once.
-func (s *Set) Start() { s.StartContext(context.Background()) }
-
 // StartContext launches the probe loop under parent; canceling parent
-// (or calling Stop) terminates it.
+// (or calling Stop) terminates it. Call at most once.
 func (s *Set) StartContext(parent context.Context) {
 	ctx, cancel := context.WithCancel(parent)
 	s.cancel = cancel
@@ -286,7 +282,8 @@ func (s *Set) StartContext(parent context.Context) {
 // Stop cancels the probe loop and waits for it to exit, then releases
 // the probe client's pooled connections — without this, idle
 // keep-alive conns (and their transport goroutines) linger until the
-// transport's own timeout. Safe to call when Start was never called.
+// transport's own timeout. Safe to call when StartContext was never
+// called.
 func (s *Set) Stop() {
 	if s.cancel == nil {
 		s.cfg.Client.CloseIdleConnections()

@@ -256,7 +256,7 @@ func TestProbeLoopStops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Start()
+	s.StartContext(context.Background())
 	time.Sleep(50 * time.Millisecond)
 	s.Stop()
 	check()

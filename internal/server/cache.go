@@ -2,8 +2,7 @@
 // package's database/config fingerprint. Clean-run equivalence (every
 // algorithm yields the identical frequent-itemset set for a given
 // (db, minsup, maxlen)) is what makes this sound — the key ignores the
-// algorithm, workers, and fault schedule, so a GPApriori run can answer
-// a later Eclat query. Entries hold the resultio-canonical text body,
+// algorithm, so a GPApriori run can answer a later Eclat query. Entries hold the resultio-canonical text body,
 // evicted LRU under a byte budget.
 package server
 
@@ -21,10 +20,6 @@ type cacheEntry struct {
 	body []byte
 	// itemsets is the decoded result, shared read-only by every hit.
 	itemsets []gpapriori.Itemset
-	// minSupport/transactions reproduce the job-info fields a cache-hit
-	// answer needs.
-	minSupport   int
-	transactions int
 }
 
 // bytes is the entry's charge against the budget.

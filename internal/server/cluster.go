@@ -232,7 +232,7 @@ func parseResultBody(body []byte) ([]gpapriori.Itemset, error) {
 // where the caller's submitLocal picks it up. Owners are asked in ring
 // order with a short per-peer deadline; a miss everywhere costs two
 // round-trips and buys skipping an entire mining run on a hit.
-func (s *Server) consultPeerCaches(ctx context.Context, ds string, key uint64, minSup, trans int) {
+func (s *Server) consultPeerCaches(ctx context.Context, ds string, key uint64) {
 	c := s.cluster
 	dsKey, ok := c.dsKeys[ds]
 	if !ok {
@@ -253,10 +253,7 @@ func (s *Server) consultPeerCaches(ctx context.Context, ds string, key uint64, m
 			s.logf("cache replica %016x from %s is malformed: %v (ignoring)", key, owner, perr)
 			continue
 		}
-		s.cache.Put(&cacheEntry{
-			key: key, body: body, itemsets: items,
-			minSupport: minSup, transactions: trans,
-		})
+		s.cache.Put(&cacheEntry{key: key, body: body, itemsets: items})
 		c.peerHits.Add(1)
 		c.replicasInstalled.Add(1)
 		s.logf("installed cache replica %016x from peer %s (%d itemsets)", key, owner, len(items))
@@ -292,7 +289,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 // job and starts the forwarding goroutine. The record behaves exactly
 // like a local one — long-polls, streams, result, cancel, drain
 // journaling all work — but its progress comes from relaying an
-// owner's stream rather than a local MiningJob.
+// owner's stream rather than a local job.
 func (s *Server) submitForward(rec *jobRecord, dsKey uint64) (*jobRecord, *gpapriori.ServeError) {
 	s.mu.Lock()
 	if prev, se := s.admitLocked(rec); prev != nil || se != nil {
@@ -395,14 +392,12 @@ func (s *Server) forwardOnce(ctx context.Context, rec *jobRecord, owner string) 
 		// under the same key and is answered from the remote cache.
 		return false, err
 	}
-	info := gpapriori.ServeJobInfo{
-		ID: rec.id, Dataset: rec.dataset, Algorithm: final.Algorithm,
-		State: gpapriori.JobDone.String(), Cached: final.Cached,
-		MinSupport: final.MinSupport, Transactions: final.Transactions,
-		Itemsets: len(items), HostSeconds: final.HostSeconds,
-		DeviceSeconds: final.DeviceSeconds, Faults: final.Faults,
-		Forwarded: owner,
-	}
+	info := rec.info(gpapriori.JobDone.String())
+	info.Cached = final.Cached
+	info.Itemsets = len(items)
+	info.HostSeconds = final.HostSeconds
+	info.DeviceSeconds = final.DeviceSeconds
+	info.Forwarded = owner
 	s.cluster.fwdDone.Add(1)
 	s.complete(rec, info, renderResult(items), items)
 	return true, nil
@@ -430,12 +425,10 @@ func permanentServeError(err error) *gpapriori.ServeError {
 // refusal.
 func (s *Server) completeForwardFailed(rec *jobRecord, owner string, se *gpapriori.ServeError) {
 	s.cluster.fwdFailed.Add(1)
-	s.complete(rec, gpapriori.ServeJobInfo{
-		ID: rec.id, Dataset: rec.dataset, Algorithm: rec.algo,
-		State: gpapriori.JobFailed.String(), MinSupport: rec.minSup,
-		Transactions: rec.trans, Forwarded: owner,
-		Error: fmt.Sprintf("forwarded to %s: %s", owner, se.Message),
-	}, nil, nil)
+	info := rec.info(gpapriori.JobFailed.String())
+	info.Forwarded = owner
+	info.Error = fmt.Sprintf("forwarded to %s: %s", owner, se.Message)
+	s.complete(rec, info, nil, nil)
 }
 
 // completeForwardMirror terminates rec with the owner's own terminal
@@ -448,12 +441,11 @@ func (s *Server) completeForwardMirror(rec *jobRecord, owner string, final *gpap
 	default:
 		s.cluster.fwdCanceled.Add(1)
 	}
-	s.complete(rec, gpapriori.ServeJobInfo{
-		ID: rec.id, Dataset: rec.dataset, Algorithm: final.Algorithm,
-		State: final.State, MinSupport: final.MinSupport,
-		Transactions: final.Transactions, Error: final.Error,
-		Degraded: final.Degraded, Forwarded: owner,
-	}, nil, nil)
+	info := rec.info(final.State)
+	info.Error = final.Error
+	info.Degraded = final.Degraded
+	info.Forwarded = owner
+	s.complete(rec, info, nil, nil)
 }
 
 // completeForwardCanceled terminates rec after its forward context was
@@ -462,12 +454,10 @@ func (s *Server) completeForwardMirror(rec *jobRecord, owner string, final *gpap
 // through the restart exactly as they would a local one.
 func (s *Server) completeForwardCanceled(rec *jobRecord) {
 	s.cluster.fwdCanceled.Add(1)
-	s.complete(rec, gpapriori.ServeJobInfo{
-		ID: rec.id, Dataset: rec.dataset, Algorithm: rec.algo,
-		State: gpapriori.JobCanceled.String(), MinSupport: rec.minSup,
-		Transactions: rec.trans, Forwarded: rec.forwardTarget(),
-		Error: "forwarding canceled",
-	}, nil, nil)
+	info := rec.info(gpapriori.JobCanceled.String())
+	info.Forwarded = rec.forwardTarget()
+	info.Error = "forwarding canceled"
+	s.complete(rec, info, nil, nil)
 }
 
 // relayGeneration folds one remote generation event into the local
@@ -482,12 +472,7 @@ func (r *jobRecord) relayGeneration(ev gpapriori.ServeGenerationEvent) {
 	if r.terminal {
 		return
 	}
-	var delta []gpapriori.Itemset
-	for _, is := range ev.Itemsets {
-		if len(is.Items) > r.lastLen {
-			delta = append(delta, is)
-		}
-	}
+	delta := longerThan(ev.Itemsets, r.lastLen)
 	if ev.Gen > r.lastLen {
 		r.lastLen = ev.Gen
 	}

@@ -1,9 +1,11 @@
 // Strict decoding of mining requests. Everything a client can send is
 // bounded here, before a job object exists: unknown fields, trailing
-// garbage, absurd thresholds, negative deadlines, and device settings
-// or fault specs the miner would refuse all come back as one typed
-// 400 — never a panic, never an admitted job. The fuzz target in
-// decode_fuzz_test.go holds the package to that contract.
+// garbage, absurd thresholds and negative deadlines all come back as
+// one typed 400 — never a panic, never an admitted job. A request
+// carries only its query, so the engine settings of gpapriori.Config
+// (workers, the simulator's device pool and fault schedule) are
+// unknown fields here. The fuzz target in decode_fuzz_test.go holds
+// the package to that contract.
 package server
 
 import (
@@ -15,7 +17,6 @@ import (
 	"net/http"
 
 	"gpapriori"
-	"gpapriori/internal/core"
 )
 
 // Request-validation bounds. Generous for any real workload, tight
@@ -26,7 +27,6 @@ const (
 	maxMaxLen      = 1 << 16
 	maxAbsPriority = 1 << 20
 	maxDeadlineSec = 24 * 60 * 60
-	maxWorkers     = 1 << 12
 )
 
 // badRequest builds the decoder's uniform typed error.
@@ -124,27 +124,6 @@ func ValidateMineRequest(req *gpapriori.ServeMineRequest) *gpapriori.ServeError 
 	if req.DeadlineSec < 0 || req.DeadlineSec > maxDeadlineSec ||
 		math.IsNaN(req.DeadlineSec) || math.IsInf(req.DeadlineSec, 0) {
 		return badRequest("deadline_sec must be in [0,%d] (got %v)", maxDeadlineSec, req.DeadlineSec)
-	}
-	if req.Workers < 0 || req.Workers > maxWorkers {
-		return badRequest("workers must be in [0,%d] (got %d)", maxWorkers, req.Workers)
-	}
-	// The device pool is checked by core's own validator, exactly as
-	// the miner will check it, so a device count, hybrid share or fault
-	// schedule the miner would refuse is a 400 here, not a failed job
-	// later. devices 0 means one device.
-	faults, err := core.ParseFaultSpec(req.Faults)
-	if err != nil {
-		return badRequest("faults: %v", err)
-	}
-	pool := core.Options{Devices: req.Devices, HybridCPUShare: req.HybridCPUShare, Faults: faults}
-	if err := pool.Validate(); err != nil {
-		return badRequest("%v", err)
-	}
-	// A pool the miner would accept still needs an algorithm that mines
-	// on it, or the job would run without the devices and faults asked
-	// for.
-	if err := req.MiningConfig().CheckDevicePool(); err != nil {
-		return badRequest("%v", err)
 	}
 	return nil
 }

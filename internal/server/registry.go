@@ -149,17 +149,6 @@ func (r *Registry) List() []gpapriori.ServeDatasetInfo {
 	return out
 }
 
-// ResidentBytes totals the modeled bitset footprint of every entry.
-func (r *Registry) ResidentBytes() int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	var total int64
-	for _, e := range r.entries {
-		total += e.Info.BitsetBytes
-	}
-	return total
-}
-
 // validateDatasetName bounds registry names: non-empty, printable,
 // path- and JSON-safe.
 func validateDatasetName(name string) error {

@@ -21,6 +21,7 @@ import (
 
 	"gpapriori"
 	"gpapriori/internal/fsfault"
+	"gpapriori/internal/jobs"
 	"gpapriori/internal/testutil"
 )
 
@@ -400,7 +401,7 @@ func TestConcurrentStreamCancelDrain(t *testing.T) {
 		if final.State != gpapriori.JobCanceled.String() {
 			t.Fatalf("raced job ended %s, want canceled", final.State)
 		}
-		if !strings.Contains(final.Error, gpapriori.ErrJobCanceled.Error()) {
+		if !strings.Contains(final.Error, jobs.ErrCanceled.Error()) {
 			t.Errorf("terminal error %q must carry the typed cancellation", final.Error)
 		}
 	}()

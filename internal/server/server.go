@@ -5,9 +5,10 @@
 //
 //   - a dataset Registry (registry.go): databases loaded once, mined
 //     many times;
-//   - the admission-controlled JobManager from the public API: every
-//     mining request flows through the same queue/budget/shedding
-//     machinery as batch jobs;
+//   - an internal/jobs Manager: every mined request is one job, queued,
+//     admitted against the memory budget by its modeled footprint
+//     (gpapriori.EstimateMemoryBytes) and shed by priority, whose run
+//     is one gpapriori.MineContext call;
 //   - a ResultCache (cache.go) keyed by the checkpoint fingerprint of
 //     (database, support, maxlen) — sound because of clean-run
 //     equivalence;
@@ -15,8 +16,9 @@
 //     serve.go: submit, long-poll status, per-generation NDJSON
 //     streaming, cancel, /healthz, /statsz.
 //
-// Durability follows the checkpoint subsystem: level-wise jobs
-// checkpoint into StateDir at every generation boundary, a streamed
+// Durability follows the checkpoint subsystem: jobs on algorithms with
+// generation boundaries (the default pipeline and the level-wise
+// miners) checkpoint into StateDir at every boundary, a streamed
 // generation is only announced after its snapshot is durable, and
 // Drain journals unfinished requests so a restarted daemon resumes
 // them from their last checkpoint to the identical result.
@@ -75,7 +77,7 @@ type Config struct {
 // Server is the daemon core: everything but the listener.
 type Server struct {
 	reg      *Registry
-	jm       *gpapriori.JobManager
+	jm       *jobs.Manager
 	cache    *ResultCache
 	stateDir string
 	log      io.Writer
@@ -110,11 +112,9 @@ type Server struct {
 	oldestFinished int
 	nextID         int64
 	// cachedSubmitted/cachedDone count cache-answered jobs, which never
-	// reach the JobManager but still belong in /statsz's lifecycle view.
+	// reach the job manager but still belong in /statsz's lifecycle view.
 	cachedSubmitted int64
 	cachedDone      int64
-	// faults aggregates injected-fault activity across completed runs.
-	faults gpapriori.FaultStats
 	// durability is the disk-resilience accounting served by /statsz.
 	durability gpapriori.ServeDurabilityStats
 	// wg tracks finalizer goroutines so Drain can wait them out.
@@ -141,7 +141,11 @@ type jobRecord struct {
 	// idemKey is the client's idempotency key ("" = none), persisted in
 	// the drain journal so dedup survives a restart.
 	idemKey string
-	mj      *gpapriori.MiningJob // nil for cache-answered records
+	// job is the admission-controlled mining job (nil for cache-answered,
+	// forwarded and failed-replay records). res is its Run's result,
+	// written before the job is done and read only after.
+	job *jobs.Job
+	res *gpapriori.Result
 
 	mu sync.Mutex
 	// degraded is sticky: a checkpoint save failed, the job mines on
@@ -162,7 +166,7 @@ type jobRecord struct {
 	// wake is closed (and replaced) whenever events or terminal change.
 	wake chan struct{}
 
-	// Forwarded records (cluster.go) have no MiningJob; their progress
+	// Forwarded records (cluster.go) have no job; their progress
 	// comes from relaying an owner's stream. fwdCancel (immutable after
 	// creation) stops the forwarding goroutine; fwdState mirrors the
 	// remote lifecycle state; forwardedTo names the owner in use.
@@ -191,7 +195,13 @@ func NewContext(ctx context.Context, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: state dir: %w", err)
 		}
 	}
-	jm, err := gpapriori.NewJobManager(cfg.Jobs)
+	jm, err := jobs.NewManager(jobs.Options{
+		QueueLimit:        cfg.Jobs.QueueLimit,
+		MemoryBudgetBytes: int64(cfg.Jobs.MemoryBudgetMB) << 20,
+		Workers:           cfg.Jobs.Workers,
+		SojournTarget:     cfg.Jobs.SojournTarget,
+		SojournInterval:   cfg.Jobs.SojournInterval,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +315,7 @@ func (s *Server) submit(ctx context.Context, req gpapriori.ServeMineRequest, id,
 				return s.submitForward(rec, dsKey)
 			}
 			if !req.NoCache && !cached {
-				s.consultPeerCaches(ctx, req.Dataset, key, minSup, rec.trans)
+				s.consultPeerCaches(ctx, req.Dataset, key)
 			}
 		}
 	}
@@ -326,12 +336,9 @@ func (s *Server) submitLocal(rec *jobRecord, db *gpapriori.Database) (*jobRecord
 
 	if !req.NoCache {
 		if e, hit := s.cache.Get(rec.key); hit {
-			info := gpapriori.ServeJobInfo{
-				ID: rec.id, Dataset: req.Dataset, Algorithm: rec.algo,
-				State: gpapriori.JobDone.String(), Cached: true,
-				MinSupport: e.minSupport, Transactions: e.transactions,
-				Itemsets: len(e.itemsets),
-			}
+			info := rec.info(gpapriori.JobDone.String())
+			info.Cached = true
+			info.Itemsets = len(e.itemsets)
 			rec.events = []gpapriori.ServeGenerationEvent{
 				{Itemsets: e.itemsets, Final: true, Job: &info},
 			}
@@ -346,32 +353,45 @@ func (s *Server) submitLocal(rec *jobRecord, db *gpapriori.Database) (*jobRecord
 		}
 	}
 
+	job := &jobs.Job{
+		Name:     rec.id,
+		Priority: req.Priority,
+		MemBytes: gpapriori.EstimateMemoryBytes(db, cfg),
+		Deadline: time.Duration(req.DeadlineSec * float64(time.Second)),
+	}
+	cfg.OnGeneration = rec.addGeneration
 	if s.stateDir != "" && cfg.Algorithm.HasBoundaries() {
 		// Durability wiring: snapshot every generation, resume any
 		// progress an interrupted earlier run of this fingerprint left.
 		// A failing disk degrades the job (it mines on, checkpoint-less)
-		// instead of failing it.
+		// instead of failing it. Both hooks run on the run's boundary
+		// goroutine, OnCheckpointError first, so a generation whose save
+		// failed never marks the job checkpointed.
 		path := s.ckptPath(rec.key)
 		cfg.Checkpoint = path
 		cfg.ResumeFrom = path
+		failedGen := 0
 		cfg.OnCheckpointError = func(gen int, err error) error {
+			failedGen = gen
 			s.noteCheckpointError(rec, gen, err)
 			return nil
 		}
+		cfg.OnGeneration = func(gen int, frequent []gpapriori.Itemset) {
+			if gen != failedGen {
+				job.MarkCheckpointed()
+			}
+			rec.addGeneration(gen, frequent)
+		}
 	}
-	cfg.OnGeneration = rec.addGeneration
-
-	mj, err := s.jm.Submit(gpapriori.JobSpec{
-		Name:     rec.id,
-		Priority: req.Priority,
-		Deadline: time.Duration(req.DeadlineSec * float64(time.Second)),
-		DB:       db,
-		Config:   cfg,
-	})
-	if err != nil {
+	job.Run = func(ctx context.Context) error {
+		res, err := gpapriori.MineContext(ctx, db, cfg)
+		rec.res = res
+		return err
+	}
+	if err := s.jm.Submit(job); err != nil {
 		return nil, s.mapSubmitError(err)
 	}
-	rec.mj = mj
+	rec.job = job
 	s.registerLocked(rec)
 	s.wg.Add(1)
 	go s.finalize(rec)
@@ -468,7 +488,7 @@ func (s *Server) noteCheckpointError(rec *jobRecord, gen int, err error) {
 	}
 }
 
-// mapSubmitError translates JobManager admission failures to wire
+// mapSubmitError translates job manager admission failures to wire
 // errors. Transient refusals carry the manager's pacing hint: the one
 // inside the rejection when the admission controller measured it,
 // otherwise the live drain-rate hint.
@@ -506,18 +526,34 @@ func (r *jobRecord) addGeneration(gen int, frequent []gpapriori.Itemset) {
 	if r.terminal {
 		return
 	}
-	var delta []gpapriori.Itemset
-	for _, s := range frequent {
-		if len(s.Items) > r.lastLen {
-			delta = append(delta, s)
-		}
-	}
+	delta := longerThan(frequent, r.lastLen)
 	r.lastLen = gen
 	if len(delta) == 0 {
 		return
 	}
 	r.events = append(r.events, gpapriori.ServeGenerationEvent{Gen: gen, Itemsets: delta})
 	r.signalLocked()
+}
+
+// longerThan returns the itemsets of more than n items: what a stream
+// reader that already holds every generation up to n has not seen.
+func longerThan(itemsets []gpapriori.Itemset, n int) []gpapriori.Itemset {
+	var out []gpapriori.Itemset
+	for _, s := range itemsets {
+		if len(s.Items) > n {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// info is the record's job info in state: the fields every answer
+// about the job carries, before any outcome.
+func (r *jobRecord) info(state string) gpapriori.ServeJobInfo {
+	return gpapriori.ServeJobInfo{
+		ID: r.id, Dataset: r.dataset, Algorithm: r.algo,
+		State: state, MinSupport: r.minSup, Transactions: r.trans,
+	}
 }
 
 // signalLocked wakes every blocked reader. Callers hold r.mu.
@@ -527,41 +563,23 @@ func (r *jobRecord) signalLocked() {
 }
 
 // finalize waits for the job's terminal state, renders the canonical
-// result body, feeds the cache and fault aggregate, and appends the
-// final stream event.
+// result body, feeds the cache, and appends the final stream event.
 func (s *Server) finalize(rec *jobRecord) {
 	defer s.wg.Done()
-	<-rec.mj.Done()
-	res, err := rec.mj.Result()
-	info := gpapriori.ServeJobInfo{
-		ID: rec.id, Dataset: rec.dataset, Algorithm: rec.algo,
-		State: rec.mj.State().String(), MinSupport: rec.minSup,
-		Transactions: rec.trans,
-	}
-	var body []byte
-	if err != nil {
+	<-rec.job.Done()
+	info := rec.info(rec.job.State().String())
+	if err := rec.job.Err(); err != nil {
 		info.Error = err.Error()
-	} else {
-		info.Itemsets = len(res.Itemsets)
-		info.HostSeconds = res.HostSeconds
-		info.DeviceSeconds = res.DeviceSeconds
-		info.Faults = res.Faults
-		body = renderResult(res.Itemsets)
-		s.cache.Put(&cacheEntry{
-			key: rec.key, body: body, itemsets: res.Itemsets,
-			minSupport: rec.minSup, transactions: rec.trans,
-		})
-		s.addFaults(res.Faults)
+		s.complete(rec, info, nil, nil)
+		return
 	}
-	s.complete(rec, info, body, resultItemsets(res))
-}
-
-// resultItemsets guards the itemset slice of a failed run.
-func resultItemsets(res *gpapriori.Result) []gpapriori.Itemset {
-	if res == nil {
-		return nil
-	}
-	return res.Itemsets
+	res := rec.res
+	info.Itemsets = len(res.Itemsets)
+	info.HostSeconds = res.HostSeconds
+	info.DeviceSeconds = res.DeviceSeconds
+	body := renderResult(res.Itemsets)
+	s.cache.Put(&cacheEntry{key: rec.key, body: body, itemsets: res.Itemsets})
+	s.complete(rec, info, body, res.Itemsets)
 }
 
 // complete marks the record terminal: any itemsets not yet streamed
@@ -569,16 +587,10 @@ func resultItemsets(res *gpapriori.Result) []gpapriori.Itemset {
 func (r *jobRecord) complete(info gpapriori.ServeJobInfo, body []byte, itemsets []gpapriori.Itemset) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var remainder []gpapriori.Itemset
-	for _, s := range itemsets {
-		if len(s.Items) > r.lastLen {
-			remainder = append(remainder, s)
-		}
-	}
 	info.Degraded = r.degraded
 	info.Requeued = r.requeued
 	r.events = append(r.events, gpapriori.ServeGenerationEvent{
-		Itemsets: remainder, Final: true, Job: &info,
+		Itemsets: longerThan(itemsets, r.lastLen), Final: true, Job: &info,
 	})
 	r.terminal = true
 	r.final = info
@@ -603,23 +615,6 @@ func renderResult(itemsets []gpapriori.Itemset) []byte {
 	return buf.Bytes()
 }
 
-// addFaults folds one run's fault stats into the server aggregate.
-func (s *Server) addFaults(f *gpapriori.FaultStats) {
-	if f == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faults.Injected += f.Injected
-	s.faults.KernelFaults += f.KernelFaults
-	s.faults.TransferFaults += f.TransferFaults
-	s.faults.Hangs += f.Hangs
-	s.faults.Retries += f.Retries
-	s.faults.Failovers += f.Failovers
-	s.faults.DegradedCandidates += f.DegradedCandidates
-	s.faults.RecoverySeconds += f.RecoverySeconds
-}
-
 // snapshot returns the record's current job info, terminal flag, and
 // the channel that signals the next change.
 func (r *jobRecord) snapshot() (gpapriori.ServeJobInfo, bool, <-chan struct{}) {
@@ -629,15 +624,12 @@ func (r *jobRecord) snapshot() (gpapriori.ServeJobInfo, bool, <-chan struct{}) {
 		return r.final, true, r.wake
 	}
 	state := r.fwdState
-	if r.mj != nil {
-		state = r.mj.State().String()
+	if r.job != nil {
+		state = r.job.State().String()
 	}
-	info := gpapriori.ServeJobInfo{
-		ID: r.id, Dataset: r.dataset, Algorithm: r.algo,
-		State: state, MinSupport: r.minSup,
-		Transactions: r.trans, Degraded: r.degraded,
-		Forwarded: r.forwardedTo,
-	}
+	info := r.info(state)
+	info.Degraded = r.degraded
+	info.Forwarded = r.forwardedTo
 	return info, false, r.wake
 }
 
@@ -745,7 +737,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	st.Draining = s.draining
 	st.Jobs.Submitted += s.cachedSubmitted
 	st.Jobs.Done += s.cachedDone
-	st.Faults = s.faults
 	st.Durability = s.durability
 	st.Overload.StreamEvictions = s.overCounts.StreamEvictions
 	st.Overload.BodyLimitRejections = s.overCounts.BodyLimitRejections
@@ -870,8 +861,8 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if rec.mj != nil {
-		s.jm.Cancel(rec.mj)
+	if rec.job != nil {
+		s.jm.Cancel(rec.job)
 	}
 	if rec.fwdCancel != nil {
 		rec.fwdCancel()
@@ -964,14 +955,8 @@ func filterEvent(ev gpapriori.ServeGenerationEvent, afterGen int) (gpapriori.Ser
 	if !ev.Final && ev.Gen > 0 && ev.Gen <= afterGen {
 		return ev, false
 	}
-	var kept []gpapriori.Itemset
-	for _, s := range ev.Itemsets {
-		if len(s.Items) > afterGen {
-			kept = append(kept, s)
-		}
-	}
-	ev.Itemsets = kept
-	if !ev.Final && len(kept) == 0 {
+	ev.Itemsets = longerThan(ev.Itemsets, afterGen)
+	if !ev.Final && len(ev.Itemsets) == 0 {
 		return ev, false
 	}
 	return ev, true
@@ -1078,8 +1063,8 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	for _, rec := range pending {
-		if rec.mj != nil {
-			s.jm.Cancel(rec.mj)
+		if rec.job != nil {
+			s.jm.Cancel(rec.job)
 		}
 		if rec.fwdCancel != nil {
 			rec.fwdCancel()
@@ -1217,18 +1202,15 @@ func (s *Server) bumpNextID(id string) {
 // failRecord registers a terminal failed record for a journal entry
 // that could not be resubmitted.
 func (s *Server) failRecord(e journalEntry, se *gpapriori.ServeError) {
-	info := gpapriori.ServeJobInfo{
-		ID: e.ID, Dataset: e.Request.Dataset, Algorithm: e.Request.Algorithm,
-		State: gpapriori.JobFailed.String(),
-		Error: fmt.Sprintf("resume after restart: %s", se.Message),
-	}
 	rec := &jobRecord{
 		id: e.ID, dataset: e.Request.Dataset, algo: e.Request.Algorithm,
 		wake:     make(chan struct{}),
-		events:   []gpapriori.ServeGenerationEvent{{Final: true, Job: &info}},
 		terminal: true,
-		final:    info,
 	}
+	info := rec.info(gpapriori.JobFailed.String())
+	info.Error = fmt.Sprintf("resume after restart: %s", se.Message)
+	rec.events = []gpapriori.ServeGenerationEvent{{Final: true, Job: &info}}
+	rec.final = info
 	s.mu.Lock()
 	s.registerLocked(rec)
 	s.retireLocked(rec)

@@ -5,11 +5,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"gpapriori"
 	"gpapriori/internal/checkpoint"
+	"gpapriori/internal/jobs"
 	"gpapriori/internal/testutil"
 )
 
@@ -52,8 +54,8 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *gpapriori.ServeClient, *
 
 // TestServedEquivalence is the end-to-end serving criterion: the result
 // streamed per generation over HTTP must equal the offline Mine result
-// — for level-wise algorithms, depth-first ones (final-event only), and
-// under an injected fault schedule.
+// — for the default pipeline, level-wise algorithms, the simulated
+// device, and depth-first ones (final-event only).
 func TestServedEquivalence(t *testing.T) {
 	_, cl, _ := newTestServer(t, Config{CacheBudgetBytes: 1 << 20})
 	db := testDB(t)
@@ -62,8 +64,7 @@ func TestServedEquivalence(t *testing.T) {
 		{Dataset: "q", RelativeSupport: 0.05, NoCache: true},
 		{Dataset: "q", Algorithm: "cpu-bitset", MinSupport: 20, NoCache: true},
 		{Dataset: "q", Algorithm: "eclat", MinSupport: 20, NoCache: true},
-		{Dataset: "q", Algorithm: "gpapriori", MinSupport: 20, Devices: 2,
-			Faults: "dev1:kernel-fail@gen2,dev0:dead@gen3", NoCache: true},
+		{Dataset: "q", Algorithm: "gpapriori", MinSupport: 20, NoCache: true},
 	}
 	for _, req := range cases {
 		res, info, err := cl.Mine(ctx, req)
@@ -129,6 +130,11 @@ func TestCacheHitServed(t *testing.T) {
 		t.Errorf("job counters: submitted=%d done=%d, want 2/2 (cached job counted)",
 			st.Jobs.Submitted, st.Jobs.Done)
 	}
+	// The mined job's memory reservation was returned before its final
+	// event was published.
+	if st.InFlightBytes != 0 {
+		t.Errorf("reservations leaked: %d bytes in flight after every job finished", st.InFlightBytes)
+	}
 	// A different threshold is a different fingerprint: must miss.
 	_, thirdInfo, err := cl.Mine(ctx, gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 30})
 	if err != nil {
@@ -155,7 +161,6 @@ func TestSubmitRejections(t *testing.T) {
 		{gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 5, RelativeSupport: 0.5}, http.StatusBadRequest, "bad_request"},
 		{gpapriori.ServeMineRequest{Dataset: "q", Algorithm: "quantum", MinSupport: 5}, http.StatusBadRequest, "bad_request"},
 		{gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 5, DeadlineSec: -1}, http.StatusBadRequest, "bad_request"},
-		{gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 5, Faults: "dev0:explode@gen1"}, http.StatusBadRequest, "bad_request"},
 	}
 	for _, c := range cases {
 		_, err := cl.Submit(ctx, c.req)
@@ -288,6 +293,45 @@ func TestCancelRunningJob(t *testing.T) {
 		t.Fatal("result of a canceled job: want conflict error")
 	} else if se, ok := err.(*gpapriori.ServeError); !ok || se.Code != "conflict" {
 		t.Fatalf("result of a canceled job: got %v, want conflict", err)
+	}
+}
+
+// TestJobDeadlineFails: a job still running when its deadline_sec
+// expires has its run cancelled and ends failed with the typed deadline
+// error.
+func TestJobDeadlineFails(t *testing.T) {
+	_, cl, _ := newTestServer(t, Config{Registry: slowRegistry(t)})
+	ctx := context.Background()
+	req := slowRequest()
+	req.DeadlineSec = 0.001
+	job, err := cl.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := cl.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != gpapriori.JobFailed.String() || !strings.Contains(final.Error, jobs.ErrDeadline.Error()) {
+		t.Fatalf("job past its deadline ended %s (%q), want failed with %q",
+			final.State, final.Error, jobs.ErrDeadline.Error())
+	}
+}
+
+// TestOverBudgetJobRejected: a job whose modeled footprint exceeds the
+// whole admission budget is refused at submit with the typed 413, and a
+// job that fits the same budget mines.
+func TestOverBudgetJobRejected(t *testing.T) {
+	_, cl, _ := newTestServer(t, Config{Jobs: gpapriori.JobManagerConfig{MemoryBudgetMB: 1}})
+	ctx := context.Background()
+	// A simulated device models its bitsets plus at least 4 MiB of
+	// scratch, past the 1 MiB budget.
+	_, err := cl.Submit(ctx, gpapriori.ServeMineRequest{Dataset: "q", Algorithm: "gpapriori", MinSupport: 20})
+	if se, ok := err.(*gpapriori.ServeError); !ok || se.Status != http.StatusRequestEntityTooLarge || se.Code != "over_budget" {
+		t.Fatalf("oversized job: got %v, want 413 over_budget", err)
+	}
+	if _, _, err := cl.Mine(ctx, gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 20}); err != nil {
+		t.Fatalf("job within the budget: %v", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"gpapriori/internal/core"
 )
@@ -124,217 +123,6 @@ func TestPublicCheckpointGPApriori(t *testing.T) {
 			t.Errorf("%q resuming %q's checkpoint found %d sets, want the %d of a clean run",
 				pair[1].Resolve(), pair[0].Resolve(), got.Len(), want.Len())
 		}
-	}
-}
-
-func TestJobManagerRunsJobs(t *testing.T) {
-	jm, err := NewJobManager(JobManagerConfig{MemoryBudgetMB: 512, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jm.Close()
-	db := jobsDB(7)
-	want, err := Mine(db, Config{Algorithm: AlgoCPUBitset, MinSupport: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var handles []*MiningJob
-	for i := 0; i < 4; i++ {
-		j, err := jm.Submit(JobSpec{
-			Name: fmt.Sprintf("job-%d", i), Priority: i, DB: db,
-			Config: Config{Algorithm: AlgoCPUBitset, MinSupport: 6},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, j)
-	}
-	for _, j := range handles {
-		<-j.Done()
-		res, err := j.Result()
-		if err != nil {
-			t.Fatalf("%s: %v", j.Name, err)
-		}
-		if res.Len() != want.Len() {
-			t.Errorf("%s found %d sets, want %d", j.Name, res.Len(), want.Len())
-		}
-		if j.State() != JobDone {
-			t.Errorf("%s state %v, want done", j.Name, j.State())
-		}
-	}
-	if jm.InFlightBytes() != 0 {
-		t.Errorf("reservations leaked: %d bytes", jm.InFlightBytes())
-	}
-}
-
-// TestJobManagerCheckpointedState: a checkpointing job surfaces the
-// checkpointed lifecycle state en route to done.
-func TestJobManagerCheckpointedState(t *testing.T) {
-	jm, err := NewJobManager(JobManagerConfig{MemoryBudgetMB: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jm.Close()
-	db := jobsDB(7)
-	path := filepath.Join(t.TempDir(), "job.ckpt")
-	j, err := jm.Submit(JobSpec{Name: "ck", DB: db,
-		Config: Config{Algorithm: AlgoCPUBitset, MinSupport: 6, Checkpoint: path}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j.Done()
-	if _, err := j.Result(); err != nil {
-		t.Fatal(err)
-	}
-	// Terminal state is Done; the checkpoint file proves the
-	// Checkpointed state was passed through.
-	if j.State() != JobDone {
-		t.Errorf("state %v, want done", j.State())
-	}
-	res, err := Mine(db, Config{Algorithm: AlgoCPUBitset, MinSupport: 6, ResumeFrom: path})
-	if err != nil || res.Len() == 0 {
-		t.Errorf("checkpoint left by the job is unusable: %v", err)
-	}
-}
-
-// TestJobManagerRejectsOversizedJob: a job whose modeled footprint
-// exceeds the whole budget is rejected at submit time.
-func TestJobManagerRejectsOversizedJob(t *testing.T) {
-	jm, err := NewJobManager(JobManagerConfig{MemoryBudgetMB: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jm.Close()
-	// A 4-device GPApriori job models ≥4× (bitsets + 4MiB scratch) — far
-	// over a 1MiB budget.
-	_, err = jm.Submit(JobSpec{Name: "huge", DB: jobsDB(7),
-		Config: Config{Algorithm: AlgoGPApriori, MinSupport: 6, Devices: 4}})
-	if err == nil || !strings.Contains(err.Error(), "memory budget") {
-		t.Errorf("want over-budget rejection, got %v", err)
-	}
-}
-
-// TestJobManagerFaultJobsDoNotPoisonLaterJobs: every job builds its own
-// devices, so a device lost in one job is not the device of the next.
-// After three jobs lose device 0, a fault-free job on the same manager
-// still counts on its device and reports no fault activity.
-func TestJobManagerFaultJobsDoNotPoisonLaterJobs(t *testing.T) {
-	jm, err := NewJobManager(JobManagerConfig{MemoryBudgetMB: 2048, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jm.Close()
-	db := jobsDB(3)
-	run := func(name string, cfg Config) *Result {
-		t.Helper()
-		j, err := jm.Submit(JobSpec{Name: name, DB: db, Config: cfg})
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-j.Done()
-		res, err := j.Result()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		return res
-	}
-	for i := 0; i < 3; i++ {
-		res := run(fmt.Sprintf("dead-%d", i), Config{
-			Algorithm: AlgoGPApriori, MinSupport: 6,
-			Faults: "dev0:dead@gen2", FaultSeed: 1,
-		})
-		if res.Faults == nil || fmt.Sprint(res.Faults.DeadDevices) != "[0]" {
-			t.Fatalf("fault job %d: faults %v, want device 0 lost", i, res.Faults)
-		}
-	}
-	clean := run("clean", Config{Algorithm: AlgoGPApriori, MinSupport: 6})
-	if clean.Faults != nil {
-		t.Errorf("fault-free job after fault jobs reports faults: %v", clean.Faults)
-	}
-	if clean.DeviceSeconds <= 0 {
-		t.Errorf("fault-free job after fault jobs modeled %v device seconds, want > 0", clean.DeviceSeconds)
-	}
-}
-
-// TestJobManagerShedsByPriority: overflow sheds the lowest-priority
-// queued job, surfaced as JobShed on the handle.
-func TestJobManagerShedsByPriority(t *testing.T) {
-	jm, err := NewJobManager(JobManagerConfig{MemoryBudgetMB: 512, Workers: 1, QueueLimit: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jm.Close()
-	db := jobsDB(7)
-	mk := func(name string, prio int) (*MiningJob, error) {
-		return jm.Submit(JobSpec{Name: name, Priority: prio, DB: db,
-			Config: Config{Algorithm: AlgoCPUBitset, MinSupport: 6}})
-	}
-	// Occupy the worker, then fill the queue.
-	gate, err := mk("gate", 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for jm.QueueLen() > 0 {
-		time.Sleep(time.Millisecond)
-	}
-	low, err := mk("low", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mk("mid", 5); err != nil {
-		t.Fatal(err)
-	}
-	high, err := mk("high", 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-low.Done()
-	if low.State() != JobShed {
-		t.Errorf("low-priority job state %v, want shed", low.State())
-	}
-	if _, err := low.Result(); err == nil {
-		t.Error("shed job returned a result")
-	}
-	for _, j := range []*MiningJob{gate, high} {
-		<-j.Done()
-		if _, err := j.Result(); err != nil {
-			t.Errorf("%s: %v", j.Name, err)
-		}
-	}
-}
-
-// TestJobManagerDeadline: a job that cannot finish in time fails with a
-// deadline error.
-func TestJobManagerDeadline(t *testing.T) {
-	jm, err := NewJobManager(JobManagerConfig{MemoryBudgetMB: 512})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jm.Close()
-	j, err := jm.Submit(JobSpec{Name: "rushed", Deadline: time.Nanosecond, DB: jobsDB(7),
-		Config: Config{Algorithm: AlgoCPUBitset, MinSupport: 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-j.Done()
-	if _, err := j.Result(); err == nil {
-		t.Error("nanosecond deadline met — expected a deadline failure")
-	} else if j.State() != JobFailed {
-		t.Errorf("state %v, want failed", j.State())
-	}
-}
-
-func TestJobManagerConfigValidation(t *testing.T) {
-	if _, err := NewJobManager(JobManagerConfig{}); err == nil {
-		t.Error("accepted a zero memory budget")
-	}
-	jm, err := NewJobManager(JobManagerConfig{MemoryBudgetMB: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jm.Close()
-	if _, err := jm.Submit(JobSpec{Name: "nodb"}); err == nil {
-		t.Error("accepted a job with no database")
 	}
 }
 

@@ -131,7 +131,8 @@ go test -fuzz='^FuzzDecodeMineRequest$' -fuzztime=10s ./internal/server/
 # Serving smoke: boot the real daemon on a random port, mine the same
 # dataset over HTTP and offline, and require the canonical results to
 # be byte-identical; require the second identical request to hit the
-# result cache; then SIGTERM and require a clean drain (exit 0).
+# result cache and the README's raw-API body to be accepted; then
+# SIGTERM and require a clean drain (exit 0).
 go build -o "$SMOKE/gpaserve" ./cmd/gpaserve
 "$SMOKE/gpaserve" -listen 127.0.0.1:0 -dataset chess=gen:chess:0.3 \
     -mem-mb 256 -cache-mb 16 -state-dir "$SMOKE/state" \
@@ -153,6 +154,19 @@ diff -u "$SMOKE/offline.txt" "$SMOKE/served.txt"
 "$SMOKE/gpapriori" -serve-url "http://$ADDR" -dataset chess \
     -minsup 0.8 -quiet -serve-stats > "$SMOKE/stats.txt"
 grep -q 'hits=1' "$SMOKE/stats.txt"
+
+# The README's raw-API example body must be one the daemon accepts: a
+# 200 (a cache hit, here) or 202 whose job names the dataset.
+python3 - "$ADDR" <<'PY'
+import json, sys, urllib.request
+body = b'{"dataset":"chess","relative_support":0.8}'
+req = urllib.request.Request("http://%s/v1/jobs" % sys.argv[1], data=body,
+                             headers={"Content-Type": "application/json"})
+with urllib.request.urlopen(req) as resp:
+    assert resp.status in (200, 202), resp.status
+    info = json.load(resp)
+assert info["dataset"] == "chess", info
+PY
 
 kill -TERM "$SRV_PID"
 wait "$SRV_PID"

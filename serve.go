@@ -1,12 +1,13 @@
 // The serving surface shared by the gpaserve daemon and its clients.
 //
-// gpaserve (internal/server + cmd/gpaserve) keeps named databases
-// resident in their vertical layout and mines them many times, the way
-// an inference server keeps a loaded model hot. This file defines the
-// wire contract — request, job, stream-event, stats, and error shapes —
-// and a client, so the daemon and the CLI's -serve-url mode speak one
-// vocabulary. The server half lives in internal/server; it imports
-// these types rather than redeclaring them.
+// gpaserve (internal/server + cmd/gpaserve) loads named databases once
+// and mines them many times, the way an inference server keeps a loaded
+// model hot; each job transposes its database to the vertical layout
+// itself. This file defines the wire contract — request, job,
+// stream-event, stats, and error shapes — and a client, so the daemon
+// and the CLI's -serve-url mode speak one vocabulary. The server half
+// lives in internal/server; it imports these types rather than
+// redeclaring them.
 package gpapriori
 
 import (
@@ -33,12 +34,14 @@ import (
 
 // ServeMineRequest is the body of POST /v1/jobs: one mining query
 // against a registered dataset. Exactly one of MinSupport ≥ 1 or
-// RelativeSupport in (0,1] must be set.
+// RelativeSupport in (0,1] must be set. It carries the query and its
+// scheduling only; the engine settings of Config (workers, the
+// simulator's device pool and fault schedule) are not on the wire.
 type ServeMineRequest struct {
 	// Dataset names a database in the daemon's registry.
 	Dataset string `json:"dataset"`
 	// Algorithm defaults to AlgoPipeline (see Algorithm.Resolve);
-	// Devices > 1, HybridCPUShare and Faults require "gpapriori".
+	// "gpapriori" runs the simulator on one fault-free device.
 	Algorithm string `json:"algorithm,omitempty"`
 	// MinSupport is the absolute threshold (0 = use RelativeSupport).
 	MinSupport int `json:"min_support,omitempty"`
@@ -51,14 +54,6 @@ type ServeMineRequest struct {
 	Priority int `json:"priority,omitempty"`
 	// DeadlineSec bounds the job's run time (0 = none).
 	DeadlineSec float64 `json:"deadline_sec,omitempty"`
-	// Workers, Devices, HybridCPUShare mirror Config.
-	Workers        int     `json:"workers,omitempty"`
-	Devices        int     `json:"devices,omitempty"`
-	HybridCPUShare float64 `json:"hybrid_cpu_share,omitempty"`
-	// Faults / FaultSeed inject a deterministic device-fault schedule
-	// (see Config.Faults).
-	Faults    string `json:"faults,omitempty"`
-	FaultSeed int64  `json:"fault_seed,omitempty"`
 	// NoCache bypasses the daemon's result cache for this request (the
 	// run still populates it).
 	NoCache bool `json:"no_cache,omitempty"`
@@ -72,11 +67,6 @@ func (r ServeMineRequest) MiningConfig() Config {
 		MinSupport:      r.MinSupport,
 		RelativeSupport: r.RelativeSupport,
 		MaxLen:          r.MaxLen,
-		Workers:         r.Workers,
-		Devices:         r.Devices,
-		HybridCPUShare:  r.HybridCPUShare,
-		Faults:          r.Faults,
-		FaultSeed:       r.FaultSeed,
 	}
 }
 
@@ -114,8 +104,6 @@ type ServeJobInfo struct {
 	// Cached).
 	HostSeconds   float64 `json:"host_seconds,omitempty"`
 	DeviceSeconds float64 `json:"device_seconds,omitempty"`
-	// Faults reports injected-fault activity of the run, if any.
-	Faults *FaultStats `json:"fault_stats,omitempty"`
 	// Forwarded names the peer that actually executed a job this node
 	// proxied to a cluster owner (empty for locally mined jobs). The
 	// submitting client needs no awareness of it — results stream back
@@ -166,8 +154,8 @@ type ServeDatasetInfo struct {
 	Transactions int     `json:"transactions"`
 	NumItems     int     `json:"num_items"`
 	AvgLength    float64 `json:"avg_length"`
-	// BitsetBytes is the modeled footprint of the resident vertical
-	// bitset layout.
+	// BitsetBytes is the per-job bitset footprint: the modeled size of
+	// the vertical bitset layout each job transposes for itself.
 	BitsetBytes int64 `json:"bitset_bytes"`
 }
 
@@ -183,8 +171,6 @@ type ServeStats struct {
 	Jobs JobCounters `json:"jobs"`
 	// Cache is the result cache's accounting.
 	Cache ServeCacheStats `json:"cache"`
-	// Faults aggregates fault stats across every completed run.
-	Faults FaultStats `json:"faults"`
 	// Durability is the disk-resilience accounting.
 	Durability ServeDurabilityStats `json:"durability"`
 	// Overload is the overload-control accounting: the admission
@@ -990,7 +976,6 @@ func (c *ServeClient) Mine(ctx context.Context, req ServeMineRequest) (*Result, 
 		Itemsets:      toItemsets(rs),
 		HostSeconds:   info.HostSeconds,
 		DeviceSeconds: info.DeviceSeconds,
-		Faults:        info.Faults,
 	}
 	return res, info, nil
 }
