@@ -47,7 +47,6 @@ func main() {
 		devices  = flag.Int("devices", 0, "simulated GPU count for -algo gpapriori (0/1 = single)")
 		cpuShare = flag.Float64("cpushare", 0, "hybrid CPU share in [0,1) for -algo gpapriori")
 		faults   = flag.String("faults", "", `inject device faults into -algo gpapriori, e.g. "dev1:kernel-fail@gen3,dev2:dead@gen2" (kinds: kernel-fail, xfer-fail, hang[=sec], dead)`)
-		seed     = flag.Int64("seed", 0, "fault-injector seed for reproducible fault runs")
 		minConf  = flag.Float64("rules", 0, "also derive association rules at this confidence (0 = off)")
 		ckpt     = flag.String("checkpoint", "", "write a crash-safe checkpoint here at every generation boundary")
 		resume   = flag.Bool("resume", false, "fast-forward from the -checkpoint file if it exists")
@@ -72,7 +71,7 @@ func main() {
 		minsup: *minsup, algo: *algo, maxLen: *maxLen, workers: *workers,
 		devices: *devices, cpuShare: *cpuShare, minConf: *minConf,
 		jsonOut: *jsonOut, top: *top, quiet: *quiet,
-		faults: *faults, seed: *seed,
+		faults:     *faults,
 		checkpoint: *ckpt, resume: *resume,
 		resultOnly: *resOnly, serveURL: *serveURL, serveStats: *srvStats,
 		priority: *priority, deadlineSec: *deadline, noCache: *noCache,
@@ -109,7 +108,6 @@ type runOpts struct {
 	jsonOut, quiet           bool
 	top                      int
 	faults                   string
-	seed                     int64
 
 	checkpoint string
 	resume     bool
@@ -185,7 +183,6 @@ func run(w io.Writer, o runOpts) error {
 		Devices:         o.devices,
 		HybridCPUShare:  o.cpuShare,
 		Faults:          o.faults,
-		FaultSeed:       o.seed,
 	}
 	if o.resume && o.checkpoint == "" {
 		return fmt.Errorf("-resume needs -checkpoint to know where the snapshot lives")
@@ -260,8 +257,8 @@ func runServe(w io.Writer, o runOpts) error {
 	if o.minConf > 0 || o.checkpoint != "" || o.resume {
 		return fmt.Errorf("-serve-url supports plain mining only (the daemon owns checkpointing)")
 	}
-	if o.workers != 0 || o.devices != 0 || o.cpuShare != 0 || o.faults != "" || o.seed != 0 {
-		return fmt.Errorf("-serve-url sends only the query; -workers, -devices, -cpushare, -faults and -seed tune offline mining")
+	if o.workers != 0 || o.devices != 0 || o.cpuShare != 0 || o.faults != "" {
+		return fmt.Errorf("-serve-url sends only the query; -workers, -devices, -cpushare and -faults tune offline mining")
 	}
 	rel, abs, err := splitMinsup(o.minsup)
 	if err != nil {

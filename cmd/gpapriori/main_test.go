@@ -126,7 +126,7 @@ func TestRunWithFaults(t *testing.T) {
 	}
 	err := run(&faulty, runOpts{
 		input: path, minsup: 0.75, algo: "gpapriori", quiet: true,
-		faults: "dev0:kernel-fail@gen2", seed: 3,
+		faults: "dev0:kernel-fail@gen2",
 	})
 	if err != nil {
 		t.Fatal(err)

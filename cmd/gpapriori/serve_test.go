@@ -168,8 +168,6 @@ func TestRunServeValidation(t *testing.T) {
 			algo: "gpapriori", cpuShare: 0.25}, "-cpushare"},
 		{"with faults", runOpts{serveURL: "http://127.0.0.1:1", dsName: "d", minsup: 2,
 			algo: "gpapriori", faults: "dev0:dead@gen2"}, "-faults"},
-		{"with seed", runOpts{serveURL: "http://127.0.0.1:1", dsName: "d", minsup: 2,
-			seed: 7}, "-seed"},
 	}
 	for _, c := range cases {
 		var out bytes.Buffer

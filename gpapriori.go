@@ -165,8 +165,6 @@ type Config struct {
 	// none survive, so fault runs complete with the same result set as a
 	// clean run. Empty = no faults.
 	Faults string
-	// FaultSeed seeds the fault injectors for reproducible fault runs.
-	FaultSeed int64
 
 	// Checkpoint snapshots mining state to this file at every generation
 	// boundary (crash-safe: write-to-temp + rename), so a killed run can
@@ -352,7 +350,6 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 			HybridCPUShare: cfg.HybridCPUShare,
 			CPUPopcount:    cfg.popcount(),
 			Faults:         faults,
-			FaultSeed:      cfg.FaultSeed,
 		})
 		if err != nil {
 			return nil, err

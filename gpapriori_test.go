@@ -377,7 +377,6 @@ func TestMineWithFaultsMatchesCleanRun(t *testing.T) {
 		MinSupport: 2,
 		Devices:    2,
 		Faults:     "dev0:kernel-fail@gen2,dev1:dead@gen3",
-		FaultSeed:  11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +407,7 @@ func TestFaultRunsDoNotPoisonLaterRuns(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		res, err := Mine(db, Config{
 			Algorithm: AlgoGPApriori, MinSupport: 6,
-			Faults: "dev0:dead@gen2", FaultSeed: 1,
+			Faults: "dev0:dead@gen2",
 		})
 		if err != nil {
 			t.Fatalf("fault run %d: %v", i, err)

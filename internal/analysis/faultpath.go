@@ -2,9 +2,9 @@
 // launches and transfers must go through gpusim's Try* wrappers. The
 // bare Launch/CopyToDevice/CopyFromDevice methods panic-or-ignore on an
 // armed fault injector, so a bare call on any path reachable under
-// fault injection (core failover, cluster recovery) silently bypasses
-// the watchdog, the retry accounting, and the dead-device bookkeeping
-// that failover correctness rests on.
+// fault injection (core's retries, failover and CPU degradation)
+// silently bypasses the watchdog, the retry accounting, and the
+// dead-device bookkeeping that failover correctness rests on.
 //
 // The same discipline governs the disk: in the durability packages
 // (internal/server, internal/checkpoint) every rename and fsync must go

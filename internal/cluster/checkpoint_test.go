@@ -78,35 +78,3 @@ func TestClusterCheckpointResume(t *testing.T) {
 			strings.Join(rep.Result.Diff(want), "\n"))
 	}
 }
-
-// TestClusterCheckpointResumeUnderNodeFaults: master checkpointing
-// composes with node failover.
-func TestClusterCheckpointResumeUnderNodeFaults(t *testing.T) {
-	db := gen.Random(200, 16, 0.4, 7)
-	minSup := 8
-	path := filepath.Join(t.TempDir(), "ck")
-	base := Config{
-		Nodes: 3, GPUsPerNode: 1, Kernel: smallKernel(),
-		Faults: []NodeFault{{Node: 1, Gen: 2, Kind: NodeDead}},
-	}
-	m, err := New(db, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Mine(minSup, crashAfter(t, path, db, minSup, 2)); !errors.Is(err, errCrash) {
-		t.Fatalf("want simulated crash, got %v", err)
-	}
-	m2, err := New(db, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := m2.Mine(minSup, wired(t, path, db, minSup))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := oracle.Mine(db, minSup)
-	if !rep.Result.Equal(want) {
-		t.Errorf("faulted cluster resume differs from oracle:\n%s",
-			strings.Join(rep.Result.Diff(want), "\n"))
-	}
-}

@@ -16,7 +16,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"gpapriori/internal/apriori"
@@ -59,23 +58,16 @@ func (n NetworkConfig) transfer(bytes int) float64 {
 	return n.LatencySec + float64(bytes)/n.BandwidthBps
 }
 
-// Config describes the cluster.
+// Config describes the cluster. Every GPU models the paper's Tesla T10.
 type Config struct {
 	Nodes       int             // number of worker nodes (1–64)
 	GPUsPerNode int             // simulated GPUs per node (1–16)
-	Device      gpusim.Config   // per-GPU model; zero = TeslaT10()
 	Kernel      kernels.Options // zero = kernels.DefaultOptions()
 	Network     NetworkConfig   // zero = GigabitEthernet()
-	// Faults schedules node failures (empty = fault-free run).
-	Faults []NodeFault
-	// DeadlineSec is the scatter/gather deadline per node per generation
-	// (0 = DefaultDeadlineSec). A node missing it is marked suspect and its
-	// shard re-scattered.
-	DeadlineSec float64
 }
 
 // Validate checks the configuration eagerly, before any node is built.
-// Zero-valued Device, Kernel, and Network fields are legal (New fills in
+// Zero-valued Kernel and Network fields are legal (New fills in
 // defaults) and are not validated here.
 func (c Config) Validate() error {
 	if c.Nodes < 1 || c.Nodes > 64 {
@@ -86,14 +78,6 @@ func (c Config) Validate() error {
 	}
 	if c.Network.BandwidthBps != 0 {
 		if err := c.Network.validate(); err != nil {
-			return err
-		}
-	}
-	if c.DeadlineSec < 0 {
-		return fmt.Errorf("cluster: negative scatter/gather deadline %v", c.DeadlineSec)
-	}
-	for _, f := range c.Faults {
-		if err := f.validate(c.Nodes); err != nil {
 			return err
 		}
 	}
@@ -112,11 +96,6 @@ type Miner struct {
 	// replicated bitsets, captured at construction (device stats are reset
 	// per run).
 	uploadSec float64
-	// schedule holds the node-fault plan indexed by generation; alive
-	// carries permanent node deaths across runs.
-	schedule    nodeSchedule
-	alive       []bool
-	deadlineSec float64
 }
 
 // node is one worker: a pool of devices with replicated bitsets.
@@ -146,16 +125,11 @@ type Report struct {
 	// CandidatesPerNode counts candidates routed to each node.
 	CandidatesPerNode []int
 	Generations       int
-	// Faults records injected node faults and their recovery cost (zero on
-	// a clean run).
-	Faults FaultStats
 }
 
-// TotalSeconds is the modeled end-to-end time of the distributed run,
-// including time lost waiting out node failures.
+// TotalSeconds is the modeled end-to-end time of the distributed run.
 func (r Report) TotalSeconds() float64 {
-	return r.HostSeconds + r.BroadcastSeconds + r.NetworkSeconds + r.DeviceSeconds +
-		r.Faults.RecoverySeconds
+	return r.HostSeconds + r.BroadcastSeconds + r.NetworkSeconds + r.DeviceSeconds
 }
 
 // New builds the cluster miner and replicates the database.
@@ -172,9 +146,6 @@ func New(db *dataset.DB, cfg Config) (*Miner, error) {
 	if cfg.Network.BandwidthBps == 0 {
 		cfg.Network = GigabitEthernet()
 	}
-	if cfg.DeadlineSec == 0 {
-		cfg.DeadlineSec = DefaultDeadlineSec
-	}
 
 	bits := vertical.BuildBitsets(db)
 	dbBytes := bits.MemoryBytes()
@@ -182,7 +153,7 @@ func New(db *dataset.DB, cfg Config) (*Miner, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &node{}
 		for g := 0; g < cfg.GPUsPerNode; g++ {
-			ddb, err := kernels.NewDeviceDB(cfg.Device, bits)
+			ddb, err := kernels.NewDeviceDB(gpusim.TeslaT10(), bits)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: node %d gpu %d: %w", i, g, err)
 			}
@@ -198,12 +169,6 @@ func New(db *dataset.DB, cfg Config) (*Miner, error) {
 			}
 		}
 	}
-	m.schedule = buildNodeSchedule(cfg.Faults)
-	m.deadlineSec = cfg.DeadlineSec
-	m.alive = make([]bool, cfg.Nodes)
-	for i := range m.alive {
-		m.alive[i] = true
-	}
 	return m, nil
 }
 
@@ -216,27 +181,12 @@ type counter struct {
 	perNode     []int
 	networkSec  float64
 	deviceSec   float64
-	// alive mirrors the miner's node liveness during one run; stats
-	// accumulates the run's fault activity.
-	alive []bool
-	stats FaultStats
 }
 
 // Name implements apriori.Counter.
 func (c *counter) Name() string {
 	return fmt.Sprintf("GPApriori(cluster %d×%d,%s)",
 		c.m.cfg.Nodes, c.m.cfg.GPUsPerNode, c.m.cfg.Network.Name)
-}
-
-// healthyNodes returns the indices the master currently trusts.
-func (c *counter) healthyNodes(detected map[int]bool) []int {
-	var out []int
-	for ni := range c.m.nodes {
-		if c.alive[ni] && !detected[ni] {
-			out = append(out, ni)
-		}
-	}
-	return out
 }
 
 // countOnNode scatters part to node ni and counts it on the node's GPU
@@ -286,85 +236,28 @@ func (c *counter) countOnNode(ni int, part []trie.Candidate, k int) (netSec, dev
 	return netSec, devSec, nil
 }
 
-// Count implements apriori.Counter. Each generation scatters over the
-// nodes the master believes healthy; a node whose scheduled fault fires
-// misses its gather deadline, costs the master DeadlineSec of modeled
-// waiting, and has its shard re-scattered over the survivors. Timed-out
-// nodes rejoin the next generation; dead nodes do not.
+// Count implements apriori.Counter: the generation's candidates are
+// sharded contiguously over the nodes in one pass. Nodes transfer and
+// count concurrently, so the generation costs the slowest node's link
+// and the slowest node's pool. A node's counting error fails the run.
 func (c *counter) Count(_ *trie.Trie, cands []trie.Candidate, k int) error {
 	start := clock.Now()
 	defer func() { c.simWall += clock.Since(start) }()
 	c.generations++
 
-	// Faults scheduled for this generation, by node. Faults on nodes that
-	// are already dead are moot.
-	faulting := make(map[int]NodeFaultKind)
-	for _, f := range c.m.schedule[k] {
-		if c.alive[f.Node] {
-			faulting[f.Node] = f.Kind
+	genNet, genDev := 0.0, 0.0
+	shard := (len(cands) + len(c.m.nodes) - 1) / len(c.m.nodes)
+	for ni := range c.m.nodes {
+		lo := ni * shard
+		if lo >= len(cands) {
+			break
 		}
-	}
-
-	genNet := 0.0
-	genDev := 0.0
-	// detected marks nodes that failed within this generation: excluded
-	// from re-scatter now, reconsidered next generation if merely timed out.
-	detected := make(map[int]bool)
-	pending := cands
-	for len(pending) > 0 {
-		targets := c.healthyNodes(detected)
-		if len(targets) == 0 {
-			return fmt.Errorf("cluster: no healthy nodes left in generation %d (%d candidates stranded)", k, len(pending))
+		net, dev, err := c.countOnNode(ni, cands[lo:min(lo+shard, len(cands))], k)
+		if err != nil {
+			return err
 		}
-		shard := (len(pending) + len(targets) - 1) / len(targets)
-		var failed []trie.Candidate
-		for i, ni := range targets {
-			lo := i * shard
-			if lo >= len(pending) {
-				break
-			}
-			hi := lo + shard
-			if hi > len(pending) {
-				hi = len(pending)
-			}
-			part := pending[lo:hi]
-
-			if kind, ok := faulting[ni]; ok {
-				// The scatter was sent, but no gather arrives before the
-				// deadline: the master waits it out, marks the node, and
-				// re-queues the shard.
-				delete(faulting, ni)
-				detected[ni] = true
-				c.stats.Injected++
-				c.stats.Failovers++
-				c.stats.ReScattered += len(part)
-				c.stats.RecoverySeconds += c.m.deadlineSec
-				switch kind {
-				case NodeTimeout:
-					c.stats.Timeouts++
-				case NodeDead:
-					c.alive[ni] = false
-					c.stats.DeadNodes = append(c.stats.DeadNodes, ni)
-				}
-				if net := c.m.cfg.Network.transfer(len(part) * k * 4); net > genNet {
-					genNet = net // the wasted scatter still used the link
-				}
-				failed = append(failed, part...)
-				continue
-			}
-
-			net, dev, err := c.countOnNode(ni, part, k)
-			if err != nil {
-				return err
-			}
-			if net > genNet {
-				genNet = net
-			}
-			if dev > genDev {
-				genDev = dev
-			}
-		}
-		pending = failed
+		genNet = max(genNet, net)
+		genDev = max(genDev, dev)
 	}
 	c.networkSec += genNet
 	c.deviceSec += genDev
@@ -384,19 +277,12 @@ func (m *Miner) MineContext(ctx context.Context, minSupport int, cfg apriori.Con
 			d.ResetStats()
 		}
 	}
-	c := &counter{
-		m:       m,
-		perNode: make([]int, len(m.nodes)),
-		// Nodes lost in an earlier run stay lost: copy liveness in.
-		alive: append([]bool(nil), m.alive...),
-	}
+	c := &counter{m: m, perNode: make([]int, len(m.nodes))}
 	t0 := clock.Now()
 	rs, err := apriori.MineContext(ctx, m.db, minSupport, c, cfg)
 	if err != nil {
 		return Report{}, err
 	}
-	copy(m.alive, c.alive)
-	sort.Ints(c.stats.DeadNodes)
 	wall := clock.Since(t0)
 	host := wall - c.simWall
 	if host < 0 {
@@ -409,7 +295,6 @@ func (m *Miner) MineContext(ctx context.Context, minSupport int, cfg apriori.Con
 		DeviceSeconds:     c.deviceSec,
 		CandidatesPerNode: c.perNode,
 		Generations:       c.generations,
-		Faults:            c.stats,
 	}
 	// Broadcast: the master's uplink serializes one DB copy per node; the
 	// per-node H2D uploads then happen in parallel — take the slowest

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"gpapriori/internal/apriori"
@@ -134,5 +136,37 @@ func TestNetworkTransferModel(t *testing.T) {
 	}
 	if big <= small {
 		t.Fatal("transfer not monotone in bytes")
+	}
+}
+
+func TestConfigValidate(t *testing.T) {
+	good := Config{Nodes: 2, GPUsPerNode: 1}
+	if err := good.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	bad := []Config{
+		{Nodes: 0, GPUsPerNode: 1},
+		{Nodes: 65, GPUsPerNode: 1},
+		{Nodes: 1, GPUsPerNode: 0},
+		{Nodes: 1, GPUsPerNode: 17},
+		{Nodes: 1, GPUsPerNode: 1, Network: NetworkConfig{BandwidthBps: -5}},
+	}
+	for i, c := range bad {
+		if err := c.Validate(); err == nil {
+			t.Errorf("bad config %d accepted: %+v", i, c)
+		}
+	}
+}
+
+func TestClusterMineContextCancelled(t *testing.T) {
+	db := gen.Random(120, 14, 0.4, 4)
+	m, err := New(db, Config{Nodes: 2, GPUsPerNode: 1, Kernel: smallKernel()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := m.MineContext(ctx, 20, apriori.Config{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -98,8 +98,7 @@ func TestMinerCheckpointResumeUnderFaults(t *testing.T) {
 	minSup := 6
 	path := filepath.Join(t.TempDir(), "ck")
 	opt := Options{
-		Faults:    []DeviceFault{{Device: 0, Gen: 2, Kind: gpusim.FaultKernelFail}},
-		FaultSeed: 42,
+		Faults: []DeviceFault{{Device: 0, Gen: 2, Kind: gpusim.FaultKernelFail}},
 	}
 	m, err := New(db, opt)
 	if err != nil {

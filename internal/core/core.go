@@ -65,17 +65,9 @@ type Options struct {
 	// exactly as CPU_TEST does.
 	CPUPopcount bitset.PopcountKind
 	// Faults schedules injected faults on the device pool. Empty =
-	// fault-free.
+	// fault-free. Recovery follows the fixed watchdog, retry budget and
+	// backoff of faults.go.
 	Faults []DeviceFault
-	// FaultSeed seeds the per-device fault injectors for reproducible
-	// runs.
-	FaultSeed int64
-	// Retry bounds fault recovery (zero value = defaults: 3 retries, 1ms
-	// initial backoff, 1s watchdog deadline). A device whose batch still
-	// fails after the budget is treated as lost; its candidates fail over
-	// to the surviving devices, or degrade to the host CPU when none
-	// survive.
-	Retry RetryPolicy
 }
 
 // MaxDevices is the largest simulated device pool a Miner accepts.
@@ -93,9 +85,6 @@ func (o Options) Validate() error {
 	}
 	if math.IsNaN(o.HybridCPUShare) || o.HybridCPUShare < 0 || o.HybridCPUShare >= 1 {
 		return fmt.Errorf("core: hybrid CPU share %v out of [0,1)", o.HybridCPUShare)
-	}
-	if err := o.Retry.validate(); err != nil {
-		return err
 	}
 	for _, f := range o.Faults {
 		if err := f.validate(o.devices()); err != nil {
@@ -167,8 +156,7 @@ func New(db *dataset.DB, opt Options) (*Miner, error) {
 	if opt.Kernel.BlockSize == 0 {
 		opt.Kernel = kernels.DefaultOptions()
 	}
-	opt.Retry = opt.Retry.withDefaults()
-	opt.Kernel.DeadlineSec = opt.Retry.DeadlineSec
+	opt.Kernel.DeadlineSec = watchdogSec
 
 	bits := vertical.BuildBitsets(db)
 	m := &Miner{
@@ -183,9 +171,7 @@ func New(db *dataset.DB, opt Options) (*Miner, error) {
 			return nil, fmt.Errorf("core: device %d: %w", i, err)
 		}
 		if len(opt.Faults) > 0 {
-			// One injector per device, offset seeds so random-rate mode
-			// (if enabled later) decorrelates across the pool.
-			ddb.Device().EnableFaults(opt.FaultSeed + int64(i))
+			ddb.Device().EnableFaults()
 		}
 		m.ddbs = append(m.ddbs, ddb)
 	}
@@ -253,7 +239,7 @@ func (c *counter) countOnCPU(cands []trie.Candidate, k int) {
 	c.cpuWall += clock.Since(t0)
 }
 
-// countOnDevice counts part on device d under the retry policy. It
+// countOnDevice counts part on device d under the retry budget. It
 // returns the modeled backoff spent; a non-nil error means the device is
 // lost (dead, or retry budget exhausted) and part was not fully counted.
 func (c *counter) countOnDevice(d int, part []trie.Candidate) (float64, error) {
@@ -348,7 +334,6 @@ func (m *Miner) MineContext(ctx context.Context, minSupport int, cfg apriori.Con
 		devs:      devs,
 		perDevice: make([]int, len(devs)),
 		alive:     alive,
-		tracker:   faultTracker{policy: m.opt.Retry},
 	}
 	t0 := clock.Now()
 	rs, err := apriori.MineContext(ctx, m.db, minSupport, c, cfg)

@@ -1,5 +1,5 @@
 // Fault tolerance for the mining paths: a declarative per-device fault
-// schedule, a watchdog + retry/backoff policy applied to every kernel
+// schedule, a fixed watchdog + retry/backoff applied to every kernel
 // launch and transfer, and the accounting block (FaultStats) that makes
 // recovery observable in reports. The invariant the machinery maintains
 // is clean-run equivalence: a fault-injected run must produce exactly the
@@ -111,45 +111,21 @@ func ParseFaultSpec(spec string) ([]DeviceFault, error) {
 	return out, nil
 }
 
-// RetryPolicy bounds fault recovery: every kernel launch gets a modeled
-// watchdog deadline, and a failed batch is retried with exponential
-// backoff up to a budget before its device is declared lost.
-type RetryPolicy struct {
-	// MaxRetries is the retry budget per batch (default 3).
-	MaxRetries int
-	// BackoffSec is the initial modeled backoff, doubled per retry
-	// (default 1ms).
-	BackoffSec float64
-	// DeadlineSec is the modeled watchdog deadline per kernel launch
-	// (default 1s). A kernel hanging past it is killed and retried.
-	DeadlineSec float64
-}
-
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	if p.MaxRetries == 0 {
-		p.MaxRetries = 3
-	}
-	if p.BackoffSec == 0 {
-		p.BackoffSec = 1e-3
-	}
-	if p.DeadlineSec == 0 {
-		p.DeadlineSec = 1.0
-	}
-	return p
-}
-
-func (p RetryPolicy) validate() error {
-	if p.MaxRetries < 0 {
-		return fmt.Errorf("core: negative retry budget %d", p.MaxRetries)
-	}
-	if p.BackoffSec < 0 {
-		return fmt.Errorf("core: negative retry backoff %v", p.BackoffSec)
-	}
-	if p.DeadlineSec < 0 {
-		return fmt.Errorf("core: negative watchdog deadline %v", p.DeadlineSec)
-	}
-	return nil
-}
+// Fault recovery is fixed: every kernel launch runs under a modeled
+// watchdog, and a failed batch is retried with exponential backoff up to
+// a budget. A device whose batch still fails after the budget is treated
+// as lost; its candidates fail over to the surviving devices, or degrade
+// to the host CPU when none survive.
+const (
+	// retryBudget is the number of retries per batch.
+	retryBudget = 3
+	// firstBackoffSec is the modeled wait before a batch's first retry;
+	// it doubles per retry.
+	firstBackoffSec = 1e-3
+	// watchdogSec is the modeled watchdog deadline per kernel launch. A
+	// kernel hanging past it is killed and retried.
+	watchdogSec = 1.0
+)
 
 // FaultStats makes robustness observable: everything the fault machinery
 // injected, absorbed, and paid for during one mining run.
@@ -206,16 +182,15 @@ func (s faultSchedule) arm(devs []*gpusim.Device, k int) {
 
 // faultTracker accumulates a run's fault accounting.
 type faultTracker struct {
-	policy RetryPolicy
-	stats  FaultStats
+	stats FaultStats
 }
 
-// countBatch runs count under the retry policy. It returns the modeled
+// countBatch runs count under the retry budget. It returns the modeled
 // backoff seconds spent (to be charged to the batch's device time) and an
 // error when the device is lost or the retry budget is exhausted —
 // either way the device should not be used again this run.
 func (ft *faultTracker) countBatch(count func() error) (float64, error) {
-	backoff := ft.policy.BackoffSec
+	backoff := firstBackoffSec
 	extra := 0.0
 	for attempt := 0; ; attempt++ {
 		err := count()
@@ -225,8 +200,8 @@ func (ft *faultTracker) countBatch(count func() error) (float64, error) {
 		if errors.Is(err, gpusim.ErrDeviceLost) {
 			return extra, err
 		}
-		if attempt >= ft.policy.MaxRetries {
-			return extra, fmt.Errorf("core: retry budget (%d) exhausted: %w", ft.policy.MaxRetries, err)
+		if attempt >= retryBudget {
+			return extra, fmt.Errorf("core: retry budget (%d) exhausted: %w", retryBudget, err)
 		}
 		ft.stats.Retries++
 		ft.stats.RecoverySeconds += backoff

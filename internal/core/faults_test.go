@@ -87,9 +87,6 @@ func TestMultiOptionsValidate(t *testing.T) {
 		{Devices: 1, HybridCPUShare: 1},
 		{Devices: 1, HybridCPUShare: -0.5},
 		{Faults: []DeviceFault{{Device: 1, Gen: 2, Kind: gpusim.FaultDead}}},
-		{Devices: 1, Retry: RetryPolicy{MaxRetries: -1}},
-		{Devices: 1, Retry: RetryPolicy{BackoffSec: -1}},
-		{Devices: 1, Retry: RetryPolicy{DeadlineSec: -1}},
 		{Devices: 2, Faults: []DeviceFault{{Device: 2, Gen: 3, Kind: gpusim.FaultDead}}},
 		{Devices: 2, Faults: []DeviceFault{{Device: 0, Gen: 1, Kind: gpusim.FaultDead}}},
 		{Devices: 2, Faults: []DeviceFault{{Device: 0, Gen: 3}}},
@@ -105,8 +102,7 @@ func TestSingleMinerRetriesKernelFault(t *testing.T) {
 	db := gen.Random(120, 16, 0.4, 6)
 	want := oracle.Mine(db, 20)
 	m, err := New(db, Options{
-		Faults:    []DeviceFault{{Device: 0, Gen: 2, Kind: gpusim.FaultKernelFail}},
-		FaultSeed: 7,
+		Faults: []DeviceFault{{Device: 0, Gen: 2, Kind: gpusim.FaultKernelFail}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +130,6 @@ func TestSingleMinerWatchdogKillsHang(t *testing.T) {
 	want := oracle.Mine(db, 20)
 	m, err := New(db, Options{
 		Faults: []DeviceFault{{Device: 0, Gen: 2, Kind: gpusim.FaultHang, HangSeconds: 30}},
-		Retry:  RetryPolicy{DeadlineSec: 0.25},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -150,8 +145,8 @@ func TestSingleMinerWatchdogKillsHang(t *testing.T) {
 		t.Fatalf("FaultStats = %+v", rep.Faults)
 	}
 	// The watchdog capped the stall at the deadline, far below the hang.
-	if rep.Device.Stall >= 30 || rep.Device.Stall < 0.25 {
-		t.Fatalf("stall %v not bounded by the 0.25s deadline", rep.Device.Stall)
+	if rep.Device.Stall >= 30 || rep.Device.Stall < watchdogSec {
+		t.Fatalf("stall %v not bounded by the %vs deadline", rep.Device.Stall, watchdogSec)
 	}
 }
 
@@ -256,8 +251,7 @@ func TestFaultDeterminism(t *testing.T) {
 	db := gen.Random(200, 18, 0.4, 3)
 	run := func() (Report, error) {
 		m, err := New(db, Options{
-			Devices:   3,
-			FaultSeed: 99,
+			Devices: 3,
 			Faults: []DeviceFault{
 				{Device: 2, Gen: 2, Kind: gpusim.FaultDead},
 				{Device: 0, Gen: 3, Kind: gpusim.FaultKernelFail},
@@ -277,10 +271,10 @@ func TestFaultDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a.Faults, b.Faults) {
-		t.Fatalf("same seed + plan, different FaultStats:\n%+v\n%+v", a.Faults, b.Faults)
+		t.Fatalf("same plan, different FaultStats:\n%+v\n%+v", a.Faults, b.Faults)
 	}
 	if !a.Result.Equal(b.Result) {
-		t.Fatalf("same seed + plan, different results: %v", a.Result.Diff(b.Result))
+		t.Fatalf("same plan, different results: %v", a.Result.Diff(b.Result))
 	}
 }
 

@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"errors"
-	"math/rand"
 	"sync"
 )
 
@@ -90,27 +89,22 @@ type FaultRecord struct {
 }
 
 // Injector drives fault injection for one device. It fires armed events
-// in FIFO order per operation class and, optionally, random faults at
-// seeded per-operation rates. All decisions are deterministic for a given
-// seed and operation sequence.
+// in FIFO order per operation class, so its decisions are deterministic
+// for a given schedule and operation sequence.
 type Injector struct {
-	mu           sync.Mutex
-	rng          *rand.Rand
-	kernelProb   float64
-	transferProb float64
-	armed        []FaultEvent
-	rec          FaultRecord
-	dead         bool
+	mu    sync.Mutex
+	armed []FaultEvent
+	rec   FaultRecord
+	dead  bool
 }
 
 // EnableFaults attaches a fault injector to the device, creating it on
-// first call. The seed drives the injector's random-rate mode; armed
-// events are deterministic regardless of seed.
-func (d *Device) EnableFaults(seed int64) *Injector {
+// first call.
+func (d *Device) EnableFaults() *Injector {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.faults == nil {
-		d.faults = &Injector{rng: rand.New(rand.NewSource(seed))}
+		d.faults = &Injector{}
 	}
 	return d.faults
 }
@@ -131,16 +125,6 @@ func (in *Injector) Arm(ev FaultEvent) {
 	}
 	in.mu.Lock()
 	in.armed = append(in.armed, ev)
-	in.mu.Unlock()
-}
-
-// SetRates sets per-operation random fault probabilities: each launch
-// fails with kernelProb, each transfer with transferProb, drawn from the
-// seeded RNG (deterministic for a fixed operation sequence).
-func (in *Injector) SetRates(kernelProb, transferProb float64) {
-	in.mu.Lock()
-	in.kernelProb = kernelProb
-	in.transferProb = transferProb
 	in.mu.Unlock()
 }
 
@@ -183,9 +167,6 @@ func (in *Injector) beforeLaunch(cfg Config, deadlineSec float64) (float64, erro
 		return 0, ErrDeviceLost
 	}
 	ev, ok := in.popLocked(true)
-	if !ok && in.kernelProb > 0 && in.rng.Float64() < in.kernelProb {
-		ev, ok = FaultEvent{Kind: FaultKernelFail}, true
-	}
 	if !ok {
 		return 0, nil
 	}
@@ -224,9 +205,6 @@ func (in *Injector) beforeTransfer(cfg Config) (float64, error) {
 		return 0, ErrDeviceLost
 	}
 	ev, ok := in.popLocked(false)
-	if !ok && in.transferProb > 0 && in.rng.Float64() < in.transferProb {
-		ev, ok = FaultEvent{Kind: FaultTransferFail}, true
-	}
 	if !ok {
 		return 0, nil
 	}

@@ -2,8 +2,9 @@
 // package's database/config fingerprint. Clean-run equivalence (every
 // algorithm yields the identical frequent-itemset set for a given
 // (db, minsup, maxlen)) is what makes this sound — the key ignores the
-// algorithm, so a GPApriori run can answer a later Eclat query. Entries hold the resultio-canonical text body,
-// evicted LRU under a byte budget.
+// algorithm, so a GPApriori run can answer a later Eclat query. Entries
+// hold the resultio-canonical text body and the decoded itemsets, both
+// charged to a byte budget and evicted LRU.
 package server
 
 import (
@@ -22,8 +23,22 @@ type cacheEntry struct {
 	itemsets []gpapriori.Itemset
 }
 
-// bytes is the entry's charge against the budget.
-func (e *cacheEntry) bytes() int64 { return int64(len(e.body)) }
+// Per-itemset memory a cache entry pins besides its body: the Itemset
+// itself (a slice header plus the support) and 4 bytes per item.
+const (
+	itemsetBytes = 32
+	itemBytes    = 4
+)
+
+// bytes is the entry's charge against the budget: the body plus the
+// decoded itemsets every hit shares.
+func (e *cacheEntry) bytes() int64 {
+	n := int64(len(e.body)) + int64(len(e.itemsets))*itemsetBytes
+	for _, s := range e.itemsets {
+		n += int64(len(s.Items)) * itemBytes
+	}
+	return n
+}
 
 // ResultCache is a byte-budgeted LRU of completed mining results.
 type ResultCache struct {
@@ -77,7 +92,8 @@ func (c *ResultCache) Contains(key uint64) bool {
 // Re-putting an existing key refreshes recency but keeps the original
 // entry (equivalence guarantees the bodies match).
 func (c *ResultCache) Put(e *cacheEntry) {
-	if e.bytes() > c.budget {
+	n := e.bytes()
+	if n > c.budget {
 		return
 	}
 	c.mu.Lock()
@@ -87,7 +103,7 @@ func (c *ResultCache) Put(e *cacheEntry) {
 		return
 	}
 	c.puts++
-	c.used += e.bytes()
+	c.used += n
 	c.byKey[e.key] = c.lru.PushFront(e)
 	for c.used > c.budget {
 		back := c.lru.Back()

@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"testing"
+
+	"gpapriori"
 )
 
 // entryOf builds a cache entry whose body is n bytes.
@@ -96,6 +98,36 @@ func TestCacheManyEvictionsStayWithinBudget(t *testing.T) {
 		if _, ok := c.Get(uint64(i)); !ok {
 			t.Fatalf("recent key %d evicted", i)
 		}
+	}
+}
+
+// TestCacheChargesDecodedItemsets: an entry is charged its body plus
+// the decoded itemsets every hit shares, 32 bytes per itemset and 4 per
+// item, for mined and peer-installed entries alike.
+func TestCacheChargesDecodedItemsets(t *testing.T) {
+	withItemsets := func(key uint64, bodyLen int) *cacheEntry {
+		e := entryOf(key, bodyLen)
+		e.itemsets = []gpapriori.Itemset{
+			{Items: []gpapriori.Item{1}, Support: 5},
+			{Items: []gpapriori.Item{1, 2, 3}, Support: 4},
+		}
+		return e
+	}
+	const charge = 10 + 2*32 + 4*4
+	c := NewResultCache(100)
+	c.Put(withItemsets(1, 10))
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != charge {
+		t.Fatalf("one entry: %+v, want bytes %d", st, charge)
+	}
+	// Two bodies of 10 bytes fit the budget; their itemsets do not.
+	c.Put(withItemsets(2, 10))
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 1 || st.Bytes != charge {
+		t.Fatalf("second entry: %+v, want one resident entry after one eviction", st)
+	}
+	// A body that fits alone is refused when its itemsets overflow.
+	c.Put(withItemsets(3, 50))
+	if _, ok := c.Get(3); ok {
+		t.Fatal("entry whose itemsets overflow the budget was cached")
 	}
 }
 

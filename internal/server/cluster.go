@@ -47,6 +47,16 @@ const cachePeerTimeout = 2 * time.Second
 // view that the prober has had time to update.
 const forwardRoundDelay = 500 * time.Millisecond
 
+// remoteCancelTimeout bounds the best-effort cancel of an owner's job
+// after a client canceled the forwarded record.
+const remoteCancelTimeout = 2 * time.Second
+
+// errClientCanceled is the cancel cause of a forwarded record whose
+// client canceled it: the forwarder then cancels the owner's job too.
+// A drain cancels without it, so the owner's job keeps running for the
+// restarted node to re-attach to.
+var errClientCanceled = errors.New("forwarded job canceled by its client")
+
 // clusterState is the server's cluster wiring: membership, per-peer
 // clients, precomputed placement keys, and the forwarding/cache-peer
 // counters. Counters are atomics so the forwarding goroutines never
@@ -296,7 +306,7 @@ func (s *Server) submitForward(rec *jobRecord, dsKey uint64) (*jobRecord, *gpapr
 		s.mu.Unlock()
 		return prev, se
 	}
-	fctx, cancel := context.WithCancel(s.baseCtx)
+	fctx, cancel := context.WithCancelCause(s.baseCtx)
 	rec.fwdCancel = cancel
 	rec.fwdState = gpapriori.JobQueued.String()
 	s.registerLocked(rec)
@@ -376,6 +386,9 @@ func (s *Server) forwardOnce(ctx context.Context, rec *jobRecord, owner string) 
 				s.completeForwardFailed(rec, owner, pse)
 				return true, nil
 			}
+			if errors.Is(context.Cause(ctx), errClientCanceled) {
+				s.cancelRemote(ctx, cl, owner, job.ID)
+			}
 			return false, err
 		}
 	}
@@ -397,10 +410,25 @@ func (s *Server) forwardOnce(ctx context.Context, rec *jobRecord, owner string) 
 	info.Itemsets = len(items)
 	info.HostSeconds = final.HostSeconds
 	info.DeviceSeconds = final.DeviceSeconds
+	info.Degraded = final.Degraded
 	info.Forwarded = owner
 	s.cluster.fwdDone.Add(1)
 	s.complete(rec, info, renderResult(items), items)
 	return true, nil
+}
+
+// cancelRemote cancels the owner's job behind a forwarded record its
+// client canceled. ctx is the record's canceled forward context, so the
+// call runs without its cancellation, under its own timeout. It is best
+// effort: the client already has its answer, and a cancel that cannot
+// reach the owner is only logged (a cancel that lands before the
+// owner's job id is known never gets this far).
+func (s *Server) cancelRemote(ctx context.Context, cl *gpapriori.ServeClient, owner, id string) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), remoteCancelTimeout)
+	defer cancel()
+	if _, err := cl.Cancel(ctx, id); err != nil {
+		s.logf("forward: canceling job %s on owner %s: %v", id, owner, err)
+	}
 }
 
 // permanentServeError returns the typed application error when err is

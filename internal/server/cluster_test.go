@@ -6,13 +6,16 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"gpapriori"
+	"gpapriori/internal/fsfault"
 	"gpapriori/internal/peer"
 	"gpapriori/internal/testutil"
 )
@@ -23,12 +26,16 @@ type testCluster struct {
 	clients []*gpapriori.ServeClient
 	urls    []string
 	https   []*httptest.Server
+	// cfgs are the peers' configs, kept so restart boots the same peer.
+	cfgs []Config
 }
 
 // newTestCluster boots n Servers that know each other through a static
 // peer list, every one registering the same dataset "q". Probe timing
 // is test-fast: suspicion lands within ~200ms of a peer dying.
-func newTestCluster(t *testing.T, n, replication int) *testCluster {
+// configure, when non-nil, adjusts each peer's Config before boot (a
+// replaced Registry must register the same datasets on every peer).
+func newTestCluster(t *testing.T, n, replication int, configure func(*Config)) *testCluster {
 	t.Helper()
 	t.Cleanup(testutil.LeakCheck(t, 2, 15*time.Second))
 
@@ -51,7 +58,7 @@ func newTestCluster(t *testing.T, n, replication int) *testCluster {
 		if _, err := reg.Add("q", "test", testDB(t)); err != nil {
 			t.Fatal(err)
 		}
-		s, err := New(Config{
+		cfg := Config{
 			Registry:         reg,
 			CacheBudgetBytes: 4 << 20,
 			Jobs:             gpapriori.JobManagerConfig{MemoryBudgetMB: 256},
@@ -64,14 +71,11 @@ func newTestCluster(t *testing.T, n, replication int) *testCluster {
 				SuspectAfter:  2,
 				RecoverAfter:  1,
 			},
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-		ts := httptest.NewUnstartedServer(s.Handler())
-		ts.Listener.Close()
-		ts.Listener = lns[i]
-		ts.Start()
+		if configure != nil {
+			configure(&cfg)
+		}
+		s, ts := bootPeer(t, cfg, lns[i])
 		cl, err := gpapriori.NewServeClient(gpapriori.ServeConfig{
 			BaseURL: urls[i], PollWait: 2 * time.Second,
 		})
@@ -81,6 +85,7 @@ func newTestCluster(t *testing.T, n, replication int) *testCluster {
 		tc.servers = append(tc.servers, s)
 		tc.clients = append(tc.clients, cl)
 		tc.https = append(tc.https, ts)
+		tc.cfgs = append(tc.cfgs, cfg)
 	}
 	t.Cleanup(func() {
 		// Drain everyone first (stops probers and forwarders), then
@@ -98,12 +103,44 @@ func newTestCluster(t *testing.T, n, replication int) *testCluster {
 	return tc
 }
 
-// roles classifies the peers for dataset "q": the static owners in
+// bootPeer builds a Server from cfg and serves it on ln.
+func bootPeer(t *testing.T, cfg Config, ln net.Listener) (*Server, *httptest.Server) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Listener.Close()
+	ts.Listener = ln
+	ts.Start()
+	return s, ts
+}
+
+// restart drains peer i, closes its listener and boots it again from
+// the same config (state dir included) on the same address, as a
+// SIGTERM and restart of the daemon would.
+func (tc *testCluster) restart(t *testing.T, i int) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := tc.servers[i].Drain(ctx); err != nil {
+		t.Fatalf("drain peer %d: %v", i, err)
+	}
+	tc.https[i].Close()
+	ln, err := net.Listen("tcp", strings.TrimPrefix(tc.urls[i], "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.servers[i], tc.https[i] = bootPeer(t, tc.cfgs[i], ln)
+}
+
+// roles classifies the peers for dataset ds: the static owners in
 // ring order, and one non-owner (-1 when replication covers everyone).
-func (tc *testCluster) roles(t *testing.T) (owners []int, nonOwner int) {
+func (tc *testCluster) roles(t *testing.T, ds string) (owners []int, nonOwner int) {
 	t.Helper()
 	c := tc.servers[0].cluster
-	ownerURLs := c.set.Owners(c.dsKeys["q"])
+	ownerURLs := c.set.Owners(c.dsKeys[ds])
 	byURL := map[string]int{}
 	for i, u := range tc.urls {
 		byURL[u] = i
@@ -144,8 +181,8 @@ func waitFor(t *testing.T, d time.Duration, msg string, cond func() bool) {
 // not own the dataset is forwarded to an owner and still yields the
 // byte-identical offline result, streamed generations included.
 func TestClusterForwardEquivalence(t *testing.T) {
-	tc := newTestCluster(t, 3, 1)
-	owners, nonOwner := tc.roles(t)
+	tc := newTestCluster(t, 3, 1, nil)
+	owners, nonOwner := tc.roles(t, "q")
 	if nonOwner < 0 {
 		t.Fatal("replication 1 of 3 peers must leave a non-owner")
 	}
@@ -196,8 +233,8 @@ func TestClusterForwardEquivalence(t *testing.T) {
 // finds the result in a co-owner's cache, installs the replica, and
 // answers without mining.
 func TestClusterPeerCacheHit(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
-	owners, _ := tc.roles(t)
+	tc := newTestCluster(t, 3, 2, nil)
+	owners, _ := tc.roles(t, "q")
 	if len(owners) != 2 {
 		t.Fatalf("want 2 owners, got %v", owners)
 	}
@@ -244,8 +281,8 @@ func TestClusterPeerCacheHit(t *testing.T) {
 // warning; a submission through the non-owner fails over to the
 // surviving replica and the result still matches offline byte for byte.
 func TestClusterForwardSurvivesKilledOwner(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
-	owners, nonOwner := tc.roles(t)
+	tc := newTestCluster(t, 3, 2, nil)
+	owners, nonOwner := tc.roles(t, "q")
 	if nonOwner < 0 {
 		t.Fatal("replication 2 of 3 peers must leave a non-owner")
 	}
@@ -273,8 +310,8 @@ func TestClusterForwardSurvivesKilledOwner(t *testing.T) {
 // /healthz to degraded, naming the dataset whose redundancy is gone;
 // peers that own nothing near the dead node stay ok.
 func TestClusterDegradedHealth(t *testing.T) {
-	tc := newTestCluster(t, 3, 2)
-	owners, nonOwner := tc.roles(t)
+	tc := newTestCluster(t, 3, 2, nil)
+	owners, nonOwner := tc.roles(t, "q")
 	tc.kill(owners[0])
 
 	ctx := context.Background()
@@ -312,5 +349,146 @@ func TestClusterDegradedHealth(t *testing.T) {
 		if nh.Status != "ok" {
 			t.Fatalf("non-owner health %q, want ok", nh.Status)
 		}
+	}
+}
+
+// TestClusterForwardKeepsOwnerDegraded: with every fsync failing, the
+// owner's job mines on degraded, and the non-owner that forwarded it
+// reports the owner's degraded flag in the job's terminal info.
+func TestClusterForwardKeepsOwnerDegraded(t *testing.T) {
+	in := fsfault.NewInjector(1)
+	in.SetRates(0, 1, 0) // every fsync fails; writes and renames pass
+	// Registered before the cluster so the disk heals after its drain.
+	t.Cleanup(fsfault.SetForTest(in))
+	tc := newTestCluster(t, 3, 1, func(cfg *Config) { cfg.StateDir = t.TempDir() })
+	owners, nonOwner := tc.roles(t, "q")
+	ctx := context.Background()
+
+	req := gpapriori.ServeMineRequest{Dataset: "q", Algorithm: "cpu-bitset", MinSupport: 25, NoCache: true}
+	job, err := tc.clients[nonOwner].Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := tc.clients[nonOwner].Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != gpapriori.JobDone.String() || final.Forwarded != tc.urls[owners[0]] {
+		t.Fatalf("forwarded job ended %s on %q, want done on owner %q", final.State, final.Forwarded, tc.urls[owners[0]])
+	}
+	st, err := tc.clients[owners[0]].Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Durability.DegradedJobs != 1 {
+		t.Fatalf("owner degraded_jobs = %d, want 1", st.Durability.DegradedJobs)
+	}
+	if !final.Degraded {
+		t.Fatal("the non-owner's terminal info dropped the owner's degraded flag")
+	}
+}
+
+// TestClusterCancelStopsOwnerJob: a client that cancels a forwarded job
+// cancels the owner's job too, rather than leaving the owner mining a
+// result nobody waits for.
+func TestClusterCancelStopsOwnerJob(t *testing.T) {
+	tc := newTestCluster(t, 3, 1, func(cfg *Config) { cfg.Registry = slowRegistry(t) })
+	owners, nonOwner := tc.roles(t, "slow")
+	ctx := context.Background()
+	cl := tc.clients[nonOwner]
+
+	job, err := cl.Submit(ctx, slowRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Once a generation is relayed, the forwarder streams the owner's
+	// job and knows its id.
+	errRelayed := errors.New("generation relayed")
+	if _, err := cl.Stream(ctx, job.ID, func(gpapriori.ServeGenerationEvent) error {
+		return errRelayed
+	}); !errors.Is(err, errRelayed) {
+		t.Fatalf("stream: %v, want a relayed generation", err)
+	}
+	if _, err := cl.Cancel(ctx, job.ID); err != nil {
+		t.Fatal(err)
+	}
+	final, err := cl.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != gpapriori.JobCanceled.String() {
+		t.Fatalf("forwarded job ended %s, want canceled", final.State)
+	}
+	owner := tc.clients[owners[0]]
+	var st *gpapriori.ServeStats
+	waitFor(t, 10*time.Second, "the owner's job to end", func() bool {
+		st, err = owner.Stats(ctx)
+		return err == nil && st.Jobs.Done+st.Jobs.Canceled > 0
+	})
+	if st.Jobs.Canceled != 1 || st.Jobs.Done != 0 {
+		t.Fatalf("owner jobs: done %d, canceled %d, want 0 and 1", st.Jobs.Done, st.Jobs.Canceled)
+	}
+}
+
+// TestClusterDrainedForwardReattaches: a non-owner drained mid-forward
+// journals the job and leaves the owner's job running. Restarted on the
+// same state dir, it re-forwards under the same idempotency key and
+// re-attaches to that job, so the retrying client's Wait ends done with
+// the offline result and the owner mines the request once.
+func TestClusterDrainedForwardReattaches(t *testing.T) {
+	tc := newTestCluster(t, 3, 1, func(cfg *Config) {
+		cfg.Registry = slowRegistry(t)
+		cfg.StateDir = t.TempDir()
+	})
+	owners, nonOwner := tc.roles(t, "slow")
+	ctx := context.Background()
+	cl, err := gpapriori.NewServeClient(gpapriori.ServeConfig{
+		BaseURL: tc.urls[nonOwner], PollWait: 2 * time.Second,
+		Retry: gpapriori.RetryPolicy{MaxAttempts: 10, BaseDelay: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	job, err := cl.Submit(ctx, slowRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := tc.clients[owners[0]]
+	waitFor(t, 10*time.Second, "the owner to admit the forwarded job", func() bool {
+		st, err := owner.Stats(ctx)
+		return err == nil && st.Jobs.Submitted == 1
+	})
+	tc.restart(t, nonOwner)
+
+	final, err := cl.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != gpapriori.JobDone.String() {
+		t.Fatalf("re-forwarded job ended %s (%s), want done", final.State, final.Error)
+	}
+	got, err := cl.Result(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := gpapriori.GeneratePaperDataset("chess", 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := gpapriori.Mine(db, slowRequest().MiningConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want.Itemsets) {
+		t.Fatalf("re-forwarded result differs from offline (%d vs %d sets)", len(got), len(want.Itemsets))
+	}
+	st, err := owner.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Jobs.Submitted != 1 || st.Durability.IdempotentHits != 1 {
+		t.Fatalf("owner ran %d jobs with %d idempotent hits, want 1 and 1",
+			st.Jobs.Submitted, st.Durability.IdempotentHits)
 	}
 }

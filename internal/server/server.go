@@ -168,9 +168,10 @@ type jobRecord struct {
 
 	// Forwarded records (cluster.go) have no job; their progress
 	// comes from relaying an owner's stream. fwdCancel (immutable after
-	// creation) stops the forwarding goroutine; fwdState mirrors the
-	// remote lifecycle state; forwardedTo names the owner in use.
-	fwdCancel   context.CancelFunc
+	// creation) stops the forwarding goroutine, with errClientCanceled
+	// as the cause when the owner's job must stop too; fwdState mirrors
+	// the remote lifecycle state; forwardedTo names the owner in use.
+	fwdCancel   context.CancelCauseFunc
 	fwdState    string
 	forwardedTo string
 }
@@ -583,11 +584,13 @@ func (s *Server) finalize(rec *jobRecord) {
 }
 
 // complete marks the record terminal: any itemsets not yet streamed
-// ride on the final event together with the terminal job info.
+// ride on the final event together with the terminal job info. A
+// forwarded job's info arrives with its owner's degraded flag; the
+// record's own flag marks only local checkpoint failures.
 func (r *jobRecord) complete(info gpapriori.ServeJobInfo, body []byte, itemsets []gpapriori.Itemset) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	info.Degraded = r.degraded
+	info.Degraded = info.Degraded || r.degraded
 	info.Requeued = r.requeued
 	r.events = append(r.events, gpapriori.ServeGenerationEvent{
 		Itemsets: longerThan(itemsets, r.lastLen), Final: true, Job: &info,
@@ -865,7 +868,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		s.jm.Cancel(rec.job)
 	}
 	if rec.fwdCancel != nil {
-		rec.fwdCancel()
+		rec.fwdCancel(errClientCanceled)
 	}
 	info, _, _ := rec.snapshot()
 	writeJSON(w, http.StatusOK, info)
@@ -1066,8 +1069,11 @@ func (s *Server) Drain(ctx context.Context) error {
 		if rec.job != nil {
 			s.jm.Cancel(rec.job)
 		}
+		// A drained forward leaves the owner's job running: the
+		// restarted node re-forwards under the same idempotency key and
+		// re-attaches to it.
 		if rec.fwdCancel != nil {
-			rec.fwdCancel()
+			rec.fwdCancel(nil)
 		}
 	}
 	done := make(chan struct{})

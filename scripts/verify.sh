@@ -106,16 +106,29 @@ for ALGO in cpu-bitset pipeline; do
     echo "kill/resume smoke ($ALGO): OK"
 done
 
-# Fault-failover smoke: losing a device of a pool and routing a hybrid
-# CPU share must not change a single byte of the result, and a
-# fault-free pool run must report no fault activity.
+# Fault-failover smoke: losing a device of a pool, a hang the watchdog
+# kills, and routing a hybrid CPU share must not change a single byte
+# of the result, and a fault-free pool run must report no fault
+# activity.
 FAULT="-dataset chess -scale 0.3 -minsup 0.8 -algo gpapriori -result-only"
 "$SMOKE/gpapriori" $FAULT > "$SMOKE/clean.txt"
 "$SMOKE/gpapriori" $FAULT -devices 2 -faults dev1:dead@gen2 > "$SMOKE/failover.txt"
+"$SMOKE/gpapriori" $FAULT -faults dev0:hang=5@gen2 > "$SMOKE/hang.txt"
 "$SMOKE/gpapriori" $FAULT -cpushare 0.25 > "$SMOKE/hybrid.txt"
 [ -s "$SMOKE/clean.txt" ]
 cmp "$SMOKE/clean.txt" "$SMOKE/failover.txt"
+cmp "$SMOKE/clean.txt" "$SMOKE/hang.txt"
 cmp "$SMOKE/clean.txt" "$SMOKE/hybrid.txt"
+# The 5 s hang is killed at the 1 s watchdog and retried once after a
+# 1 ms backoff: that is the whole modeled recovery cost.
+"$SMOKE/gpapriori" -dataset chess -scale 0.3 -minsup 0.8 -algo gpapriori \
+    -faults dev0:hang=5@gen2 -json -top 0 > "$SMOKE/hang.json"
+python3 - "$SMOKE/hang.json" <<'PY'
+import json, sys
+f = json.load(open(sys.argv[1]))["fault_stats"]
+if f["hangs"] != 1 or f["retries"] != 1 or abs(f["recovery_seconds"] - 1.001) > 1e-9:
+    sys.exit("watchdog run: fault_stats %s, want hangs 1, retries 1, recovery_seconds 1.001" % f)
+PY
 "$SMOKE/gpapriori" -dataset chess -scale 0.3 -minsup 0.8 -algo gpapriori \
     -devices 2 -json -top 0 > "$SMOKE/pool.json"
 if grep -q fault_stats "$SMOKE/pool.json"; then

@@ -139,11 +139,14 @@ type ServeGenerationEvent struct {
 
 // ServeCacheStats is the result cache's hit/miss/eviction accounting.
 type ServeCacheStats struct {
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Puts        int64 `json:"puts"`
-	Evictions   int64 `json:"evictions"`
-	Entries     int   `json:"entries"`
+	Hits      int64 `json:"hits"`
+	Misses    int64 `json:"misses"`
+	Puts      int64 `json:"puts"`
+	Evictions int64 `json:"evictions"`
+	Entries   int   `json:"entries"`
+	// Bytes is the resident entries' charge against BudgetBytes: each
+	// entry's rendered body plus its decoded itemsets (32 bytes per
+	// itemset and 4 per item).
 	Bytes       int64 `json:"bytes"`
 	BudgetBytes int64 `json:"budget_bytes"`
 }
