@@ -2,16 +2,38 @@ package gpapriori
 
 import (
 	"io"
+	"sync"
 	"time"
 
+	"gpapriori/internal/checkpoint"
 	"gpapriori/internal/dataset"
 	"gpapriori/internal/gen"
 	"gpapriori/internal/vertical"
 )
 
 // Database is a transaction database: an ordered collection of item sets.
+// Nothing mutates a Database once it is built.
 type Database struct {
 	db *dataset.DB
+
+	// contentOnce guards content, the database's content fingerprint
+	// (checkpoint.Content), computed on first use and then kept, so no
+	// later query reads the database to name its result.
+	contentOnce sync.Once
+	content     uint64
+}
+
+// contentFingerprint returns the memoized content fingerprint.
+func (d *Database) contentFingerprint() uint64 {
+	d.contentOnce.Do(func() { d.content = checkpoint.Content(d.db) })
+	return d.content
+}
+
+// resultKey is the identity of the result of mining d at absolute
+// support minSup with itemsets capped at maxLen: the result-cache key
+// and the checkpoint identity alike.
+func (d *Database) resultKey(minSup, maxLen int) uint64 {
+	return checkpoint.Key(d.contentFingerprint(), minSup, maxLen)
 }
 
 // NewDatabase builds a database from raw transactions. Rows are copied;

@@ -445,12 +445,14 @@ var (
 )
 
 // ResultFingerprint returns the canonical identity of the frequent-
-// itemset result mining db under cfg would produce — the checkpoint
-// package's fingerprint of (database content, absolute support, MaxLen)
-// — plus the resolved absolute support. Every algorithm yields the same
-// result set for equal fingerprints (the clean-run-equivalence
-// invariant), which is what makes the fingerprint a sound result-cache
-// key for the serving layer.
+// itemset result mining db under cfg would produce, plus the resolved
+// absolute support. The identity is checkpoint.Key of the database's
+// content fingerprint (see DatasetFingerprint), the absolute support
+// and MaxLen, a fixed-size mix that reads none of the database once its
+// content fingerprint is known; a checkpoint written under cfg carries
+// the same value. Every algorithm yields the same result set for equal
+// fingerprints (the clean-run-equivalence invariant), which is what
+// makes the fingerprint a sound result-cache key for the serving layer.
 func ResultFingerprint(db *Database, cfg Config) (uint64, int, error) {
 	if db == nil || db.db.Len() == 0 {
 		return 0, 0, fmt.Errorf("gpapriori: empty database")
@@ -459,19 +461,20 @@ func ResultFingerprint(db *Database, cfg Config) (uint64, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	return checkpoint.Fingerprint(db.db, minSup, cfg.MaxLen), minSup, nil
+	return db.resultKey(minSup, cfg.MaxLen), minSup, nil
 }
 
 // DatasetFingerprint returns the content hash of the database alone —
 // no support threshold, no length cap — the placement key the cluster
 // layer feeds to its consistent-hash ring. Two nodes registered with
 // the same dataset spec compute the same fingerprint and therefore
-// agree on which peers own it, with zero coordination.
+// agree on which peers own it, with zero coordination. The first call
+// on a Database reads every transaction; the value is then kept.
 func DatasetFingerprint(db *Database) (uint64, error) {
 	if db == nil || db.db.Len() == 0 {
 		return 0, fmt.Errorf("gpapriori: empty database")
 	}
-	return checkpoint.Fingerprint(db.db, 0, 0), nil
+	return db.contentFingerprint(), nil
 }
 
 // wireCheckpoint installs the public checkpoint/resume config into the
@@ -492,7 +495,7 @@ func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *
 		spec.Path = cfg.Checkpoint
 		spec.Meta = map[string]string{"algorithm": string(algo)}
 	}
-	if err := checkpoint.Wire(spec, db.db, minSup, acfg); err != nil || acfg.Checkpoint == nil {
+	if err := checkpoint.Wire(spec, db.resultKey(minSup, cfg.MaxLen), minSup, acfg); err != nil || acfg.Checkpoint == nil {
 		return err
 	}
 	save, onErr := acfg.Checkpoint, cfg.OnCheckpointError

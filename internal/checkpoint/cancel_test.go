@@ -25,7 +25,7 @@ func TestMineContextCancelledMidCheckpoint(t *testing.T) {
 
 	mine := func(ctx context.Context, spec Spec) (gotErr error) {
 		var cfg apriori.Config
-		if err := Wire(spec, db, minSup, &cfg); err != nil {
+		if err := Wire(spec, Key(Content(db), minSup, 0), minSup, &cfg); err != nil {
 			t.Fatal(err)
 		}
 		_, err := apriori.MineContext(ctx, db, minSup,

@@ -23,6 +23,7 @@ package checkpoint
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -62,7 +63,7 @@ type Snapshot struct {
 	MinSupport int
 	// MaxLen is the run's itemset length bound (0 = unbounded).
 	MaxLen int
-	// Fingerprint identifies the database + parameters (see Fingerprint).
+	// Fingerprint identifies the database + parameters (see Key).
 	Fingerprint uint64
 	// Meta carries informational key/value pairs (fault stats, miner
 	// identity); keys and values must be single-line.
@@ -72,29 +73,45 @@ type Snapshot struct {
 	Frequent *dataset.ResultSet
 }
 
-// Fingerprint hashes the database content together with the run
-// parameters that determine the generation sequence. Two runs with equal
-// fingerprints walk identical candidate trees, which is the precondition
-// for resume-equivalence.
-func Fingerprint(db *dataset.DB, minSupport, maxLen int) uint64 {
+// Content fingerprints the database content: FNV-1a 64 over
+// little-endian 64-bit words, namely the transaction count, the item
+// universe, two zero words, and then each transaction's length followed
+// by its items. The zero words hold the place of the run parameters,
+// which Key mixes in instead; they keep each dataset's fingerprint, and
+// so its cluster placement, at the value it had when the parameters
+// were hashed along with the content. Content reads every transaction,
+// so callers compute it once per database and keep it.
+func Content(db *dataset.DB) uint64 {
+	le := binary.LittleEndian
+	buf := le.AppendUint64(nil, uint64(db.Len()))
+	buf = le.AppendUint64(buf, uint64(db.NumItems()))
+	buf = le.AppendUint64(buf, 0)
+	buf = le.AppendUint64(buf, 0)
 	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
-	put(uint64(db.Len()))
-	put(uint64(db.NumItems()))
-	put(uint64(minSupport))
-	put(uint64(maxLen))
+	h.Write(buf)
 	for _, tr := range db.Transactions() {
-		put(uint64(len(tr)))
+		buf = le.AppendUint64(buf[:0], uint64(len(tr)))
 		for _, it := range tr {
-			put(uint64(it))
+			buf = le.AppendUint64(buf, uint64(it))
 		}
+		h.Write(buf)
 	}
+	return h.Sum64()
+}
+
+// Key is a run's identity: FNV-1a 64 over the little-endian words of
+// the database's Content fingerprint, the absolute minimum support and
+// MaxLen, the parameters that determine the generation sequence. Two
+// runs with equal keys walk identical candidate trees, which is the
+// precondition for resume-equivalence, and produce the same result set,
+// which makes the key the serving layer's result-cache key too.
+func Key(content uint64, minSupport, maxLen int) uint64 {
+	var buf [24]byte
+	binary.LittleEndian.PutUint64(buf[0:], content)
+	binary.LittleEndian.PutUint64(buf[8:], uint64(minSupport))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(maxLen))
+	h := fnv.New64a()
+	h.Write(buf[:])
 	return h.Sum64()
 }
 
@@ -324,13 +341,12 @@ type Spec struct {
 
 // Wire installs spec into an apriori.Config: the resume point recovered
 // from spec.ResumeFrom and a save hook writing snapshots to spec.Path,
-// both keyed by the fingerprint of (db, minSupport, cfg.MaxLen). A
-// checkpoint at ResumeFrom that belongs to a different run is
+// both keyed by key, the run's Key of (content, minSupport, cfg.MaxLen).
+// A checkpoint at ResumeFrom that belongs to a different run is
 // ErrMismatch, never silently mixed in.
-func Wire(spec Spec, db *dataset.DB, minSupport int, cfg *apriori.Config) error {
-	fp := Fingerprint(db, minSupport, cfg.MaxLen)
+func Wire(spec Spec, key uint64, minSupport int, cfg *apriori.Config) error {
 	if spec.ResumeFrom != "" {
-		snap, err := TryResume(spec.ResumeFrom, fp, minSupport)
+		snap, err := TryResume(spec.ResumeFrom, key, minSupport)
 		if err != nil {
 			return err
 		}
@@ -345,7 +361,7 @@ func Wire(spec Spec, db *dataset.DB, minSupport int, cfg *apriori.Config) error 
 	cfg.Checkpoint = func(gen int, frequent *dataset.ResultSet) error {
 		return Save(spec.Path, Snapshot{
 			Gen: gen, MinSupport: minSupport, MaxLen: maxLen,
-			Fingerprint: fp, Meta: spec.Meta, Frequent: frequent,
+			Fingerprint: key, Meta: spec.Meta, Frequent: frequent,
 		})
 	}
 	return nil

@@ -198,23 +198,26 @@ func TestTryResume(t *testing.T) {
 	}
 }
 
+// TestFingerprintSensitivity: a run's Key is a function of the content
+// fingerprint, the minimum support and MaxLen alone, and changing any
+// one of them changes it.
 func TestFingerprintSensitivity(t *testing.T) {
-	db := sampleDB()
-	base := Fingerprint(db, 2, 0)
-	if Fingerprint(db, 2, 0) != base {
-		t.Error("fingerprint not deterministic")
+	content := Content(sampleDB())
+	base := Key(content, 2, 0)
+	if Content(sampleDB()) != content || Key(content, 2, 0) != base {
+		t.Error("equal inputs give different keys")
 	}
-	if Fingerprint(db, 3, 0) == base {
-		t.Error("fingerprint ignores minimum support")
+	if Key(content, 3, 0) == base {
+		t.Error("key ignores minimum support")
 	}
-	if Fingerprint(db, 2, 4) == base {
-		t.Error("fingerprint ignores MaxLen")
+	if Key(content, 2, 4) == base {
+		t.Error("key ignores MaxLen")
 	}
 	other := dataset.New([][]dataset.Item{
 		{0, 1, 2}, {0, 1}, {0, 1, 3}, {0, 2}, {1, 2},
 	})
-	if Fingerprint(other, 2, 0) == base {
-		t.Error("fingerprint ignores transaction content")
+	if Key(Content(other), 2, 0) == base {
+		t.Error("key ignores transaction content")
 	}
 }
 
@@ -289,11 +292,11 @@ func TestSaveSlowWriterNeverTorn(t *testing.T) {
 }
 
 func TestWire(t *testing.T) {
-	db := sampleDB()
+	key := Key(Content(sampleDB()), 2, 0)
 	path := filepath.Join(t.TempDir(), "ck")
 	var cfg apriori.Config
 	spec := Spec{Path: path, ResumeFrom: path}
-	if err := Wire(spec, db, 2, &cfg); err != nil {
+	if err := Wire(spec, key, 2, &cfg); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Checkpoint == nil {
@@ -309,7 +312,7 @@ func TestWire(t *testing.T) {
 	}
 	// A second Wire resuming from the same path picks the snapshot back up.
 	var cfg2 apriori.Config
-	if err := Wire(spec, db, 2, &cfg2); err != nil {
+	if err := Wire(spec, key, 2, &cfg2); err != nil {
 		t.Fatal(err)
 	}
 	if cfg2.Resume == nil || cfg2.Resume.Gen != 1 {
@@ -317,7 +320,7 @@ func TestWire(t *testing.T) {
 	}
 	// Resuming alone installs the resume point and no save hook.
 	var cfg3 apriori.Config
-	if err := Wire(Spec{ResumeFrom: path}, db, 2, &cfg3); err != nil {
+	if err := Wire(Spec{ResumeFrom: path}, key, 2, &cfg3); err != nil {
 		t.Fatal(err)
 	}
 	if cfg3.Resume == nil || cfg3.Checkpoint != nil {
@@ -325,21 +328,20 @@ func TestWire(t *testing.T) {
 	}
 	// Wrong identity: the stale file is surfaced, not overwritten.
 	var cfg4 apriori.Config
-	if err := Wire(spec, db, 3, &cfg4); !errors.Is(err, ErrMismatch) {
+	if err := Wire(spec, Key(Content(sampleDB()), 3, 0), 3, &cfg4); !errors.Is(err, ErrMismatch) {
 		t.Errorf("Wire with different minsup: want ErrMismatch, got %v", err)
 	}
 	// Disabled spec: untouched config.
 	var cfg5 apriori.Config
-	if err := Wire(Spec{}, db, 2, &cfg5); err != nil || cfg5.Checkpoint != nil || cfg5.Resume != nil {
+	if err := Wire(Spec{}, key, 2, &cfg5); err != nil || cfg5.Checkpoint != nil || cfg5.Resume != nil {
 		t.Errorf("Wire with disabled spec: err=%v hook=%v", err, cfg5.Checkpoint != nil)
 	}
 }
 
 func TestWireMeta(t *testing.T) {
-	db := sampleDB()
 	path := filepath.Join(t.TempDir(), "ck")
 	var cfg apriori.Config
-	err := Wire(Spec{Path: path, Meta: map[string]string{"algorithm": "gpapriori"}}, db, 2, &cfg)
+	err := Wire(Spec{Path: path, Meta: map[string]string{"algorithm": "gpapriori"}}, Key(Content(sampleDB()), 2, 0), 2, &cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

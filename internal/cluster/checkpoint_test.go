@@ -21,7 +21,7 @@ func wired(t *testing.T, path string, db *dataset.DB, minSup int) apriori.Config
 	t.Helper()
 	var cfg apriori.Config
 	spec := checkpoint.Spec{Path: path, ResumeFrom: path}
-	if err := checkpoint.Wire(spec, db, minSup, &cfg); err != nil {
+	if err := checkpoint.Wire(spec, checkpoint.Key(checkpoint.Content(db), minSup, 0), minSup, &cfg); err != nil {
 		t.Fatal(err)
 	}
 	return cfg

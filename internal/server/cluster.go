@@ -367,10 +367,22 @@ func (s *Server) forwardOnce(ctx context.Context, rec *jobRecord, owner string) 
 	job, err := cl.SubmitKeyed(ctx, rec.req, "fwd-"+s.cluster.self+"-"+rec.id)
 	if err != nil {
 		if pse := permanentServeError(err); pse != nil {
-			s.completeForwardFailed(rec, owner, pse)
+			s.completeForwardFailed(rec, owner, pse.Message)
 			return true, nil
 		}
 		return false, err
+	}
+	if want := fmt.Sprintf("%016x", rec.key); job.ResultKey != want {
+		// The owner registered other content under this dataset name,
+		// so its itemsets would answer some other database.
+		if !job.Terminal() {
+			s.cancelRemote(ctx, cl, owner, job.ID)
+		}
+		msg := fmt.Sprintf("dataset_mismatch: the owner's dataset %q has other content (result key %q, this node %s)",
+			rec.dataset, job.ResultKey, want)
+		s.logf("forward %s: owner %s: %s", rec.id, owner, msg)
+		s.completeForwardFailed(rec, owner, msg)
+		return true, nil
 	}
 	rec.noteForwardState(job.State)
 	final := job
@@ -383,7 +395,7 @@ func (s *Server) forwardOnce(ctx context.Context, rec *jobRecord, owner string) 
 		})
 		if err != nil {
 			if pse := permanentServeError(err); pse != nil {
-				s.completeForwardFailed(rec, owner, pse)
+				s.completeForwardFailed(rec, owner, pse.Message)
 				return true, nil
 			}
 			if errors.Is(context.Cause(ctx), errClientCanceled) {
@@ -450,12 +462,13 @@ func permanentServeError(err error) *gpapriori.ServeError {
 }
 
 // completeForwardFailed terminates rec after a permanent remote
-// refusal.
-func (s *Server) completeForwardFailed(rec *jobRecord, owner string, se *gpapriori.ServeError) {
+// refusal, or an owner answer this node must not relay, explained by
+// msg.
+func (s *Server) completeForwardFailed(rec *jobRecord, owner, msg string) {
 	s.cluster.fwdFailed.Add(1)
 	info := rec.info(gpapriori.JobFailed.String())
 	info.Forwarded = owner
-	info.Error = fmt.Sprintf("forwarded to %s: %s", owner, se.Message)
+	info.Error = fmt.Sprintf("forwarded to %s: %s", owner, msg)
 	s.complete(rec, info, nil, nil)
 }
 

@@ -492,3 +492,49 @@ func TestClusterDrainedForwardReattaches(t *testing.T) {
 			st.Jobs.Submitted, st.Durability.IdempotentHits)
 	}
 }
+
+// TestClusterForwardRefusesOtherContent: an owner that registered other
+// content under a dataset's name computes another result key for the
+// same request. The non-owner, seeing that key in the owner's job info,
+// fails the forwarded job with dataset_mismatch instead of answering
+// with the owner's itemsets.
+func TestClusterForwardRefusesOtherContent(t *testing.T) {
+	key, err := gpapriori.DatasetFingerprint(testDB(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := newTestCluster(t, 3, 1, func(cfg *Config) {
+		// The peer that owns testDB's content registers other content
+		// under its name; the other peers place "q" on it all the same.
+		if peer.NewRing(cfg.Cluster.Peers).Sequence(key)[0] != cfg.Cluster.Self {
+			return
+		}
+		cfg.Registry = NewRegistry()
+		if _, err := cfg.Registry.Add("q", "test", gpapriori.GenerateQuest(60, 400, 8, 4, 8)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	owner := peer.NewRing(tc.urls).Sequence(key)[0]
+	nonOwner := 0
+	if tc.urls[0] == owner {
+		nonOwner = 1
+	}
+
+	ctx := context.Background()
+	cl := tc.clients[nonOwner]
+	job, err := cl.Submit(ctx, gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := cl.Wait(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != gpapriori.JobFailed.String() || !strings.Contains(final.Error, "dataset_mismatch") {
+		t.Fatalf("forward to an owner with other content ended %s (%q), want failed with dataset_mismatch",
+			final.State, final.Error)
+	}
+	if final.Forwarded != owner {
+		t.Fatalf("failed forward names owner %q, want %q", final.Forwarded, owner)
+	}
+}

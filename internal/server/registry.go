@@ -3,11 +3,13 @@
 // generating the database is paid at registration, and every
 // subsequent query hits the resident horizontal database. The vertical
 // bitset layout is not resident: every job transposes its database
-// itself (vertical.BuildBitsets, ~1.5ms per query of perfbench's miss
-// mix on a 2-CPU host). Keeping the layouts resident would add ~4.4MB
-// to that mix's ~9.2MB live heap, a resident-memory cost the saving
-// does not buy back. Entries carry the modeled vertical-bitset footprint so
-// admission control and /statsz account for what a job's layout costs.
+// itself (vertical.BuildBitsets). Keeping the layouts resident would
+// add ~4.4MB to the ~9.2MB live heap of perfbench's miss mix, a
+// resident-memory cost the saving does not buy back. A database keeps
+// only its content fingerprint, computed on its first request rather
+// than here, so registration stays a load. Entries carry the modeled
+// vertical-bitset footprint so admission control and /statsz account
+// for what a job's layout costs.
 package server
 
 import (

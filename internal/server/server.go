@@ -554,6 +554,7 @@ func (r *jobRecord) info(state string) gpapriori.ServeJobInfo {
 	return gpapriori.ServeJobInfo{
 		ID: r.id, Dataset: r.dataset, Algorithm: r.algo,
 		State: state, MinSupport: r.minSup, Transactions: r.trans,
+		ResultKey: fmt.Sprintf("%016x", r.key),
 	}
 }
 
@@ -631,6 +632,13 @@ func (r *jobRecord) snapshot() (gpapriori.ServeJobInfo, bool, <-chan struct{}) {
 		state = r.job.State().String()
 	}
 	info := r.info(state)
+	if info.Terminal() {
+		// The job has ended, but only the terminal info complete()
+		// publishes carries its result count, its error and a drain's
+		// requeued flag. Until then it reads as running, so no client
+		// takes this snapshot for its final answer.
+		info.State = gpapriori.JobRunning.String()
+	}
 	info.Degraded = r.degraded
 	info.Forwarded = r.forwardedTo
 	return info, false, r.wake

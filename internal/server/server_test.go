@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -404,6 +405,116 @@ func TestDrainAndResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want.Itemsets) {
 		t.Fatalf("resumed result differs from offline (%d vs %d sets)", len(got), len(want.Itemsets))
+	}
+}
+
+// TestWaitFollowsDrainRequeue: a client waiting on a job while its
+// daemon drains is told neither of the drain's cancellation nor of an
+// error. The job is journaled, and Wait follows it through the restart
+// on the same state dir and address to done with the offline result.
+func TestWaitFollowsDrainRequeue(t *testing.T) {
+	t.Cleanup(testutil.LeakCheck(t, 2, 10*time.Second))
+	ctx := context.Background()
+	cfg := Config{Registry: slowRegistry(t), StateDir: t.TempDir(),
+		Jobs: gpapriori.JobManagerConfig{MemoryBudgetMB: 256}}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	s1, ts1 := bootPeer(t, cfg, ln)
+	t.Cleanup(ts1.Close)
+	cl, err := gpapriori.NewServeClient(gpapriori.ServeConfig{
+		BaseURL: "http://" + addr, PollWait: 2 * time.Second,
+		Retry: gpapriori.RetryPolicy{MaxAttempts: 10, BaseDelay: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := cl.Submit(ctx, slowRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type waited struct {
+		info *gpapriori.ServeJobInfo
+		err  error
+	}
+	done := make(chan waited, 1)
+	go func() {
+		info, err := cl.Wait(ctx, job.ID)
+		done <- waited{info, err}
+	}()
+
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if info, err := cl.Job(ctx, job.ID); err != nil || !info.Requeued {
+		t.Fatalf("drained job: %+v, %v; want it requeued", info, err)
+	}
+	// The drained daemon keeps answering for a while, as one that is
+	// still shutting down would; Wait must not take its answer as final.
+	select {
+	case w := <-done:
+		t.Fatalf("Wait returned from the drained daemon: %+v, %v", w.info, w.err)
+	case <-time.After(time.Second):
+	}
+	ts1.Close()
+	ln2, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, ts2 := bootPeer(t, cfg, ln2)
+	t.Cleanup(func() {
+		s2.Drain(ctx)
+		ts2.Close()
+	})
+
+	w := <-done
+	if w.err != nil {
+		t.Fatal(w.err)
+	}
+	if w.info.State != gpapriori.JobDone.String() {
+		t.Fatalf("Wait ended %s (requeued=%v, %s), want done", w.info.State, w.info.Requeued, w.info.Error)
+	}
+	got, err := cl.Result(ctx, job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := gpapriori.GeneratePaperDataset("chess", 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := gpapriori.Mine(db, slowRequest().MiningConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want.Itemsets) {
+		t.Fatalf("requeued job's result differs from offline (%d vs %d sets)", len(got), len(want.Itemsets))
+	}
+}
+
+// TestSnapshotHidesUnpublishedEnd: a record whose job has ended but
+// whose terminal info is not yet published reads as running, so a
+// long-polling client never takes it for the final answer (which alone
+// carries the result count, the error and a drain's requeued flag).
+func TestSnapshotHidesUnpublishedEnd(t *testing.T) {
+	jm, err := jobs.NewManager(jobs.Options{MemoryBudgetBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jm.Close()
+	job := &jobs.Job{Name: "j", Run: func(ctx context.Context) error {
+		<-ctx.Done()
+		return ctx.Err()
+	}}
+	if err := jm.Submit(job); err != nil {
+		t.Fatal(err)
+	}
+	jm.Cancel(job)
+	<-job.Done()
+	rec := &jobRecord{id: "j", job: job, wake: make(chan struct{})}
+	if info, terminal, _ := rec.snapshot(); terminal || info.Terminal() {
+		t.Fatalf("a record with an unpublished end reads %s (terminal %v)", info.State, terminal)
 	}
 }
 

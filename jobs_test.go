@@ -1,13 +1,19 @@
 package gpapriori
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"gpapriori/internal/checkpoint"
 	"gpapriori/internal/core"
+	"gpapriori/internal/dataset"
 )
 
 // jobsDB builds a database big enough for a few generations but quick to
@@ -86,6 +92,102 @@ func TestPublicResumeMismatchRejected(t *testing.T) {
 	_, err := Mine(db, Config{Algorithm: AlgoCPUBitset, MinSupport: 7, ResumeFrom: path})
 	if err == nil || !strings.Contains(err.Error(), "does not match") {
 		t.Errorf("want mismatch error, got %v", err)
+	}
+}
+
+// TestCheckpointIdentityIsResultKey: the snapshot a checkpointed run
+// writes carries ResultFingerprint's key for the same database and
+// config, so the result cache and the checkpoint share one identity.
+func TestCheckpointIdentityIsResultKey(t *testing.T) {
+	db := jobsDB(7)
+	cfg := Config{MinSupport: 6, MaxLen: 3, Checkpoint: filepath.Join(t.TempDir(), "run.ckpt")}
+	if _, err := MineContext(context.Background(), db, cfg); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Load(cfg.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _, err := ResultFingerprint(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Fingerprint != key {
+		t.Fatalf("snapshot fingerprint %016x, ResultFingerprint %016x", snap.Fingerprint, key)
+	}
+}
+
+// legacyFingerprint is the run identity checkpoints carried while it was
+// one FNV-1a stream over the database counts, the run parameters and
+// every transaction, hashed on every run.
+func legacyFingerprint(db *dataset.DB, minSupport, maxLen int) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v uint64) {
+		for i := range buf {
+			buf[i] = byte(v >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	put(uint64(db.Len()))
+	put(uint64(db.NumItems()))
+	put(uint64(minSupport))
+	put(uint64(maxLen))
+	for _, tr := range db.Transactions() {
+		put(uint64(len(tr)))
+		for _, it := range tr {
+			put(uint64(it))
+		}
+	}
+	return h.Sum64()
+}
+
+// TestResumeRefusesLegacyFingerprint: a checkpoint identified the
+// legacy way belongs to no run any more, so resuming from it is a typed
+// mismatch rather than a silent reuse.
+func TestResumeRefusesLegacyFingerprint(t *testing.T) {
+	db := jobsDB(7)
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	cfg := Config{MinSupport: 6, Checkpoint: path}
+	if _, err := Mine(db, cfg); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Fingerprint = legacyFingerprint(db.db, cfg.MinSupport, cfg.MaxLen)
+	if err := checkpoint.Save(path, snap); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Mine(db, Config{MinSupport: 6, ResumeFrom: path})
+	if !errors.Is(err, ErrCheckpointMismatch) {
+		t.Fatalf("resuming a legacy checkpoint: %v, want ErrCheckpointMismatch", err)
+	}
+}
+
+// TestDatasetFingerprintPinned pins one small database's content
+// fingerprint. It is the cluster's placement key, so a change of value
+// would move every dataset to other owners. Callers racing on the
+// database's first use all get the pinned value.
+func TestDatasetFingerprintPinned(t *testing.T) {
+	db := NewDatabase([][]Item{{1, 2, 3}, {1, 2}, {2, 3}, {1, 3}})
+	const want = 0x890b6ca53ecb4c44
+	got := make([]uint64, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = DatasetFingerprint(db)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || got[i] != want {
+			t.Errorf("caller %d: DatasetFingerprint = %#016x, %v; want %#016x", i, got[i], errs[i], uint64(want))
+		}
 	}
 }
 

@@ -109,6 +109,11 @@ type ServeJobInfo struct {
 	// submitting client needs no awareness of it — results stream back
 	// through the node it talked to — but it makes placement auditable.
 	Forwarded string `json:"forwarded,omitempty"`
+	// ResultKey names what the job computes: the daemon's result key
+	// (ResultFingerprint) of the request over its registered content,
+	// as 16 hex digits. A cluster node that forwards a job checks that
+	// its owner reports the key it computed itself.
+	ResultKey string `json:"result_key,omitempty"`
 }
 
 // Terminal reports whether the job has reached a terminal state.
@@ -767,11 +772,15 @@ func (c *ServeClient) Job(ctx context.Context, id string) (*ServeJobInfo, error)
 // Wait long-polls the job until it reaches a terminal state or ctx is
 // done. A post-restart 404 for a job this client submitted is not
 // fatal: Wait resubmits under the original idempotency key and keeps
-// waiting on the replacement job.
+// waiting on the replacement job. Like Stream, Wait follows a job the
+// daemon requeued while draining through the restart, rather than
+// reporting its cancellation.
 func (c *ServeClient) Wait(ctx context.Context, id string) (*ServeJobInfo, error) {
+	waitSec := int(c.wait.Seconds())
 	for {
-		path := fmt.Sprintf("/v1/jobs/%s?wait_sec=%d", url.PathEscape(id), int(c.wait.Seconds()))
+		path := fmt.Sprintf("/v1/jobs/%s?wait_sec=%d", url.PathEscape(id), waitSec)
 		out := &ServeJobInfo{}
+		polled := time.Now()
 		if err := c.do(ctx, http.MethodGet, path, nil, out, nil, false); err != nil {
 			if newID, ok := c.recoverUnknownJob(ctx, id, err); ok {
 				id = newID
@@ -779,12 +788,20 @@ func (c *ServeClient) Wait(ctx context.Context, id string) (*ServeJobInfo, error
 			}
 			return nil, err
 		}
-		if out.Terminal() {
+		if out.Terminal() && !out.Requeued {
 			c.forget(id)
 			return out, nil
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		if out.Requeued || time.Since(polled) < time.Duration(waitSec)*time.Second {
+			// A draining daemon answers at once, with the job still
+			// live or already journaled for its restart, whose answer
+			// is the real one. Pace the polls rather than spin.
+			if err := c.sleep(ctx, c.backoff(1, nil)); err != nil {
+				return nil, err
+			}
 		}
 	}
 }

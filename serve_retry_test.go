@@ -239,6 +239,40 @@ func TestWaitRecoversUnknownJob(t *testing.T) {
 	}
 }
 
+// TestWaitPacesDrainAnswers: a draining daemon answers a long-poll at
+// once, first with the job still live and then requeued for its
+// restart. Wait paces those polls with the backoff instead of spinning,
+// follows the requeue, and returns the restarted daemon's answer.
+func TestWaitPacesDrainAnswers(t *testing.T) {
+	var mu sync.Mutex
+	answers := []ServeJobInfo{
+		{ID: "job-1", State: "running"},
+		{ID: "job-1", State: "canceled", Requeued: true},
+		{ID: "job-1", State: "done", Itemsets: 3},
+	}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		a := answers[0]
+		if len(answers) > 1 {
+			answers = answers[1:]
+		}
+		mu.Unlock()
+		json.NewEncoder(w).Encode(a)
+	}))
+	defer ts.Close()
+	cl, delays := newRetryClient(t, ts, RetryPolicy{MaxAttempts: 3, Seed: 3})
+	final, err := cl.Wait(context.Background(), "job-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != "done" || final.Requeued {
+		t.Fatalf("Wait ended %s (requeued=%v), want the restarted daemon's done", final.State, final.Requeued)
+	}
+	if len(*delays) != 2 {
+		t.Fatalf("slept %d times, want once after each of the 2 early answers", len(*delays))
+	}
+}
+
 // streamScript serves a scripted NDJSON stream per connection.
 type streamScript struct {
 	mu    sync.Mutex
