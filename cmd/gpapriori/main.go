@@ -41,7 +41,7 @@ func main() {
 		dsName   = flag.String("dataset", "", "generated paper dataset: T40I10D100K, pumsb, chess, accidents")
 		scale    = flag.Float64("scale", 0.05, "scale of the generated dataset (1.0 = published size)")
 		minsup   = flag.Float64("minsup", 0, "minimum support: ratio in (0,1) or whole-number count ≥ 1")
-		algo     = flag.String("algo", string(gpapriori.Algorithm("").Resolve()), "algorithm (see gpapriori.Algorithms); gpapriori runs the simulated GPU")
+		algo     = flag.String("algo", string(gpapriori.Algorithm("").Resolve()), "algorithm (see gpapriori.Algorithms); gpapriori runs the simulated GPU; -serve-url mines with pipeline only")
 		maxLen   = flag.Int("maxlen", 0, "maximum itemset length (0 = unbounded)")
 		workers  = flag.Int("workers", 0, "worker count for the pipeline algorithm (0 = GOMAXPROCS)")
 		devices  = flag.Int("devices", 0, "simulated GPU count for -algo gpapriori (0/1 = single)")
@@ -260,13 +260,15 @@ func runServe(w io.Writer, o runOpts) error {
 	if o.workers != 0 || o.devices != 0 || o.cpuShare != 0 || o.faults != "" {
 		return fmt.Errorf("-serve-url sends only the query; -workers, -devices, -cpushare and -faults tune offline mining")
 	}
+	if algo := gpapriori.Algorithm(o.algo).Resolve(); algo != gpapriori.AlgoPipeline {
+		return fmt.Errorf("-serve-url mines with the %s; -algo %s runs offline only", gpapriori.AlgoPipeline, algo)
+	}
 	rel, abs, err := splitMinsup(o.minsup)
 	if err != nil {
 		return err
 	}
 	req := gpapriori.ServeMineRequest{
 		Dataset:         o.dsName,
-		Algorithm:       o.algo,
 		MinSupport:      abs,
 		RelativeSupport: rel,
 		MaxLen:          o.maxLen,

@@ -108,12 +108,11 @@ func TestRunServeMode(t *testing.T) {
 	url := testDaemon(t, path)
 
 	var offline, served bytes.Buffer
-	if err := run(&offline, runOpts{input: path, minsup: 0.75, algo: "gpapriori",
-		resultOnly: true}); err != nil {
+	if err := run(&offline, runOpts{input: path, minsup: 0.75, resultOnly: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := run(&served, runOpts{serveURL: url, dsName: "fig2", minsup: 0.75,
-		algo: "gpapriori", resultOnly: true}); err != nil {
+		resultOnly: true}); err != nil {
 		t.Fatal(err)
 	}
 	if offline.String() != served.String() {
@@ -123,21 +122,21 @@ func TestRunServeMode(t *testing.T) {
 
 	var jsonOut bytes.Buffer
 	if err := run(&jsonOut, runOpts{serveURL: url, dsName: "fig2", minsup: 2,
-		algo: "eclat", jsonOut: true}); err != nil {
+		algo: "pipeline", jsonOut: true}); err != nil {
 		t.Fatal(err)
 	}
 	var rep jsonReport
 	if err := json.Unmarshal(jsonOut.Bytes(), &rep); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, jsonOut.String())
 	}
-	if rep.Algorithm != "eclat" || rep.MinSupport != 2 || rep.Transactions != 4 ||
+	if rep.Algorithm != "pipeline" || rep.MinSupport != 2 || rep.Transactions != 4 ||
 		len(rep.Itemsets) == 0 {
 		t.Fatalf("served report = %+v", rep)
 	}
 
 	var text bytes.Buffer
 	if err := run(&text, runOpts{serveURL: url, dsName: "fig2", minsup: 2,
-		algo: "gpapriori", serveStats: true}); err != nil {
+		serveStats: true}); err != nil {
 		t.Fatal(err)
 	}
 	s := text.String()
@@ -168,6 +167,8 @@ func TestRunServeValidation(t *testing.T) {
 			algo: "gpapriori", cpuShare: 0.25}, "-cpushare"},
 		{"with faults", runOpts{serveURL: "http://127.0.0.1:1", dsName: "d", minsup: 2,
 			algo: "gpapriori", faults: "dev0:dead@gen2"}, "-faults"},
+		{"with another engine", runOpts{serveURL: "http://127.0.0.1:1", dsName: "d", minsup: 2,
+			algo: "goethals"}, "-algo goethals"},
 	}
 	for _, c := range cases {
 		var out bytes.Buffer

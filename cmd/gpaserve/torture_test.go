@@ -10,21 +10,26 @@ package main
 // resubmission after a restart forgot the job id.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"reflect"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"gpapriori"
 	"gpapriori/internal/checkpoint"
+	"gpapriori/internal/dataset"
 	"gpapriori/internal/fsfault"
+	"gpapriori/internal/resultio"
 )
 
 // buildDaemon compiles the gpaserve binary once per test run.
@@ -162,29 +167,46 @@ func newClient(t *testing.T, addr string) *gpapriori.ServeClient {
 	return cl
 }
 
-// tortureRequest is the level-wise mining request every scenario
-// submits: slow enough to kill mid-run, checkpointing at every
-// generation boundary.
+// tortureRequest is the mining request every scenario submits: slow
+// enough to kill mid-run (0.9–1.4 s on a 2-CPU host, the first of its 7
+// generation boundaries 0.3–0.6 s before its last task), checkpointing
+// at every boundary.
 func tortureRequest() gpapriori.ServeMineRequest {
 	return gpapriori.ServeMineRequest{
-		Dataset: "slow", Algorithm: "goethals",
-		RelativeSupport: 0.45, MaxLen: 5,
+		Dataset: "slow", RelativeSupport: 0.30, MaxLen: 8,
 	}
 }
 
-// offlineWant mines the torture request locally — the clean-run result
-// every post-crash recovery must reproduce exactly.
-func offlineWant(t *testing.T) []gpapriori.Itemset {
-	t.Helper()
+// offlineResult mines the torture request locally and renders it as a
+// daemon's /result body, once per test binary: it takes seconds under
+// -race.
+var offlineResult = sync.OnceValues(func() ([]byte, error) {
 	db, err := gpapriori.GeneratePaperDataset("chess", 1.0)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	res, err := gpapriori.Mine(db, tortureRequest().MiningConfig())
 	if err != nil {
+		return nil, err
+	}
+	rs := &dataset.ResultSet{}
+	for _, s := range res.Itemsets {
+		rs.Add(s.Items, s.Support)
+	}
+	var buf bytes.Buffer
+	err = resultio.Write(&buf, rs)
+	return buf.Bytes(), err
+})
+
+// offlineWant is the clean-run result body every post-crash recovery
+// must reproduce byte for byte.
+func offlineWant(t *testing.T) []byte {
+	t.Helper()
+	want, err := offlineResult()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Itemsets
+	return want
 }
 
 // assertNoTornFiles checks the atomic-write discipline held through
@@ -241,10 +263,28 @@ func awaitCheckpointed(t *testing.T, cl *gpapriori.ServeClient, id string) {
 	}
 }
 
+// resultBody fetches a done job's /result body from the daemon on addr.
+func resultBody(t *testing.T, addr, id string) []byte {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/v1/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("result of %s: %s: %s", id, resp.Status, body)
+	}
+	return body
+}
+
 // finishAndVerify drives the job to completion on the restarted daemon
-// and asserts the recovered result is identical to the clean offline
-// run, with no duplicate jobs on the books.
-func finishAndVerify(t *testing.T, id string, cl *gpapriori.ServeClient, want []gpapriori.Itemset) {
+// on addr and asserts the recovered result is identical to the clean
+// offline run, with no duplicate jobs on the books.
+func finishAndVerify(t *testing.T, addr, id string, cl *gpapriori.ServeClient, want []byte) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -255,12 +295,8 @@ func finishAndVerify(t *testing.T, id string, cl *gpapriori.ServeClient, want []
 	if final.State != gpapriori.JobDone.String() {
 		t.Fatalf("recovered job ended %s (%s), want done", final.State, final.Error)
 	}
-	got, err := cl.Result(ctx, final.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("recovered result differs from the clean run (%d vs %d sets)", len(got), len(want))
+	if got := resultBody(t, addr, final.ID); !bytes.Equal(got, want) {
+		t.Fatalf("recovered result differs from the clean run (%d vs %d bytes)", len(got), len(want))
 	}
 	st, err := cl.Stats(ctx)
 	if err != nil {
@@ -283,7 +319,7 @@ func TestCrashpointTorture(t *testing.T) {
 	}
 	bin := buildDaemon(t)
 	want := offlineWant(t)
-	scenarios := map[string]func(*testing.T, string, string, []gpapriori.Itemset){
+	scenarios := map[string]func(*testing.T, string, string, []byte){
 		fsfault.CrashCheckpointAfterTemp:       tortureCheckpointCrash,
 		fsfault.CrashCheckpointAfterRename:     tortureCheckpointCrash,
 		fsfault.CrashJournalAfterTemp:          tortureJournalCrash,
@@ -304,7 +340,7 @@ func TestCrashpointTorture(t *testing.T) {
 // boundary mid-mining. The job was never journaled, so the restarted
 // daemon has forgotten it — recovery rides on the client resubmitting
 // under the original idempotency key.
-func tortureCheckpointCrash(t *testing.T, bin, cp string, want []gpapriori.Itemset) {
+func tortureCheckpointCrash(t *testing.T, bin, cp string, want []byte) {
 	stateDir, addr := t.TempDir(), pickAddr(t)
 	cl := newClient(t, addr)
 	d1 := startDaemon(t, bin, stateDir, cp, addr, true)
@@ -316,7 +352,7 @@ func tortureCheckpointCrash(t *testing.T, bin, cp string, want []gpapriori.Items
 	assertNoTornFiles(t, stateDir)
 
 	startDaemon(t, bin, stateDir, "", addr, true)
-	finishAndVerify(t, job.ID, cl, want)
+	finishAndVerify(t, addr, job.ID, cl, want)
 }
 
 // tortureJournalCrash kills the daemon inside the drain-journal write.
@@ -324,7 +360,7 @@ func tortureCheckpointCrash(t *testing.T, bin, cp string, want []gpapriori.Items
 // restart replays the same job id) or is lost (after-temp: the client
 // recovers by resubmission) — either way the result must come out
 // identical and exactly once.
-func tortureJournalCrash(t *testing.T, bin, cp string, want []gpapriori.Itemset) {
+func tortureJournalCrash(t *testing.T, bin, cp string, want []byte) {
 	stateDir, addr := t.TempDir(), pickAddr(t)
 	cl := newClient(t, addr)
 	d1 := startDaemon(t, bin, stateDir, cp, addr, true)
@@ -348,13 +384,13 @@ func tortureJournalCrash(t *testing.T, bin, cp string, want []gpapriori.Itemset)
 	}
 
 	startDaemon(t, bin, stateDir, "", addr, true)
-	finishAndVerify(t, job.ID, cl, want)
+	finishAndVerify(t, addr, job.ID, cl, want)
 }
 
 // tortureReplayCrash kills a restarting daemon after it resubmitted
 // the journal but before removing it: the journal survives to a third
 // boot, which must replay it again without duplicating the job.
-func tortureReplayCrash(t *testing.T, bin, cp string, want []gpapriori.Itemset) {
+func tortureReplayCrash(t *testing.T, bin, cp string, want []byte) {
 	stateDir, addr := t.TempDir(), pickAddr(t)
 	cl := newClient(t, addr)
 	d1 := startDaemon(t, bin, stateDir, "", addr, true)
@@ -380,5 +416,5 @@ func tortureReplayCrash(t *testing.T, bin, cp string, want []gpapriori.Itemset) 
 	}
 
 	startDaemon(t, bin, stateDir, "", addr, true)
-	finishAndVerify(t, job.ID, cl, want)
+	finishAndVerify(t, addr, job.ID, cl, want)
 }

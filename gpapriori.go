@@ -306,8 +306,9 @@ func Mine(db *Database, cfg Config) (*Result, error) {
 }
 
 // MineContext is Mine with cancellation. The level-wise algorithms honor
-// ctx at every generation boundary and the pipeline at every task; the
-// depth-first miners (Eclat, FP-Growth) check it only before starting.
+// ctx at every generation boundary and the pipeline at every task and
+// boundary; the depth-first miners (Eclat, FP-Growth) check it only
+// before starting.
 // A database without items, even one of empty transactions, is an
 // error for every algorithm: the device path has no bitset to upload.
 func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error) {

@@ -468,10 +468,15 @@ type boundaries struct {
 
 // report calls the hook for every due boundary up to watermark upTo,
 // each from a copy of the trie bounded at its depth: at watermark k the
-// supports down to depth k and the child lists above it are final.
+// supports down to depth k and the child lists above it are final. Like
+// the level-wise driver, it checks ctx at every boundary, so a run
+// cancelled after its last task still stops before its next boundary.
 func (b *boundaries) report(upTo int) error {
 	r := b.r
 	for ; b.done < upTo; b.done++ {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
 		k := b.done + 1
 		if err := r.cfg.Checkpoint(k, r.trie.FrequentPacked(r.minsup, k)); err != nil {
 			return fmt.Errorf("apriori: checkpoint at generation %d: %w", k, err)
@@ -490,6 +495,9 @@ func (b *boundaries) final(last int, rs *dataset.ResultSet) error {
 	}
 	if b.lastSaved == last {
 		return nil
+	}
+	if err := b.r.ctx.Err(); err != nil {
+		return err
 	}
 	if err := b.r.cfg.Checkpoint(last, rs); err != nil {
 		return fmt.Errorf("apriori: final checkpoint at generation %d: %w", last, err)

@@ -114,6 +114,29 @@ func TestPipelineCancellation(t *testing.T) {
 	}
 }
 
+// TestPipelineCancelledAtBoundary: a run cancelled from its first
+// boundary hook reports no later boundary and returns context.Canceled,
+// even when its workers have already finished and only boundaries are
+// left to report.
+func TestPipelineCancelledAtBoundary(t *testing.T) {
+	db := gen.Random(300, 20, 0.6, 7)
+	p := NewPipeline(db, PipelineOptions{Workers: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var gens []int
+	cfg := Config{Checkpoint: func(gen int, _ *dataset.ResultSet) error {
+		gens = append(gens, gen)
+		cancel()
+		return nil
+	}}
+	if _, err := p.MineContext(ctx, 2, cfg); err != context.Canceled {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if len(gens) != 1 {
+		t.Fatalf("boundaries reported after the cancel: %v", gens)
+	}
+}
+
 func TestPipelineMinSupportValidation(t *testing.T) {
 	db := gen.Small()
 	p := NewPipeline(db, PipelineOptions{})

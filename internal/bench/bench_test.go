@@ -156,16 +156,23 @@ func TestEclatAndFPGrowthRunnable(t *testing.T) {
 // TestFigureShapeClaims asserts the qualitative claims of Figure 6 at a
 // small scale: GPApriori (modeled) beats Borgelt and Bodon (measured) at
 // every sweep point of the dense panel, and the itemset counts grow
-// monotonically as support falls.
+// monotonically as support falls. The panel runs three times and each
+// miner is judged by its fastest time at each point, so host time lost
+// to another process during one run cannot decide a claim.
 func TestFigureShapeClaims(t *testing.T) {
-	fig, err := RunFigure("6c", Options{
-		Scale:       0.3,
-		EraPopcount: true,
-		Supports:    []float64{0.9, 0.8, 0.7},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var figs []Figure
+	for range 3 {
+		fig, err := RunFigure("6c", Options{
+			Scale:       0.3,
+			EraPopcount: true,
+			Supports:    []float64{0.9, 0.8, 0.7},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs = append(figs, fig)
 	}
+	fig := fastest(figs)
 	prevSets := -1
 	for _, p := range fig.Points {
 		gpu, _ := p.Run(AlgoGPApriori)
@@ -180,4 +187,20 @@ func TestFigureShapeClaims(t *testing.T) {
 			t.Fatalf("GPApriori not faster than Bodon at %.2f: %.2fx", p.RelSupport, s)
 		}
 	}
+}
+
+// fastest merges repeated runs of one panel: each miner keeps its
+// fastest time at each point.
+func fastest(figs []Figure) Figure {
+	best := figs[0]
+	for _, fig := range figs[1:] {
+		for i, p := range fig.Points {
+			for j, r := range p.Runs {
+				if b := &best.Points[i].Runs[j]; r.Seconds < b.Seconds {
+					b.Seconds = r.Seconds
+				}
+			}
+		}
+	}
+	return best
 }

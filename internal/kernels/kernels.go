@@ -48,21 +48,19 @@ const (
 	slackBytes      = 4 << 10
 )
 
-// DeviceBytes is the device memory NewDeviceDB gives a bitset database
-// of bitsetBytes (vertical.BitsetDB.MemoryBytes, or
-// vertical.EstimateBitsetBytes before the transpose). Admission control
-// charges exactly this per device.
-func DeviceBytes(bitsetBytes int64) int64 {
+// deviceBytes is the device memory NewDeviceDB gives a bitset database
+// of bitsetBytes.
+func deviceBytes(bitsetBytes int64) int64 {
 	return bitsetBytes + min(max(bitsetBytes, minScratchBytes), maxScratchBytes) + slackBytes
 }
 
 // NewDeviceDB creates a simulated device of model cfg (zero value =
-// TeslaT10()) sized by DeviceBytes for v and uploads v to it.
+// TeslaT10()) sized by deviceBytes for v and uploads v to it.
 func NewDeviceDB(cfg gpusim.Config, v *vertical.BitsetDB) (*DeviceDB, error) {
 	if cfg.SMs == 0 {
 		cfg = gpusim.TeslaT10()
 	}
-	dev := gpusim.NewDevice(cfg, int(DeviceBytes(int64(v.MemoryBytes()))/4))
+	dev := gpusim.NewDevice(cfg, int(deviceBytes(int64(v.MemoryBytes()))/4))
 	return Upload(dev, v)
 }
 

@@ -547,7 +547,7 @@ func TestDeviceTooSmallFails(t *testing.T) {
 	}
 }
 
-// TestNewDeviceDBSizing: the constructed device holds exactly DeviceBytes
+// TestNewDeviceDBSizing: the constructed device holds exactly deviceBytes
 // for its bitsets, with the scratch share clamped at both ends.
 func TestNewDeviceDBSizing(t *testing.T) {
 	bits := vertical.BuildBitsets(gen.Random(100, 16, 0.45, 4))
@@ -555,8 +555,8 @@ func TestNewDeviceDBSizing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := int64(d.Device().MemWords())*4, DeviceBytes(int64(bits.MemoryBytes())); got != want {
-		t.Fatalf("device holds %d bytes, DeviceBytes says %d", got, want)
+	if got, want := int64(d.Device().MemWords())*4, deviceBytes(int64(bits.MemoryBytes())); got != want {
+		t.Fatalf("device holds %d bytes, deviceBytes says %d", got, want)
 	}
 	if d.Device().Config().Name != gpusim.TeslaT10().Name {
 		t.Fatalf("zero config built a %q", d.Device().Config().Name)
@@ -566,8 +566,8 @@ func TestNewDeviceDBSizing(t *testing.T) {
 		{64 << 20, 64<<20 + 64<<20 + 4<<10},
 		{1 << 30, 1<<30 + 128<<20 + 4<<10},
 	} {
-		if got := DeviceBytes(c.bitset); got != c.want {
-			t.Errorf("DeviceBytes(%d) = %d, want %d", c.bitset, got, c.want)
+		if got := deviceBytes(c.bitset); got != c.want {
+			t.Errorf("deviceBytes(%d) = %d, want %d", c.bitset, got, c.want)
 		}
 	}
 }

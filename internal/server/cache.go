@@ -1,9 +1,9 @@
 // The result cache: completed mining results keyed by the checkpoint
-// package's database/config fingerprint. Clean-run equivalence (every
-// algorithm yields the identical frequent-itemset set for a given
-// (db, minsup, maxlen)) is what makes this sound — the key ignores the
-// algorithm, so a GPApriori run can answer a later Eclat query. Entries
-// hold the resultio-canonical text body and the decoded itemsets, both
+// package's database/config fingerprint of (db, minsup, maxlen). Every
+// job mines with the pipeline, and clean-run equivalence (every
+// algorithm yields the identical frequent-itemset set for those inputs)
+// keeps the key sound for a checkpoint any engine wrote. Entries hold
+// the resultio-canonical text body and the decoded itemsets, both
 // charged to a byte budget and evicted LRU.
 package server
 

@@ -421,7 +421,6 @@ func (s *Server) forwardOnce(ctx context.Context, rec *jobRecord, owner string) 
 	info.Cached = final.Cached
 	info.Itemsets = len(items)
 	info.HostSeconds = final.HostSeconds
-	info.DeviceSeconds = final.DeviceSeconds
 	info.Degraded = final.Degraded
 	info.Forwarded = owner
 	s.cluster.fwdDone.Add(1)

@@ -364,7 +364,7 @@ func TestClusterForwardKeepsOwnerDegraded(t *testing.T) {
 	owners, nonOwner := tc.roles(t, "q")
 	ctx := context.Background()
 
-	req := gpapriori.ServeMineRequest{Dataset: "q", Algorithm: "cpu-bitset", MinSupport: 25, NoCache: true}
+	req := gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 25, NoCache: true}
 	job, err := tc.clients[nonOwner].Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -472,16 +472,9 @@ func TestClusterDrainedForwardReattaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := gpapriori.GeneratePaperDataset("chess", 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := gpapriori.Mine(db, slowRequest().MiningConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want.Itemsets) {
-		t.Fatalf("re-forwarded result differs from offline (%d vs %d sets)", len(got), len(want.Itemsets))
+	want := slowWant(t)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("re-forwarded result differs from offline (%d vs %d sets)", len(got), len(want))
 	}
 	st, err := owner.Stats(ctx)
 	if err != nil {

@@ -4,8 +4,9 @@
 // one typed 400 — never a panic, never an admitted job. A request
 // carries only its query, so the engine settings of gpapriori.Config
 // (workers, the simulator's device pool and fault schedule) are
-// unknown fields here. The fuzz target in decode_fuzz_test.go holds
-// the package to that contract.
+// unknown fields here, and an algorithm name is checked, then ignored.
+// The fuzz target in decode_fuzz_test.go holds the package to that
+// contract.
 package server
 
 import (
@@ -15,6 +16,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 
 	"gpapriori"
 )
@@ -92,17 +94,8 @@ func ValidateMineRequest(req *gpapriori.ServeMineRequest) *gpapriori.ServeError 
 	if err := validateDatasetName(req.Dataset); err != nil {
 		return badRequest("%v", err)
 	}
-	if req.Algorithm != "" {
-		known := false
-		for _, a := range gpapriori.Algorithms() {
-			if gpapriori.Algorithm(req.Algorithm) == a {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return badRequest("unknown algorithm %q (have %v)", req.Algorithm, gpapriori.Algorithms())
-		}
+	if req.Algorithm != "" && !slices.Contains(gpapriori.Algorithms(), gpapriori.Algorithm(req.Algorithm)) {
+		return badRequest("unknown algorithm %q (have %v)", req.Algorithm, gpapriori.Algorithms())
 	}
 	switch {
 	case req.MinSupport < 0:

@@ -66,12 +66,13 @@ func (w *stallingStreamWriter) Write(p []byte) (int, error) {
 // single batch within StreamWriteTimeout is evicted, while concurrent
 // healthy subscribers on the same job stream every event to completion
 // and the mining job itself is untouched. Run under -race this also
-// exercises the eviction bookkeeping against live stream traffic.
+// exercises the eviction bookkeeping against live stream traffic. The
+// timeout keeps its default: the stalled subscriber fails at its first
+// deadline-armed write whatever the timeout, while a healthy one under
+// -race takes longer than 100 ms to decode one of the slow job's larger
+// generations (tens of thousands of itemsets, megabytes of JSON).
 func TestSlowStreamSubscriberEvicted(t *testing.T) {
-	s, cl, _ := newTestServer(t, Config{
-		Registry: slowRegistry(t),
-		Overload: OverloadConfig{StreamWriteTimeout: 100 * time.Millisecond},
-	})
+	s, cl, _ := newTestServer(t, Config{Registry: slowRegistry(t)})
 	ctx := context.Background()
 
 	info, err := cl.Submit(ctx, slowRequest())

@@ -184,16 +184,9 @@ func TestDegradedJobKeepsMining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := gpapriori.GeneratePaperDataset("chess", 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := gpapriori.Mine(db, slowRequest().MiningConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want.Itemsets) {
-		t.Fatalf("degraded result differs from offline (%d vs %d sets)", len(got), len(want.Itemsets))
+	want := slowWant(t)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("degraded result differs from offline (%d vs %d sets)", len(got), len(want))
 	}
 }
 

@@ -8,19 +8,17 @@
 //   - an internal/jobs Manager: every mined request is one job, queued,
 //     admitted against the memory budget by its modeled footprint
 //     (gpapriori.EstimateMemoryBytes) and shed by priority, whose run
-//     is one gpapriori.MineContext call;
+//     is one gpapriori.MineContext call on the pipeline;
 //   - a ResultCache (cache.go) keyed by the checkpoint fingerprint of
-//     (database, support, maxlen) — sound because of clean-run
-//     equivalence;
+//     (database, support, maxlen);
 //   - an HTTP surface speaking the wire types of the root package's
 //     serve.go: submit, long-poll status, per-generation NDJSON
 //     streaming, cancel, /healthz, /statsz.
 //
-// Durability follows the checkpoint subsystem: jobs on algorithms with
-// generation boundaries (the default pipeline and the level-wise
-// miners) checkpoint into StateDir at every boundary, a streamed
-// generation is only announced after its snapshot is durable, and
-// Drain journals unfinished requests so a restarted daemon resumes
+// Durability follows the checkpoint subsystem: every job checkpoints
+// into StateDir at each generation boundary until it ends done, a
+// streamed generation is only announced after its snapshot is durable,
+// and Drain journals unfinished requests so a restarted daemon resumes
 // them from their last checkpoint to the identical result.
 package server
 
@@ -132,7 +130,6 @@ func (s *Server) logf(format string, args ...any) {
 type jobRecord struct {
 	id      string
 	dataset string
-	algo    string
 	minSup  int
 	trans   int
 	key     uint64
@@ -273,7 +270,7 @@ func (s *Server) Replication() int {
 
 // ckptPath is the per-fingerprint checkpoint file. Keying by
 // fingerprint rather than job ID means a resubmitted identical request
-// reuses whatever progress any earlier run left behind.
+// reuses whatever progress an unfinished earlier run left behind.
 func (s *Server) ckptPath(key uint64) string {
 	return filepath.Join(s.stateDir, fmt.Sprintf("ckpt-%016x.ckpt", key))
 }
@@ -301,7 +298,6 @@ func (s *Server) submit(ctx context.Context, req gpapriori.ServeMineRequest, id,
 	rec := &jobRecord{
 		id:      id,
 		dataset: req.Dataset,
-		algo:    string(gpapriori.Algorithm(req.Algorithm).Resolve()),
 		minSup:  minSup,
 		trans:   entry.Info.Transactions,
 		key:     key,
@@ -357,11 +353,11 @@ func (s *Server) submitLocal(rec *jobRecord, db *gpapriori.Database) (*jobRecord
 	job := &jobs.Job{
 		Name:     rec.id,
 		Priority: req.Priority,
-		MemBytes: gpapriori.EstimateMemoryBytes(db, cfg),
+		MemBytes: gpapriori.EstimateMemoryBytes(db),
 		Deadline: time.Duration(req.DeadlineSec * float64(time.Second)),
 	}
 	cfg.OnGeneration = rec.addGeneration
-	if s.stateDir != "" && cfg.Algorithm.HasBoundaries() {
+	if s.stateDir != "" {
 		// Durability wiring: snapshot every generation, resume any
 		// progress an interrupted earlier run of this fingerprint left.
 		// A failing disk degrades the job (it mines on, checkpoint-less)
@@ -552,7 +548,7 @@ func longerThan(itemsets []gpapriori.Itemset, n int) []gpapriori.Itemset {
 // about the job carries, before any outcome.
 func (r *jobRecord) info(state string) gpapriori.ServeJobInfo {
 	return gpapriori.ServeJobInfo{
-		ID: r.id, Dataset: r.dataset, Algorithm: r.algo,
+		ID: r.id, Dataset: r.dataset, Algorithm: string(gpapriori.AlgoPipeline),
 		State: state, MinSupport: r.minSup, Transactions: r.trans,
 		ResultKey: fmt.Sprintf("%016x", r.key),
 	}
@@ -565,7 +561,12 @@ func (r *jobRecord) signalLocked() {
 }
 
 // finalize waits for the job's terminal state, renders the canonical
-// result body, feeds the cache, and appends the final stream event.
+// result body, feeds the cache, and appends the final stream event. A
+// job done before any drain began deletes its checkpoint, its whole
+// result, before it publishes its end, so no resubmission finds it; any
+// other keeps it, for a resubmission or journal replay to resume. A
+// drain that begins in between still journals the job, whose replay
+// then mines in full to the same result.
 func (s *Server) finalize(rec *jobRecord) {
 	defer s.wg.Done()
 	<-rec.job.Done()
@@ -578,9 +579,16 @@ func (s *Server) finalize(rec *jobRecord) {
 	res := rec.res
 	info.Itemsets = len(res.Itemsets)
 	info.HostSeconds = res.HostSeconds
-	info.DeviceSeconds = res.DeviceSeconds
 	body := renderResult(res.Itemsets)
 	s.cache.Put(&cacheEntry{key: rec.key, body: body, itemsets: res.Itemsets})
+	s.mu.Lock()
+	draining := s.draining
+	s.mu.Unlock()
+	if s.stateDir != "" && !draining {
+		if err := os.Remove(s.ckptPath(rec.key)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			s.logf("job %s: removing its checkpoint: %v", rec.id, err)
+		}
+	}
 	s.complete(rec, info, body, res.Itemsets)
 }
 
@@ -1217,7 +1225,7 @@ func (s *Server) bumpNextID(id string) {
 // that could not be resubmitted.
 func (s *Server) failRecord(e journalEntry, se *gpapriori.ServeError) {
 	rec := &jobRecord{
-		id: e.ID, dataset: e.Request.Dataset, algo: e.Request.Algorithm,
+		id: e.ID, dataset: e.Request.Dataset,
 		wake:     make(chan struct{}),
 		terminal: true,
 	}

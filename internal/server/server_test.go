@@ -2,17 +2,23 @@ package server
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"gpapriori"
-	"gpapriori/internal/checkpoint"
+	"gpapriori/internal/dataset"
 	"gpapriori/internal/jobs"
+	"gpapriori/internal/oracle"
 	"gpapriori/internal/testutil"
 )
 
@@ -54,42 +60,130 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *gpapriori.ServeClient, *
 }
 
 // TestServedEquivalence is the end-to-end serving criterion: the result
-// streamed per generation over HTTP must equal the offline Mine result
-// — for the default pipeline, level-wise algorithms, the simulated
-// device, and depth-first ones (final-event only).
+// the pipeline streams per generation over HTTP, and the result
+// endpoint's body, must equal the brute-force oracle's itemsets.
 func TestServedEquivalence(t *testing.T) {
 	_, cl, _ := newTestServer(t, Config{CacheBudgetBytes: 1 << 20})
 	db := testDB(t)
+	rows := make([][]gpapriori.Item, db.Len())
+	for i := range rows {
+		rows[i] = db.Transaction(i)
+	}
+	exact := dataset.New(rows)
 	ctx := context.Background()
 	cases := []gpapriori.ServeMineRequest{
 		{Dataset: "q", RelativeSupport: 0.05, NoCache: true},
-		{Dataset: "q", Algorithm: "cpu-bitset", MinSupport: 20, NoCache: true},
-		{Dataset: "q", Algorithm: "eclat", MinSupport: 20, NoCache: true},
-		{Dataset: "q", Algorithm: "gpapriori", MinSupport: 20, NoCache: true},
+		{Dataset: "q", MinSupport: 20, NoCache: true},
+		{Dataset: "q", MinSupport: 12, MaxLen: 2, NoCache: true},
 	}
 	for _, req := range cases {
 		res, info, err := cl.Mine(ctx, req)
 		if err != nil {
 			t.Fatalf("%+v: served mine: %v", req, err)
 		}
-		want, err := gpapriori.Mine(db, req.MiningConfig())
-		if err != nil {
-			t.Fatalf("%+v: offline mine: %v", req, err)
+		minSup := req.MinSupport
+		if minSup == 0 {
+			minSup = db.AbsoluteSupport(req.RelativeSupport)
 		}
-		if !reflect.DeepEqual(res.Itemsets, want.Itemsets) {
-			t.Fatalf("%+v: served itemsets differ from offline (%d vs %d sets)",
-				req, len(res.Itemsets), len(want.Itemsets))
+		if info.MinSupport != minSup {
+			t.Errorf("%+v: served min support %d, want %d", req, info.MinSupport, minSup)
 		}
-		if info.MinSupport != want.MinSupport {
-			t.Errorf("%+v: served min support %d, offline %d", req, info.MinSupport, want.MinSupport)
+		rs := oracle.Mine(exact, minSup)
+		rs.Sort()
+		var want []gpapriori.Itemset
+		for _, s := range rs.Sets {
+			if req.MaxLen == 0 || len(s.Items) <= req.MaxLen {
+				want = append(want, gpapriori.Itemset{Items: s.Items, Support: s.Support})
+			}
+		}
+		if !reflect.DeepEqual(res.Itemsets, want) {
+			t.Fatalf("%+v: served itemsets differ from the oracle's (%d vs %d sets)",
+				req, len(res.Itemsets), len(want))
 		}
 		// The result endpoint must serve the identical canonical bytes.
 		got, err := cl.Result(ctx, info.ID)
 		if err != nil {
 			t.Fatalf("%+v: result endpoint: %v", req, err)
 		}
-		if !reflect.DeepEqual(got, want.Itemsets) {
-			t.Fatalf("%+v: result endpoint differs from offline", req)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v: result endpoint differs from the oracle", req)
+		}
+	}
+}
+
+// TestEveryAlgorithmNameMinesWithPipeline: the daemon mines every
+// request with the pipeline, whichever engine it names. For each name
+// in gpapriori.Algorithms(), on a single node and through a cluster
+// non-owner, the submit, the status, the final stream event and the
+// cache hit of a repeat all report the pipeline, and the result equals
+// the offline pipeline's. An unknown name is still a typed 400.
+func TestEveryAlgorithmNameMinesWithPipeline(t *testing.T) {
+	_, single, _ := newTestServer(t, Config{CacheBudgetBytes: 1 << 20})
+	tc := newTestCluster(t, 3, 1, nil)
+	_, nonOwner := tc.roles(t, "q")
+	db := testDB(t)
+	ctx := context.Background()
+	pipeline := string(gpapriori.AlgoPipeline)
+	for _, node := range []struct {
+		name string
+		cl   *gpapriori.ServeClient
+	}{{"single node", single}, {"cluster non-owner", tc.clients[nonOwner]}} {
+		for i, algo := range gpapriori.Algorithms() {
+			// A support of its own per name, so each first request mines.
+			req := gpapriori.ServeMineRequest{Dataset: "q", Algorithm: string(algo), MinSupport: 14 + i}
+			where := fmt.Sprintf("%s, %q", node.name, algo)
+			job, err := node.cl.Submit(ctx, req)
+			if err != nil {
+				t.Fatalf("%s: submit: %v", where, err)
+			}
+			status, err := node.cl.Job(ctx, job.ID)
+			if err != nil {
+				t.Fatalf("%s: status: %v", where, err)
+			}
+			var last gpapriori.ServeGenerationEvent
+			final, err := node.cl.Stream(ctx, job.ID, func(ev gpapriori.ServeGenerationEvent) error {
+				last = ev
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: stream: %v", where, err)
+			}
+			repeat, err := node.cl.Submit(ctx, req)
+			if err != nil {
+				t.Fatalf("%s: repeat: %v", where, err)
+			}
+			if !repeat.Terminal() {
+				if repeat, err = node.cl.Wait(ctx, repeat.ID); err != nil {
+					t.Fatalf("%s: repeat: %v", where, err)
+				}
+			}
+			if !last.Final || last.Job == nil || final.State != gpapriori.JobDone.String() || !repeat.Cached {
+				t.Fatalf("%s: final event %+v, state %s, repeat cached %v; want a done job and a cache hit",
+					where, last, final.State, repeat.Cached)
+			}
+			for _, info := range []struct {
+				what string
+				algo string
+			}{{"submit", job.Algorithm}, {"status", status.Algorithm}, {"final event", last.Job.Algorithm}, {"cache hit", repeat.Algorithm}} {
+				if info.algo != pipeline {
+					t.Errorf("%s: %s reports %q, want %q", where, info.what, info.algo, pipeline)
+				}
+			}
+			got, err := node.cl.Result(ctx, repeat.ID)
+			if err != nil {
+				t.Fatalf("%s: result: %v", where, err)
+			}
+			want, err := gpapriori.Mine(db, req.MiningConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want.Itemsets) {
+				t.Fatalf("%s: served %d itemsets, the offline pipeline %d", where, len(got), len(want.Itemsets))
+			}
+		}
+		_, err := node.cl.Submit(ctx, gpapriori.ServeMineRequest{Dataset: "q", Algorithm: "quantum", MinSupport: 14})
+		if se, ok := err.(*gpapriori.ServeError); !ok || se.Status != http.StatusBadRequest || se.Code != "bad_request" {
+			t.Fatalf("%s: unknown algorithm: got %v, want 400 bad_request", node.name, err)
 		}
 	}
 }
@@ -250,14 +344,39 @@ func TestFinishedJobsBounded(t *testing.T) {
 	}
 }
 
-// slowRequest is a mining request that runs long enough (~1s+) to
-// cancel or drain mid-flight, with generation boundaries to checkpoint
-// at.
+// slowRequest is a mining request that runs long enough to cancel or
+// drain mid-flight, after its first checkpoint: on a 2-CPU host the
+// pipeline mines its 165,594 itemsets in 0.9–1.4 s (8 s under -race)
+// and passes the first of its 7 generation boundaries 0.3–0.6 s before
+// its last task.
 func slowRequest() gpapriori.ServeMineRequest {
 	return gpapriori.ServeMineRequest{
-		Dataset: "slow", Algorithm: "goethals",
-		RelativeSupport: 0.45, MaxLen: 5, NoCache: true,
+		Dataset: "slow", RelativeSupport: 0.30, MaxLen: 8, NoCache: true,
 	}
+}
+
+// slowResult is slowRequest's offline result, mined once per test
+// binary: it takes seconds under -race.
+var slowResult = sync.OnceValues(func() ([]gpapriori.Itemset, error) {
+	db, err := gpapriori.GeneratePaperDataset("chess", 1.0)
+	if err != nil {
+		return nil, err
+	}
+	res, err := gpapriori.Mine(db, slowRequest().MiningConfig())
+	if err != nil {
+		return nil, err
+	}
+	return res.Itemsets, nil
+})
+
+// slowWant returns slowRequest's offline result.
+func slowWant(t *testing.T) []gpapriori.Itemset {
+	t.Helper()
+	want, err := slowResult()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
 
 // slowRegistry registers the chess-like dataset the slow request mines.
@@ -323,11 +442,22 @@ func TestJobDeadlineFails(t *testing.T) {
 // whole admission budget is refused at submit with the typed 413, and a
 // job that fits the same budget mines.
 func TestOverBudgetJobRejected(t *testing.T) {
-	_, cl, _ := newTestServer(t, Config{Jobs: gpapriori.JobManagerConfig{MemoryBudgetMB: 1}})
+	reg := NewRegistry()
+	if _, err := reg.Add("q", "test", testDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	// 2,000 items over 5,000 transactions: the pipeline's bitsets and
+	// class-vector cache model about 2.5 MiB, past the 1 MiB budget.
+	big, err := reg.AddSpec("big", "quest:2000:5000:10:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est := gpapriori.EstimateMemoryBytes(big.DB); est <= 1<<20 {
+		t.Fatalf("dataset big models %d bytes, want past the 1 MiB budget", est)
+	}
+	_, cl, _ := newTestServer(t, Config{Registry: reg, Jobs: gpapriori.JobManagerConfig{MemoryBudgetMB: 1}})
 	ctx := context.Background()
-	// A simulated device models its bitsets plus at least 4 MiB of
-	// scratch, past the 1 MiB budget.
-	_, err := cl.Submit(ctx, gpapriori.ServeMineRequest{Dataset: "q", Algorithm: "gpapriori", MinSupport: 20})
+	_, err = cl.Submit(ctx, gpapriori.ServeMineRequest{Dataset: "big", RelativeSupport: 0.5})
 	if se, ok := err.(*gpapriori.ServeError); !ok || se.Status != http.StatusRequestEntityTooLarge || se.Code != "over_budget" {
 		t.Fatalf("oversized job: got %v, want 413 over_budget", err)
 	}
@@ -395,16 +525,65 @@ func TestDrainAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := gpapriori.GeneratePaperDataset("chess", 1.0)
+	want := slowWant(t)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed result differs from offline (%d vs %d sets)", len(got), len(want))
+	}
+}
+
+// TestJournalNamingOtherEnginesReplaysUnderPipeline: a drain journal
+// in the wire form of a build that mined with the engine a request
+// named replays under the pipeline. Each replayed job ends done,
+// reports the pipeline and returns the offline result; a journaled job
+// whose dataset is gone fails, and its job info names the pipeline too.
+func TestJournalNamingOtherEnginesReplaysUnderPipeline(t *testing.T) {
+	stateDir := t.TempDir()
+	journal := `{"jobs":[` +
+		`{"id":"job-3","idem_key":"k3","request":{"dataset":"q","algorithm":"goethals","min_support":20}},` +
+		`{"id":"job-7","request":{"dataset":"q","algorithm":"gpapriori","min_support":12,"max_len":3,"priority":2}},` +
+		`{"id":"job-9","request":{"dataset":"gone","algorithm":"eclat","min_support":5}}]}`
+	if err := os.WriteFile(filepath.Join(stateDir, "pending.json"), []byte(journal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, cl, _ := newTestServer(t, Config{StateDir: stateDir})
+	ctx := context.Background()
+	pipeline := string(gpapriori.AlgoPipeline)
+	for _, c := range []struct {
+		id  string
+		cfg gpapriori.Config
+	}{
+		{"job-3", gpapriori.Config{MinSupport: 20}},
+		{"job-7", gpapriori.Config{MinSupport: 12, MaxLen: 3}},
+	} {
+		final, err := cl.Wait(ctx, c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != gpapriori.JobDone.String() || final.Algorithm != pipeline {
+			t.Fatalf("replayed %s ended %s on %q (%s), want done on %q",
+				c.id, final.State, final.Algorithm, final.Error, pipeline)
+		}
+		got, err := cl.Result(ctx, c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := gpapriori.Mine(testDB(t), c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want.Itemsets) {
+			t.Fatalf("replayed %s: %d itemsets, offline %d", c.id, len(got), len(want.Itemsets))
+		}
+	}
+	gone, err := cl.Job(ctx, "job-9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := gpapriori.Mine(db, slowRequest().MiningConfig())
-	if err != nil {
-		t.Fatal(err)
+	if gone.State != gpapriori.JobFailed.String() || gone.Algorithm != pipeline {
+		t.Fatalf("replay of an unregistered dataset ended %s on %q, want failed on %q", gone.State, gone.Algorithm, pipeline)
 	}
-	if !reflect.DeepEqual(got, want.Itemsets) {
-		t.Fatalf("resumed result differs from offline (%d vs %d sets)", len(got), len(want.Itemsets))
+	if _, err := os.Stat(filepath.Join(stateDir, "pending.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("journal after replay: %v, want it removed", err)
 	}
 }
 
@@ -480,16 +659,9 @@ func TestWaitFollowsDrainRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := gpapriori.GeneratePaperDataset("chess", 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := gpapriori.Mine(db, slowRequest().MiningConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want.Itemsets) {
-		t.Fatalf("requeued job's result differs from offline (%d vs %d sets)", len(got), len(want.Itemsets))
+	want := slowWant(t)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("requeued job's result differs from offline (%d vs %d sets)", len(got), len(want))
 	}
 }
 
@@ -545,34 +717,31 @@ func TestDrainRejectsSubmissions(t *testing.T) {
 	}
 }
 
-// TestStreamDeliversGenerations: a run with generation boundaries —
-// the default pipeline, named or not, and a level-wise miner — streams
-// more than one event, each generation's itemsets have the right
-// length, and the union equals the full result.
+// TestStreamDeliversGenerations: a pipeline run streams more than one
+// event, each generation's itemsets have the right length, and the
+// union equals the full result.
 func TestStreamDeliversGenerations(t *testing.T) {
 	// A streaming handler that outlives its client is the leak this
 	// suite exists to catch; check after the cleanup-managed teardown.
 	t.Cleanup(testutil.LeakCheck(t, 2, 10*time.Second))
 	_, cl, _ := newTestServer(t, Config{})
-	for _, algo := range []string{"", "pipeline", "gpapriori"} {
-		events, final := streamJob(t, cl, gpapriori.ServeMineRequest{Dataset: "q", Algorithm: algo, MinSupport: 20, NoCache: true})
-		if len(events) < 2 {
-			t.Fatalf("%q: got %d stream events, want at least one generation plus the final", algo, len(events))
-		}
-		total := 0
-		for _, ev := range events {
-			total += len(ev.Itemsets)
-		}
-		for _, ev := range events[:len(events)-1] {
-			for _, s := range ev.Itemsets {
-				if len(s.Items) > ev.Gen {
-					t.Fatalf("%q: generation %d event carries a length-%d itemset", algo, ev.Gen, len(s.Items))
-				}
+	events, final := streamJob(t, cl, gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 20, NoCache: true})
+	if len(events) < 2 {
+		t.Fatalf("got %d stream events, want at least one generation plus the final", len(events))
+	}
+	total := 0
+	for _, ev := range events {
+		total += len(ev.Itemsets)
+	}
+	for _, ev := range events[:len(events)-1] {
+		for _, s := range ev.Itemsets {
+			if len(s.Items) > ev.Gen {
+				t.Fatalf("generation %d event carries a length-%d itemset", ev.Gen, len(s.Items))
 			}
 		}
-		if final.Itemsets != total {
-			t.Fatalf("%q: streamed %d itemsets, final reports %d", algo, total, final.Itemsets)
-		}
+	}
+	if final.Itemsets != total {
+		t.Fatalf("streamed %d itemsets, final reports %d", total, final.Itemsets)
 	}
 }
 
@@ -596,41 +765,42 @@ func streamJob(t *testing.T, cl *gpapriori.ServeClient, req gpapriori.ServeMineR
 	return events, final
 }
 
-// TestDefaultJobCheckpointsAndResumes: with a state directory, a job on
-// the default algorithm checkpoints at its generation boundaries, and a
-// resubmission of the same query fast-forwards from the final
-// checkpoint: it streams the checkpoint's generation alone instead of
-// counting again from generation 2.
+// TestDefaultJobCheckpointsAndResumes: with a state directory, a job
+// that ends done deletes its checkpoint, which by then holds its whole
+// result. A no_cache resubmission of the same query therefore mines in
+// full — it streams every generation again, from the first — and it
+// too leaves no checkpoint behind. Resuming an unfinished job is
+// TestDrainAndResume's.
 func TestDefaultJobCheckpointsAndResumes(t *testing.T) {
 	s, cl, _ := newTestServer(t, Config{StateDir: t.TempDir()})
 	req := gpapriori.ServeMineRequest{Dataset: "q", MinSupport: 8, NoCache: true}
-	first, final := streamJob(t, cl, req)
-	if final.Algorithm != string(gpapriori.AlgoPipeline) || final.State != gpapriori.JobDone.String() {
-		t.Fatalf("default job ran %q and ended %s, want pipeline and done", final.Algorithm, final.State)
-	}
-	if len(first) < 3 {
-		t.Fatalf("default job streamed %d events, want several generations", len(first))
-	}
 	key, _, err := gpapriori.ResultFingerprint(testDB(t), req.MiningConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := checkpoint.Load(s.ckptPath(key))
-	if err != nil {
-		t.Fatalf("default job left no checkpoint: %v", err)
+	noCheckpoint := func(when string) {
+		t.Helper()
+		if _, err := os.Stat(s.ckptPath(key)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("checkpoint after %s: %v, want none", when, err)
+		}
 	}
-	if snap.Frequent.Len() != final.Itemsets || snap.Gen < first[len(first)-2].Gen {
-		t.Fatalf("checkpoint holds %d sets at generation %d, want the final %d sets at ≥ %d",
-			snap.Frequent.Len(), snap.Gen, final.Itemsets, first[len(first)-2].Gen)
+	first, final := streamJob(t, cl, req)
+	if final.State != gpapriori.JobDone.String() {
+		t.Fatalf("default job ended %s, want done", final.State)
 	}
+	if len(first) < 3 {
+		t.Fatalf("default job streamed %d events, want several generations", len(first))
+	}
+	noCheckpoint("the first job")
 	second, final2 := streamJob(t, cl, req)
-	if len(second) != 2 || second[0].Gen != snap.Gen || len(second[0].Itemsets) != final.Itemsets {
-		t.Fatalf("resubmission streamed %d events (first at generation %d), want the checkpoint's generation %d alone",
-			len(second), second[0].Gen, snap.Gen)
+	if len(second) != len(first) || second[0].Gen != first[0].Gen {
+		t.Fatalf("resubmission streamed %d events from generation %d, want all %d from generation %d",
+			len(second), second[0].Gen, len(first), first[0].Gen)
 	}
-	if final2.Itemsets != final.Itemsets {
-		t.Fatalf("resumed job found %d itemsets, first run %d", final2.Itemsets, final.Itemsets)
+	if final2.Itemsets != final.Itemsets || final2.Cached {
+		t.Fatalf("resubmission found %d itemsets (cached %v), want %d mined", final2.Itemsets, final2.Cached, final.Itemsets)
 	}
+	noCheckpoint("the resubmission")
 }
 
 // TestDatasetsEndpoint lists the registry.

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"gpapriori/internal/jobs"
-	"gpapriori/internal/kernels"
 	"gpapriori/internal/vertical"
 )
 
@@ -62,21 +61,11 @@ type JobManagerConfig struct {
 	SojournInterval time.Duration
 }
 
-// EstimateMemoryBytes models a mining run's in-flight memory: the
-// vertical bitset layout (numItems × alignedWords × 8); for AlgoPipeline
-// that again for the cross-generation class-vector cache, whose budget
-// is the bitset footprint; and for AlgoGPApriori the memory of every
-// simulated device, each sized by kernels.DeviceBytes exactly as the
-// miner builds it. gpaserve admits jobs against this estimate, which
-// makes the admission budget a real bound on modeled memory rather
-// than a guess.
-func EstimateMemoryBytes(db *Database, cfg Config) int64 {
-	base := vertical.EstimateBitsetBytes(db.db)
-	switch cfg.Algorithm.Resolve() {
-	case AlgoPipeline:
-		return 2 * base
-	case AlgoGPApriori:
-		return kernels.DeviceBytes(base) * int64(max(cfg.Devices, 1))
-	}
-	return base
+// EstimateMemoryBytes models a served job's in-flight memory on
+// AlgoPipeline: the vertical bitset layout (numItems × alignedWords × 8)
+// and as much again for the class-vector cache, whose budget is the
+// bitset footprint. gpaserve admits jobs against this estimate, which
+// makes the admission budget a real bound on modeled memory.
+func EstimateMemoryBytes(db *Database) int64 {
+	return 2 * vertical.EstimateBitsetBytes(db.db)
 }

@@ -12,8 +12,8 @@ import (
 	"testing"
 
 	"gpapriori/internal/checkpoint"
-	"gpapriori/internal/core"
 	"gpapriori/internal/dataset"
+	"gpapriori/internal/vertical"
 )
 
 // jobsDB builds a database big enough for a few generations but quick to
@@ -228,42 +228,17 @@ func TestPublicCheckpointGPApriori(t *testing.T) {
 	}
 }
 
-// TestEstimateMemoryBytesScalesWithDevices: the estimate is the bitset
-// layout once per device plus clamped scratch — exactly what the miner's
-// devices hold — and the pipeline is charged its bitsets plus its
-// class-vector cache, which is bounded by the same bitset footprint.
-func TestEstimateMemoryBytesScalesWithDevices(t *testing.T) {
+// TestEstimateMemoryBytesIsPipelineFootprint: a served job always mines
+// with the pipeline, so its estimate is the pipeline's vertical bitsets
+// plus its class-vector cache, whose budget is the same bitset
+// footprint.
+func TestEstimateMemoryBytesIsPipelineFootprint(t *testing.T) {
 	db := jobsDB(7)
-	one := EstimateMemoryBytes(db, Config{Algorithm: AlgoGPApriori})
-	four := EstimateMemoryBytes(db, Config{Algorithm: AlgoGPApriori, Devices: 4})
-	if four != 4*one {
-		t.Errorf("4-device estimate %d, want 4×%d", four, one)
+	bits := int64(vertical.BuildBitsets(db.db).MemoryBytes())
+	if bits <= 0 {
+		t.Fatalf("bitset footprint %d, want positive", bits)
 	}
-	for _, devices := range []int{1, 4} {
-		m, err := core.New(db.db, core.Options{Devices: devices})
-		if err != nil {
-			t.Fatal(err)
-		}
-		held := int64(0)
-		for _, d := range m.Devices() {
-			held += int64(d.MemWords()) * 4
-		}
-		if est := EstimateMemoryBytes(db, Config{Algorithm: AlgoGPApriori, Devices: devices}); est != held {
-			t.Errorf("%d-device estimate %d, but the miner's devices hold %d bytes", devices, est, held)
-		}
-	}
-	cpu := EstimateMemoryBytes(db, Config{Algorithm: AlgoCPUBitset})
-	if cpu >= one {
-		t.Errorf("CPU estimate %d should be below the device estimate %d (no scratch copy)", cpu, one)
-	}
-	if cpu <= 0 {
-		t.Errorf("CPU estimate %d must be positive", cpu)
-	}
-	pipe := EstimateMemoryBytes(db, Config{Algorithm: AlgoPipeline})
-	if pipe != 2*cpu {
-		t.Errorf("pipeline estimate %d, want bitsets plus cache bound 2×%d", pipe, cpu)
-	}
-	if def := EstimateMemoryBytes(db, Config{}); def != pipe {
-		t.Errorf("default-algorithm estimate %d, want the pipeline one %d", def, pipe)
+	if est := EstimateMemoryBytes(db); est != 2*bits {
+		t.Errorf("estimate %d, want the pipeline's bitsets plus its cache budget, 2×%d", est, bits)
 	}
 }

@@ -144,7 +144,8 @@ go test -fuzz='^FuzzDecodeMineRequest$' -fuzztime=10s ./internal/server/
 # Serving smoke: boot the real daemon on a random port, mine the same
 # dataset over HTTP and offline, and require the canonical results to
 # be byte-identical; require the second identical request to hit the
-# result cache and the README's raw-API body to be accepted; then
+# result cache, the README's raw-API body to be accepted, and every
+# request to mine with the pipeline whatever engine it names; then
 # SIGTERM and require a clean drain (exit 0).
 go build -o "$SMOKE/gpaserve" ./cmd/gpaserve
 "$SMOKE/gpaserve" -listen 127.0.0.1:0 -dataset chess=gen:chess:0.3 \
@@ -169,16 +170,25 @@ diff -u "$SMOKE/offline.txt" "$SMOKE/served.txt"
 grep -q 'hits=1' "$SMOKE/stats.txt"
 
 # The README's raw-API example body must be one the daemon accepts: a
-# 200 (a cache hit, here) or 202 whose job names the dataset.
+# 200 (a cache hit, here) or 202 whose job names the dataset. A request
+# naming another engine is accepted and mined with the pipeline, and
+# an unknown engine name is a typed 400.
 python3 - "$ADDR" <<'PY'
-import json, sys, urllib.request
-body = b'{"dataset":"chess","relative_support":0.8}'
-req = urllib.request.Request("http://%s/v1/jobs" % sys.argv[1], data=body,
-                             headers={"Content-Type": "application/json"})
-with urllib.request.urlopen(req) as resp:
-    assert resp.status in (200, 202), resp.status
-    info = json.load(resp)
-assert info["dataset"] == "chess", info
+import json, sys, urllib.error, urllib.request
+def post(body):
+    req = urllib.request.Request("http://%s/v1/jobs" % sys.argv[1], data=body,
+                                 headers={"Content-Type": "application/json"})
+    try:
+        with urllib.request.urlopen(req) as resp:
+            return resp.status, json.load(resp)
+    except urllib.error.HTTPError as err:
+        return err.code, json.load(err)
+status, info = post(b'{"dataset":"chess","relative_support":0.8}')
+assert status in (200, 202) and info["dataset"] == "chess", (status, info)
+status, info = post(b'{"dataset":"chess","relative_support":0.8,"algorithm":"eclat"}')
+assert status in (200, 202) and info["algorithm"] == "pipeline", (status, info)
+status, info = post(b'{"dataset":"chess","relative_support":0.8,"algorithm":"quantum"}')
+assert status == 400 and info["code"] == "bad_request", (status, info)
 PY
 
 kill -TERM "$SRV_PID"
@@ -191,7 +201,10 @@ echo "serving smoke: OK"
 # same address, and require the client-recovered result to be
 # byte-identical to the offline run. The full per-crashpoint matrix
 # lives in the cmd/gpaserve torture test; this proves the wiring end to
-# end from the shipped binaries.
+# end from the shipped binaries. SLOW is a query the pipeline mines for
+# about 2 s on chess x1.0 (203,995 itemsets), so the cluster smoke
+# below can kill an owner mid-job with it.
+SLOW="-minsup 0.3"
 GPAPRIORI_CRASHPOINT=checkpoint.after-rename "$SMOKE/gpaserve" \
     -listen 127.0.0.1:0 -dataset d=gen:chess:1.0 -state-dir "$SMOKE/chaos" \
     -port-file "$SMOKE/chaosport" > "$SMOKE/chaos1.log" 2>&1 &
@@ -204,7 +217,7 @@ done
 CHAOS_ADDR=$(cat "$SMOKE/chaosport")
 
 "$SMOKE/gpapriori" -serve-url "http://$CHAOS_ADDR" -dataset d \
-    -algo goethals -minsup 0.45 -maxlen 5 -result-only \
+    $SLOW -result-only \
     -retry-max 10 -retry-base-ms 100 -retry-jitter 0.2 -retry-seed 1 \
     > "$SMOKE/chaos-served.txt" &
 CLIENT_PID=$!
@@ -223,7 +236,7 @@ SRV2_PID=$!
 wait "$CLIENT_PID"
 
 "$SMOKE/gpapriori" -dataset chess -scale 1.0 \
-    -algo goethals -minsup 0.45 -maxlen 5 -result-only > "$SMOKE/chaos-offline.txt"
+    $SLOW -result-only > "$SMOKE/chaos-offline.txt"
 diff -u "$SMOKE/chaos-offline.txt" "$SMOKE/chaos-served.txt"
 
 kill -TERM "$SRV2_PID"
@@ -350,11 +363,12 @@ st = json.load(urllib.request.urlopen("http://127.0.0.1:%s/statsz" % sys.argv[1]
 assert st["cluster"]["cache_peer_hits"] >= 1, st["cluster"]
 PY
 
-# 3. Kill -9 the primary owner mid-job; the retrying client through the
-# non-owner must still recover the byte-identical result (the job fails
-# over to a surviving replica).
+# 3. Kill -9 the primary owner mid-job (the SLOW query mines for about
+# 2 s, so it is still running a second after submit); the retrying
+# client through the non-owner must still recover the byte-identical
+# result (the job fails over to a surviving replica).
 "$SMOKE/gpapriori" -serve-url "http://127.0.0.1:$CL_NON" -dataset d \
-    -algo goethals -minsup 0.45 -maxlen 5 -result-only \
+    $SLOW -result-only \
     -retry-max 10 -retry-base-ms 100 -retry-jitter 0.2 -retry-seed 1 \
     > "$SMOKE/cluster-chaos.txt" &
 CL_CLIENT_PID=$!

@@ -35,13 +35,13 @@ import (
 // ServeMineRequest is the body of POST /v1/jobs: one mining query
 // against a registered dataset. Exactly one of MinSupport ≥ 1 or
 // RelativeSupport in (0,1] must be set. It carries the query and its
-// scheduling only; the engine settings of Config (workers, the
-// simulator's device pool and fault schedule) are not on the wire.
+// scheduling only: every request mines with AlgoPipeline, and the other
+// engine settings of Config are not on the wire.
 type ServeMineRequest struct {
 	// Dataset names a database in the daemon's registry.
 	Dataset string `json:"dataset"`
-	// Algorithm defaults to AlgoPipeline (see Algorithm.Resolve);
-	// "gpapriori" runs the simulator on one fault-free device.
+	// Algorithm is checked and then ignored: a name outside Algorithms()
+	// is a typed 400, and any other still mines with AlgoPipeline.
 	Algorithm string `json:"algorithm,omitempty"`
 	// MinSupport is the absolute threshold (0 = use RelativeSupport).
 	MinSupport int `json:"min_support,omitempty"`
@@ -59,11 +59,10 @@ type ServeMineRequest struct {
 	NoCache bool `json:"no_cache,omitempty"`
 }
 
-// MiningConfig maps the request onto a Config. The daemon applies its
-// own checkpoint/streaming wiring on top.
+// MiningConfig maps the request's query onto a Config of the default
+// engine. The daemon applies its own checkpoint/streaming wiring on top.
 func (r ServeMineRequest) MiningConfig() Config {
 	return Config{
-		Algorithm:       Algorithm(r.Algorithm),
 		MinSupport:      r.MinSupport,
 		RelativeSupport: r.RelativeSupport,
 		MaxLen:          r.MaxLen,
@@ -75,8 +74,9 @@ func (r ServeMineRequest) MiningConfig() Config {
 type ServeJobInfo struct {
 	// ID addresses the job in the /v1/jobs endpoints.
 	ID string `json:"id"`
-	// Dataset and Algorithm echo the request (Algorithm resolved).
-	Dataset   string `json:"dataset"`
+	// Dataset echoes the request.
+	Dataset string `json:"dataset"`
+	// Algorithm is the engine that computes every result: AlgoPipeline.
 	Algorithm string `json:"algorithm"`
 	// State is the lifecycle state string (see JobState): queued,
 	// admitted, running, checkpointed, done, failed, shed, canceled.
@@ -100,10 +100,8 @@ type ServeJobInfo struct {
 	// really over, and a resilient client reconnects instead of
 	// reporting the cancellation.
 	Requeued bool `json:"requeued,omitempty"`
-	// HostSeconds / DeviceSeconds are the run's timings (zero when
-	// Cached).
-	HostSeconds   float64 `json:"host_seconds,omitempty"`
-	DeviceSeconds float64 `json:"device_seconds,omitempty"`
+	// HostSeconds is the run's wall time (zero when Cached).
+	HostSeconds float64 `json:"host_seconds,omitempty"`
 	// Forwarded names the peer that actually executed a job this node
 	// proxied to a cluster owner (empty for locally mined jobs). The
 	// submitting client needs no awareness of it — results stream back
@@ -991,11 +989,10 @@ func (c *ServeClient) Mine(ctx context.Context, req ServeMineRequest) (*Result, 
 		return nil, info, fmt.Errorf("gpapriori: served job %s ended %s: %s", info.ID, info.State, info.Error)
 	}
 	res := &Result{
-		Algorithm:     Algorithm(info.Algorithm),
-		MinSupport:    info.MinSupport,
-		Itemsets:      toItemsets(rs),
-		HostSeconds:   info.HostSeconds,
-		DeviceSeconds: info.DeviceSeconds,
+		Algorithm:   Algorithm(info.Algorithm),
+		MinSupport:  info.MinSupport,
+		Itemsets:    toItemsets(rs),
+		HostSeconds: info.HostSeconds,
 	}
 	return res, info, nil
 }
