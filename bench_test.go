@@ -13,6 +13,7 @@ package gpapriori
 // minutes; cmd/fimbench runs the same harness at larger scales.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -652,4 +653,47 @@ func BenchmarkAblationAsyncPipeline(b *testing.B) {
 	}
 	b.ReportMetric(sync, "modeled_sync_s")
 	b.ReportMetric(async, "modeled_async_s")
+}
+
+// ---------------------------------------------------------------------------
+// Served shapes — the allocation gate of the default served path.
+
+// BenchmarkMineServedShapes mines the four shapes of perfbench's miss
+// workload, each at the low end of its support band, the way gpaserve
+// runs a job: MineContext with an OnGeneration hook, over a resident
+// database that has been mined before. Each op transposes the shape's
+// frequent items and mines them. scripts/verify.sh gates each shape's
+// bytes and allocations per op.
+func BenchmarkMineServedShapes(b *testing.B) {
+	shapes := []struct {
+		name    string
+		scale   float64
+		support float64
+	}{
+		{"T40I10D100K", 0.1, 0.11},
+		{"accidents", 0.1, 0.86},
+		{"pumsb", 0.1, 0.90},
+		{"chess", 0.5, 0.86},
+	}
+	ctx := context.Background()
+	for _, s := range shapes {
+		db, err := GeneratePaperDataset(s.name, s.scale)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := Config{RelativeSupport: s.support, OnGeneration: func(int, []Itemset) {}}
+		// A served database was mined before this job: count once what
+		// it keeps, outside the measured ops.
+		if _, err := MineContext(ctx, db, cfg); err != nil {
+			b.Fatal(err)
+		}
+		b.Run("shape="+s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := MineContext(ctx, db, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

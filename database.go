@@ -21,12 +21,26 @@ type Database struct {
 	// later query reads the database to name its result.
 	contentOnce sync.Once
 	content     uint64
+
+	// supportsOnce guards supports, the item supports
+	// (dataset.DB.ItemSupports), counted on first use and then shared
+	// read-only by every run and estimate, so a job transposes its
+	// frequent items without counting them again.
+	supportsOnce sync.Once
+	supports     []int
 }
 
 // contentFingerprint returns the memoized content fingerprint.
 func (d *Database) contentFingerprint() uint64 {
 	d.contentOnce.Do(func() { d.content = checkpoint.Content(d.db) })
 	return d.content
+}
+
+// itemSupports returns the memoized item supports. Callers must not
+// modify the slice.
+func (d *Database) itemSupports() []int {
+	d.supportsOnce.Do(func() { d.supports = d.db.ItemSupports() })
+	return d.supports
 }
 
 // resultKey is the identity of the result of mining d at absolute

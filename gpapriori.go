@@ -395,7 +395,7 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 			return nil, err
 		}
 	case AlgoPipeline:
-		p := apriori.NewPipeline(db.db, apriori.PipelineOptions{
+		p := apriori.NewPipeline(db.db, db.itemSupports(), apriori.PipelineOptions{
 			Workers:  cfg.Workers,
 			Popcount: cfg.popcount(),
 		})

@@ -19,6 +19,7 @@ package apriori
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"gpapriori/internal/dataset"
@@ -62,6 +63,12 @@ type Config struct {
 	// wrote the resume point.
 	Resume *Resume
 }
+
+// ErrResumeMismatch marks a resume point that cannot belong to this run:
+// one that names an item the run's database does not hold frequent at
+// its support. internal/checkpoint's ErrMismatch is this error, so
+// callers test for either with errors.Is.
+var ErrResumeMismatch = errors.New("checkpoint: checkpoint does not match this run")
 
 // Resume is a generation-boundary resume point, typically recovered from
 // an internal/checkpoint snapshot.

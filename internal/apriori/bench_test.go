@@ -66,13 +66,14 @@ func BenchmarkMineCPUTest(b *testing.B) {
 
 // BenchmarkMinePipeline mines the same shapes with the work-stealing
 // pipeline across the scaling sweep; cmd/benchjson turns the
-// workers=1,2,4,8 rows into the per-shape scaling curve.
+// workers=1,2,4,8 rows into the per-shape scaling curve. Like a served
+// job, each op transposes the shape's frequent items and then mines.
 func BenchmarkMinePipeline(b *testing.B) {
 	for _, s := range benchShapes(b) {
-		v := vertical.BuildBitsets(s.db)
+		supports := s.db.ItemSupports()
 		for _, workers := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("shape=%s/workers=%d", s.name, workers), func(b *testing.B) {
-				p := NewPipelineOver(s.db, v, PipelineOptions{Workers: workers})
+				p := NewPipeline(s.db, supports, PipelineOptions{Workers: workers})
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					rs, err := p.Mine(s.minSup, Config{})

@@ -1,6 +1,7 @@
 package apriori
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"gpapriori/internal/dataset"
 	"gpapriori/internal/gen"
 	"gpapriori/internal/oracle"
+	"gpapriori/internal/vertical"
 )
 
 // engines lists the miners that share the boundary contract: the
@@ -22,7 +24,7 @@ var engines = []struct {
 		return Mine(db, minSup, NewCPUBitset(db, bitset.PopcountHardware), cfg)
 	}},
 	{"pipeline", func(db *dataset.DB, minSup int, cfg Config) (*dataset.ResultSet, error) {
-		return NewPipeline(db, PipelineOptions{Workers: 4, Grain: 2}).Mine(minSup, cfg)
+		return NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: 4, Grain: 2}).Mine(minSup, cfg)
 	}},
 }
 
@@ -143,7 +145,7 @@ func TestResumeEquivalenceAcrossStrategies(t *testing.T) {
 		{"bodon", func(cfg Config) (*dataset.ResultSet, error) { return Mine(db, minSup, NewBodon(db), cfg) }},
 		{"borgelt", func(cfg Config) (*dataset.ResultSet, error) { return Mine(db, minSup, NewBorgelt(db), cfg) }},
 		{"pipeline", func(cfg Config) (*dataset.ResultSet, error) {
-			return NewPipeline(db, PipelineOptions{Workers: 3}).Mine(minSup, cfg)
+			return NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: 3}).Mine(minSup, cfg)
 		}},
 	}
 	for _, writer := range strategies {
@@ -243,6 +245,89 @@ func TestResumeValidation(t *testing.T) {
 		}
 		if _, err := e.mine(db, 2, Config{Resume: &Resume{Gen: 1, Frequent: long}}); err == nil {
 			t.Errorf("%s: accepted resume itemset longer than the resume generation", e.name)
+		}
+	}
+}
+
+// TestPipelineRefusesResumeItemWithoutVector: a resume point that names
+// an item past the database, or one not frequent at the run's support,
+// has no first-generation vector to count with. The pipeline refuses it
+// as a resume mismatch before any worker starts, instead of panicking
+// one and with it the process.
+func TestPipelineRefusesResumeItemWithoutVector(t *testing.T) {
+	db := gen.Small()
+	const minSup = 2
+	supports := db.ItemSupports()
+	if supports[7] != 1 {
+		t.Fatalf("fixture: item 7 has support %d, want 1 (infrequent at %d)", supports[7], minSup)
+	}
+	p := NewPipeline(db, supports, PipelineOptions{Workers: 2})
+	for _, c := range []struct {
+		name  string
+		extra dataset.Item
+	}{
+		{"out of range", dataset.Item(db.NumItems() + 5)},
+		{"infrequent", 7},
+	} {
+		rs := &dataset.ResultSet{}
+		for item, sup := range supports {
+			if sup >= minSup {
+				rs.Add([]dataset.Item{dataset.Item(item)}, sup)
+			}
+		}
+		rs.Add([]dataset.Item{c.extra}, 99)
+		_, err := p.Mine(minSup, Config{Resume: &Resume{Gen: 1, Frequent: rs}})
+		if !errors.Is(err, ErrResumeMismatch) {
+			t.Errorf("%s item %d: err = %v, want ErrResumeMismatch", c.name, c.extra, err)
+		}
+	}
+}
+
+// TestPipelineResumedRunFootprint: a resumed run transposes the same
+// frequent items a fresh one does, so both stay within the admission
+// estimate gpapriori.EstimateMemoryBytes charges for the job — twice
+// vertical.EstimateFrequentBytes, the slab plus a cache budget of the
+// same size — and mine the same result.
+func TestPipelineResumedRunFootprint(t *testing.T) {
+	db := gen.Random(150, 12, 0.5, 3)
+	supports := db.ItemSupports()
+	p := NewPipeline(db, supports, PipelineOptions{Workers: 2})
+	for _, minSup := range []int{db.AbsoluteSupport(0.2), db.AbsoluteSupport(0.4)} {
+		estimate := 2 * vertical.EstimateFrequentBytes(db, supports, minSup)
+		var resume *Resume
+		fresh, err := p.newRun(context.Background(), minSup, Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
+			if g == 2 {
+				resume = &Resume{Gen: g, Frequent: rs}
+			}
+			return nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slabBytes(fresh) + fresh.budget; got > estimate {
+			t.Fatalf("minsup %d: fresh run holds %d bytes, past the %d-byte estimate", minSup, got, estimate)
+		}
+		want, err := fresh.mine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resume == nil {
+			t.Fatalf("minsup %d: no generation-2 boundary to resume from", minSup)
+		}
+		resumed, err := p.newRun(context.Background(), minSup, Config{Resume: resume})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := slabBytes(resumed) + resumed.budget; got > estimate || slabBytes(resumed) != slabBytes(fresh) {
+			t.Fatalf("minsup %d: resumed run holds %d bytes (slab %d), want the fresh run's slab %d within the %d-byte estimate",
+				minSup, got, slabBytes(resumed), slabBytes(fresh), estimate)
+		}
+		got, err := resumed.mine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("minsup %d: resumed run differs:\n%s", minSup, strings.Join(got.Diff(want), "\n"))
 		}
 	}
 }

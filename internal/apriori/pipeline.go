@@ -19,9 +19,14 @@
 // (prefix-class caching) with suffix-popcount early abort, and hands
 // each child class its intersection with one AND across the generation
 // boundary. The cached vectors are recycled through a pool under a
-// byte budget equal to the first-generation bitsets' footprint; a
-// child that finds the budget spent rematerializes its intersection
-// from the first-generation vectors instead.
+// byte budget equal to the run's first-generation slab; a child that
+// finds the budget spent rematerializes its intersection from the
+// first-generation vectors instead.
+//
+// The first generation is the run's own: once minsup is known, the run
+// transposes only the frequent items, into one slab, from the item
+// supports its caller counted once per database. By downward closure
+// no infrequent item's vector is ever read, so none is built.
 //
 // Memory comes from per-worker slab arenas (trie.Arena): candidate
 // nodes, child-pointer slices and prefix buffers are carved in exact
@@ -105,34 +110,31 @@ func (o PipelineOptions) grain(words int) int {
 }
 
 // Pipeline is the work-stealing pipelined miner bound to one database.
-// Safe for concurrent Mines; worker scratch (batch counters, arenas,
-// buffers) and class-intersection vectors are pooled across runs.
+// Safe for concurrent Mines: each run transposes its own first
+// generation, and worker scratch (batch counters, arenas, buffers) and
+// class-intersection vectors are pooled across runs.
 type Pipeline struct {
-	db  *dataset.DB
-	v   *vertical.BitsetDB
-	opt PipelineOptions
-	// cacheBudget caps the bytes of cross-generation class vectors held
-	// at once: the first-generation bitsets' footprint, the figure
-	// admission control charges for the cache. Tests shrink it to force
-	// the rematerialize fallback.
+	db *dataset.DB
+	// supports are db's item supports, shared read-only with the caller.
+	supports []int
+	opt      PipelineOptions
+	// cacheBudget, when non-negative, replaces each run's derived
+	// cross-generation cache budget (its first-generation slab bytes).
+	// Tests set it to force the rematerialize fallback.
 	cacheBudget int64
 
 	scratch sync.Pool // *pipeScratch
-	vecs    sync.Pool // *bitset.Bitset of v.NumTrans bits
+	vecs    sync.Pool // *bitset.Bitset of db.Len() bits
 }
 
-// NewPipeline builds the pipeline miner over db.
-func NewPipeline(db *dataset.DB, opt PipelineOptions) *Pipeline {
-	return NewPipelineOver(db, vertical.BuildBitsets(db), opt)
-}
-
-// NewPipelineOver builds the miner over an already-transposed vertical
-// database.
-func NewPipelineOver(db *dataset.DB, v *vertical.BitsetDB, opt PipelineOptions) *Pipeline {
+// NewPipeline builds the pipeline miner over db, whose item supports
+// (db.ItemSupports()) the caller passes in, so a caller that mines one
+// database many times counts them once. The slice is only read.
+func NewPipeline(db *dataset.DB, supports []int, opt PipelineOptions) *Pipeline {
 	if opt.Workers <= 0 {
 		opt.Workers = runtime.GOMAXPROCS(0)
 	}
-	return &Pipeline{db: db, v: v, opt: opt, cacheBudget: int64(v.MemoryBytes())}
+	return &Pipeline{db: db, supports: supports, opt: opt, cacheBudget: -1}
 }
 
 // Name identifies the strategy in reports.
@@ -167,7 +169,7 @@ func (p *Pipeline) getVec() *bitset.Bitset {
 	if b, ok := p.vecs.Get().(*bitset.Bitset); ok {
 		return b
 	}
-	return bitset.New(p.v.NumTrans)
+	return bitset.New(p.db.Len())
 }
 
 // pipeScratch is one worker's reusable scratch, pooled across runs.
@@ -302,6 +304,19 @@ type pipeRun struct {
 	cfg    Config
 	ctx    context.Context
 
+	// vecs is the run's first generation, indexed by item: one slab
+	// vector for each item frequent at minsup, nil for every other item.
+	// Every vector, like every class vector, is words aligned words.
+	// budget caps the bytes of cross-generation class vectors held at
+	// once: the slab's size, the figure admission control charges for
+	// the cache.
+	vecs   []*bitset.Bitset
+	words  int
+	budget int64
+	// seeder holds the arena of the seeded families until the results
+	// are copied out.
+	seeder *pipeScratch
+
 	deques  []pipeDeque
 	stopped atomic.Bool
 	outst   atomic.Int64 // unretired tasks; 0 after the first submit means done
@@ -339,19 +354,36 @@ func (p *Pipeline) Mine(minSupport int, cfg Config) (*dataset.ResultSet, error) 
 // boundary. cfg.Checkpoint is called on the level-wise driver's
 // schedule and cfg.Resume continues from a boundary of either engine.
 func (p *Pipeline) MineContext(ctx context.Context, minSupport int, cfg Config) (*dataset.ResultSet, error) {
+	r, err := p.newRun(ctx, minSupport, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.mine()
+}
+
+// newRun readies one run at minSupport: it transposes the frequent
+// items, seeds the first families and queues them, so no worker starts
+// before a resume point has been checked against the layout.
+func (p *Pipeline) newRun(ctx context.Context, minSupport int, cfg Config) (*pipeRun, error) {
 	if minSupport < 1 {
 		return nil, fmt.Errorf("apriori: minimum support %d must be ≥1", minSupport)
 	}
 	r := &pipeRun{p: p, trie: trie.New(), minsup: minSupport, cfg: cfg, ctx: ctx, start: 1}
+	r.vecs = vertical.FrequentBitsets(p.db, p.supports, minSupport)
+	r.words = bitset.AlignedWords(p.db.Len())
+	r.budget = p.cacheBudget
+	if r.budget < 0 {
+		r.budget = vertical.EstimateFrequentBytes(p.db, p.supports, minSupport)
+	}
 	r.parkCond = sync.NewCond(&r.parkMu)
 	r.deques = make([]pipeDeque, p.opt.Workers)
 	if cfg.Checkpoint != nil {
 		r.kick = make(chan struct{}, 1)
 	}
-	seed := p.getScratch()
-	tasks, err := r.seed(&seed.arena)
+	r.seeder = p.getScratch()
+	tasks, err := r.seed(&r.seeder.arena)
 	if err != nil {
-		p.putScratch(seed)
+		p.putScratch(r.seeder)
 		return nil, err
 	}
 	if len(tasks) == 0 {
@@ -362,7 +394,12 @@ func (p *Pipeline) MineContext(ctx context.Context, minSupport int, cfg Config) 
 	} else {
 		r.submit(0, tasks...)
 	}
+	return r, nil
+}
 
+// mine runs the pool over a readied run and returns its result.
+func (r *pipeRun) mine() (*dataset.ResultSet, error) {
+	p := r.p
 	var wg sync.WaitGroup
 	for w := 0; w < p.opt.Workers; w++ {
 		wg.Add(1)
@@ -383,13 +420,13 @@ func (p *Pipeline) MineContext(ctx context.Context, minSupport int, cfg Config) 
 		}
 	}
 	wg.Wait()
-	p.putScratch(seed)
+	p.putScratch(r.seeder)
 	if r.err != nil {
 		return nil, r.err
 	}
 	// Copy results out of arena memory before the scratch pool can
 	// recycle it (FrequentPacked never aliases the trie).
-	rs := r.trie.FrequentPacked(minSupport, 0)
+	rs := r.trie.FrequentPacked(r.minsup, 0)
 	if r.kick != nil {
 		if err := b.final(int(r.mark.Load()), rs); err != nil {
 			return nil, err
@@ -404,36 +441,36 @@ func (p *Pipeline) MineContext(ctx context.Context, minSupport int, cfg Config) 
 // way the families' children already carry supports, so they go
 // straight to prune and join, as the triangle's pair classes do.
 func (r *pipeRun) seed(a *trie.Arena) ([]pipeTask, error) {
-	// Candidates are strictly increasing paths over the items in the
-	// trie, so the item count bounds their length: the frequent items
-	// of a fresh run, the database's items on resume.
+	// Candidates are strictly increasing paths over the frequent items,
+	// so their count bounds a candidate's length. A valid resume point
+	// names no other item.
 	root := r.trie.Root
-	bound := r.p.db.NumItems()
+	nf := 0
+	for _, v := range r.vecs {
+		if v != nil {
+			nf++
+		}
+	}
 	if r.cfg.Resume != nil {
 		g, err := seedFromResume(r.trie, r.cfg.Resume, r.minsup)
 		if err != nil {
 			return nil, err
 		}
+		if err := r.checkResumeItems(); err != nil {
+			return nil, err
+		}
 		r.start = g
 	} else {
-		supports := r.p.db.ItemSupports()
-		nf := 0
-		for _, sup := range supports {
-			if sup >= r.minsup {
-				nf++
-			}
-		}
 		root.Children = a.NodePtrs(nf)
-		for item, sup := range supports {
+		for item, sup := range r.p.supports {
 			if sup >= r.minsup {
 				n := a.NewNode(dataset.Item(item), 1)
 				n.Support = sup
 				root.Children = append(root.Children, n)
 			}
 		}
-		bound = nf
 	}
-	r.depths = make([]pipeDepth, max(bound, r.start)+2)
+	r.depths = make([]pipeDepth, max(nf, r.start)+2)
 	r.mark.Store(int64(r.start - 1))
 
 	var tasks []pipeTask
@@ -455,6 +492,26 @@ func (r *pipeRun) seed(a *trie.Arena) ([]pipeTask, error) {
 	walk(root)
 	r.openFamilies(r.start, len(tasks))
 	return tasks, nil
+}
+
+// checkResumeItems refuses a resume point that names an item this run
+// has no first-generation vector for. Every item of a valid resume
+// point is frequent at its minsup, so such a point was written over
+// another database or support; mining on would index a missing vector.
+func (r *pipeRun) checkResumeItems() error {
+	for _, s := range r.cfg.Resume.Frequent.Sets {
+		for _, it := range s.Items {
+			switch {
+			case int(it) >= len(r.vecs):
+				return fmt.Errorf("%w: resume itemset %v names item %d, past this database's %d items",
+					ErrResumeMismatch, s.Items, it, len(r.vecs))
+			case r.vecs[it] == nil:
+				return fmt.Errorf("%w: resume itemset %v names item %d, which is not frequent here at support %d",
+					ErrResumeMismatch, s.Items, it, r.minsup)
+			}
+		}
+	}
+	return nil
 }
 
 // boundaries reports passed watermarks to Config.Checkpoint on the
@@ -722,7 +779,7 @@ func (w *pipeWorker) startFamily(fam *pipeFamily) {
 	case fam.k == 2:
 		// The prefix is a single item: its vector IS the class
 		// intersection.
-		fam.base = r.p.v.Vectors[fam.prefix[0]]
+		fam.base = r.vecs[fam.prefix[0]]
 	default:
 		// Over the cache budget when the parent joined: rematerialize
 		// from the first-generation vectors.
@@ -733,11 +790,11 @@ func (w *pipeWorker) startFamily(fam *pipeFamily) {
 		}
 		vs := w.s.vs[:fam.k-1]
 		for i, it := range fam.prefix[:fam.k-1] {
-			vs[i] = r.p.v.Vectors[it]
+			vs[i] = r.vecs[it]
 		}
 		bitset.IntersectInto(fam.base, vs)
 	}
-	grain := r.p.opt.grain(bitset.AlignedWords(r.p.v.NumTrans))
+	grain := r.p.opt.grain(r.words)
 	n := (m + grain - 1) / grain
 	fam.pending.Store(int32(n))
 	if n > 1 {
@@ -777,7 +834,7 @@ func (w *pipeWorker) countRange(fam *pipeFamily, lo, hi int) {
 	}
 	lasts := w.s.lasts[:m]
 	for i, c := range children {
-		lasts[i] = w.r.p.v.Vectors[c.Item]
+		lasts[i] = w.r.vecs[c.Item]
 	}
 	w.s.bc.CountPairs(fam.base, lasts, w.r.minsup, out)
 	for i, c := range children {
@@ -866,7 +923,7 @@ func (w *pipeWorker) joinFamily(fam *pipeFamily, kept []*trie.Node) {
 		// from, so their children rematerialize.
 		if k >= 2 && fam.base != nil {
 			if cb := r.acquireCached(); cb != nil {
-				cb.And(fam.base, r.p.v.Vectors[x.Item])
+				cb.And(fam.base, r.vecs[x.Item])
 				child.cached = cb
 			}
 		}
@@ -878,10 +935,10 @@ func (w *pipeWorker) joinFamily(fam *pipeFamily, kept []*trie.Node) {
 // the budget allows, or nil (the child family then rematerializes its
 // intersection from the first-generation vectors).
 func (r *pipeRun) acquireCached() *bitset.Bitset {
-	bytes := int64(bitset.AlignedWords(r.p.v.NumTrans) * 8)
+	bytes := int64(r.words * 8)
 	for {
 		cur := r.cachedBytes.Load()
-		if cur+bytes > r.p.cacheBudget {
+		if cur+bytes > r.budget {
 			return nil
 		}
 		if r.cachedBytes.CompareAndSwap(cur, cur+bytes) {
@@ -892,6 +949,6 @@ func (r *pipeRun) acquireCached() *bitset.Bitset {
 
 // releaseCached refunds the budget and recycles the vector.
 func (r *pipeRun) releaseCached(b *bitset.Bitset) {
-	r.cachedBytes.Add(-int64(bitset.AlignedWords(r.p.v.NumTrans) * 8))
+	r.cachedBytes.Add(-int64(r.words * 8))
 	r.p.vecs.Put(b)
 }

@@ -26,10 +26,7 @@
 // supports are identical for every worker count and block size.
 package apriori
 
-import (
-	"gpapriori/internal/bitset"
-	"gpapriori/internal/trie"
-)
+import "gpapriori/internal/trie"
 
 // triMaxPairs caps the triangular array at 64MB so a huge first
 // generation cannot balloon resident memory behind the miner's back.
@@ -44,7 +41,7 @@ const triBlock = 1024
 // cheaper than pair-at-a-time bitset intersection.
 func (w *pipeWorker) planTriangle(kept []*trie.Node, pairs int) ([]int32, bool) {
 	r := w.r
-	words := bitset.AlignedWords(r.p.v.NumTrans)
+	words := r.words
 	// The per-pair bitset cost: AND+popcount over the vector plus
 	// per-candidate bookkeeping. Below a trivial total, skip even the
 	// costing scan — the generation is cheap either way.
@@ -181,7 +178,7 @@ func (w *pipeWorker) finishTriangle(tj *triJob) {
 		}
 		// The class intersection of a pair class is its prefix item's
 		// vector; the join derives the triples' vectors from it.
-		fam := &pipeFamily{parent: x, k: 2, precounted: true, base: r.p.v.Vectors[x.Item]}
+		fam := &pipeFamily{parent: x, k: 2, precounted: true, base: r.vecs[x.Item]}
 		fam.prefix = append(w.s.arena.Items(1), x.Item)
 		tasks = append(tasks, pipeTask{fam: fam, lo: -1})
 	}

@@ -46,7 +46,7 @@ func TestPipelineSchedulerMatrix(t *testing.T) {
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, grain := range []int{0, 1, 7, 64} {
 				for _, steal := range []int{0, 1} {
-					p := NewPipeline(c.db, PipelineOptions{Workers: workers, Grain: grain, StealBatch: steal})
+					p := NewPipeline(c.db, c.db.ItemSupports(), PipelineOptions{Workers: workers, Grain: grain, StealBatch: steal})
 					for _, budget := range []int64{p.cacheBudget, 0} {
 						p.cacheBudget = budget
 						label := fmt.Sprintf("%s w=%d g=%d s=%d budget=%d", c.name, workers, grain, steal, budget)
@@ -125,7 +125,7 @@ func TestPipelineSkewedClassStealing(t *testing.T) {
 		}
 		for _, grain := range []int{1, 4, 16} {
 			for _, workers := range []int{2, 4, 8} {
-				p := NewPipeline(db, PipelineOptions{Workers: workers, Grain: grain, StealBatch: 2})
+				p := NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: workers, Grain: grain, StealBatch: 2})
 				got, err := p.Mine(minSup, Config{})
 				if err != nil {
 					t.Fatal(err)
@@ -166,19 +166,26 @@ func TestPipelineTriangleGen2(t *testing.T) {
 	}
 	// The fixture must take the triangle path, or this test covers
 	// nothing the others do not.
-	p := NewPipeline(db, PipelineOptions{Workers: 1})
+	p := NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: 1})
 	var kept []*trie.Node
 	for item, sup := range db.ItemSupports() {
 		if sup >= triangleMinSup {
 			kept = append(kept, &trie.Node{Item: dataset.Item(item), Support: sup})
 		}
 	}
-	w := &pipeWorker{r: &pipeRun{p: p}}
+	r, err := p.newRun(context.Background(), triangleMinSup, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &pipeWorker{r: r}
 	if _, ok := w.planTriangle(kept, len(kept)*(len(kept)-1)/2); !ok {
 		t.Fatalf("cost model keeps the bitset path for %d frequent items", len(kept))
 	}
+	if _, err := r.mine(); err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 4} {
-		p := NewPipeline(db, PipelineOptions{Workers: workers})
+		p := NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: workers})
 		got, err := p.Mine(triangleMinSup, Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +203,7 @@ func TestPipelineTriangleGen2(t *testing.T) {
 // already happened.
 func TestPipelineCancellationMidRun(t *testing.T) {
 	db := gen.Random(400, 18, 0.5, 23)
-	p := NewPipeline(db, PipelineOptions{Workers: 8, Grain: 2, StealBatch: 1})
+	p := NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: 8, Grain: 2, StealBatch: 1})
 	check := testutil.LeakCheck(t, 0, 3*time.Second)
 	for i := 0; i < 25; i++ {
 		ctx, cancel := context.WithCancel(context.Background())

@@ -2,6 +2,7 @@ package apriori
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"gpapriori/internal/bitset"
@@ -11,20 +12,54 @@ import (
 )
 
 // cacheBudgets lists the cross-generation cache budgets the
-// equivalence tests sweep over p: the derived default, room for two
-// class vectors (cached and rematerialized families mix), and none
-// (every family counting generation 3 or later rematerializes its
+// equivalence tests sweep over p: the derived default (a negative
+// override, so each run's budget is its first-generation slab), room
+// for two class vectors (cached and rematerialized families mix), and
+// none (every family counting generation 3 or later rematerializes its
 // intersection).
 func cacheBudgets(p *Pipeline) []int64 {
-	vec := int64(bitset.AlignedWords(p.v.NumTrans) * 8)
-	return []int64{p.cacheBudget, 2 * vec, 0}
+	vec := int64(bitset.AlignedWords(p.db.Len()) * 8)
+	return []int64{-1, 2 * vec, 0}
 }
 
+// slabBytes is the size of a run's first generation, measured from the
+// vectors it built.
+func slabBytes(r *pipeRun) int64 {
+	var n int64
+	for _, v := range r.vecs {
+		if v != nil {
+			n += int64(v.WordCount() * 8)
+		}
+	}
+	return n
+}
+
+// TestPipelineCacheBudgetIsFirstGeneration: a run's first generation
+// holds a vector for each item frequent at its support and none for
+// any other, and its cache budget is that slab's size — at minsup 1,
+// a typical support, and one no item reaches.
 func TestPipelineCacheBudgetIsFirstGeneration(t *testing.T) {
 	for _, db := range []*dataset.DB{gen.Small(), gen.Random(150, 12, 0.5, 3)} {
-		p := NewPipeline(db, PipelineOptions{})
-		if want := vertical.EstimateBitsetBytes(db); p.cacheBudget != want {
-			t.Fatalf("cache budget %d, want the first-generation bitsets' %d bytes", p.cacheBudget, want)
+		supports := db.ItemSupports()
+		p := NewPipeline(db, supports, PipelineOptions{})
+		for _, minSup := range []int{1, db.AbsoluteSupport(0.5), db.Len() + 1} {
+			r, err := p.newRun(context.Background(), minSup, Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for item, v := range r.vecs {
+				if (v != nil) != (supports[item] >= minSup) {
+					t.Fatalf("minsup %d: item %d (support %d) has vector %v", minSup, item, supports[item], v != nil)
+				}
+			}
+			want := vertical.EstimateFrequentBytes(db, supports, minSup)
+			if got := slabBytes(r); got != want || r.budget != want {
+				t.Fatalf("minsup %d: slab %d bytes, cache budget %d, want the frequent items' %d bytes",
+					minSup, got, r.budget, want)
+			}
+			if _, err := r.mine(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -44,7 +79,7 @@ func TestPipelineMatchesLevelWise(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				p := NewPipeline(db, PipelineOptions{Workers: workers})
+				p := NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: workers})
 				for _, budget := range cacheBudgets(p) {
 					p.cacheBudget = budget
 					got, err := p.Mine(minSup, Config{})
@@ -70,7 +105,7 @@ func TestPipelineDenseChessShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewPipeline(db, PipelineOptions{Workers: 4})
+	p := NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: 4})
 	for _, budget := range cacheBudgets(p) {
 		p.cacheBudget = budget
 		got, err := p.Mine(minSup, Config{})
@@ -90,7 +125,7 @@ func TestPipelineMaxLen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewPipeline(db, PipelineOptions{Workers: 3})
+		p := NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: 3})
 		got, err := p.Mine(5, Config{MaxLen: maxLen})
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +141,7 @@ func TestPipelineMaxLen(t *testing.T) {
 
 func TestPipelineCancellation(t *testing.T) {
 	db := gen.Random(300, 20, 0.6, 7)
-	p := NewPipeline(db, PipelineOptions{Workers: 4})
+	p := NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.MineContext(ctx, 2, Config{}); err != context.Canceled {
@@ -120,7 +155,7 @@ func TestPipelineCancellation(t *testing.T) {
 // left to report.
 func TestPipelineCancelledAtBoundary(t *testing.T) {
 	db := gen.Random(300, 20, 0.6, 7)
-	p := NewPipeline(db, PipelineOptions{Workers: 4})
+	p := NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var gens []int
@@ -139,7 +174,7 @@ func TestPipelineCancelledAtBoundary(t *testing.T) {
 
 func TestPipelineMinSupportValidation(t *testing.T) {
 	db := gen.Small()
-	p := NewPipeline(db, PipelineOptions{})
+	p := NewPipeline(db, db.ItemSupports(), PipelineOptions{})
 	if _, err := p.Mine(0, Config{}); err == nil {
 		t.Fatal("expected minsup validation error")
 	}
@@ -149,7 +184,7 @@ func TestPipelineMinSupportValidation(t *testing.T) {
 // runs at different thresholds each match the level-wise driver.
 func TestPipelineRepeatedRuns(t *testing.T) {
 	db := gen.Random(150, 12, 0.5, 8)
-	p := NewPipeline(db, PipelineOptions{Workers: 4})
+	p := NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: 4})
 	for _, minSup := range []int{3, 12, 40} {
 		want, err := Mine(db, minSup, NewCPUBitset(db, bitset.PopcountHardware), Config{})
 		if err != nil {
@@ -163,4 +198,37 @@ func TestPipelineRepeatedRuns(t *testing.T) {
 			t.Fatalf("minsup=%d diff: %v", minSup, got.Diff(want))
 		}
 	}
+}
+
+// TestPipelineConcurrentMinesAtDifferentSupports: each run transposes
+// its own first generation, so concurrent mines of one Pipeline at
+// different supports, whose frequent items differ, each match the
+// level-wise driver.
+func TestPipelineConcurrentMinesAtDifferentSupports(t *testing.T) {
+	db := gen.Random(150, 12, 0.5, 8)
+	p := NewPipeline(db, db.ItemSupports(), PipelineOptions{Workers: 2})
+	minSups := []int{3, 12, 40, 70}
+	want := make([]*dataset.ResultSet, len(minSups))
+	for i, minSup := range minSups {
+		var err error
+		if want[i], err = Mine(db, minSup, NewCPUBitset(db, bitset.PopcountHardware), Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i, minSup := range minSups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := p.Mine(minSup, Config{})
+			if err != nil {
+				t.Errorf("minsup=%d: %v", minSup, err)
+				return
+			}
+			if !got.Equal(want[i]) {
+				t.Errorf("minsup=%d diff: %v", minSup, got.Diff(want[i]))
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -50,6 +50,20 @@ func New(nbits int) *Bitset {
 	return &Bitset{words: make([]uint64, AlignedWords(nbits)), nbits: nbits}
 }
 
+// NewSlab returns n Bitsets of nbits bits each, all clear, carved from
+// one contiguous allocation: bitset i occupies words [i*W, (i+1)*W) of
+// the slab, W = AlignedWords(nbits) — the item-major layout the GPU
+// kernel reads, at the cost of two allocations for the whole set.
+func NewSlab(nbits, n int) []Bitset {
+	w := AlignedWords(nbits)
+	words := make([]uint64, n*w)
+	out := make([]Bitset, n)
+	for i := range out {
+		out[i] = Bitset{words: words[i*w : (i+1)*w : (i+1)*w], nbits: nbits}
+	}
+	return out
+}
+
 // FromIndices builds a Bitset of width nbits with the given bit positions
 // set. Indices out of range cause a panic; duplicates are permitted.
 func FromIndices(nbits int, indices []int) *Bitset {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestAlignedWords(t *testing.T) {
@@ -310,5 +311,35 @@ func TestPropertyCompleteIntersectionEqualsChainedAnd(t *testing.T) {
 		if got := IntersectCountMany(vs); got != acc.Count() {
 			t.Fatalf("IntersectCountMany = %d, chained = %d", got, acc.Count())
 		}
+	}
+}
+
+// TestNewSlab: slab vectors are independent full-width bitsets laid
+// end to end, so setting every bit of one leaves its neighbours clear.
+func TestNewSlab(t *testing.T) {
+	const nbits = 130
+	slab := NewSlab(nbits, 3)
+	if len(slab) != 3 {
+		t.Fatalf("NewSlab(%d, 3) returned %d vectors", nbits, len(slab))
+	}
+	for i := range slab {
+		if slab[i].Len() != nbits || slab[i].WordCount() != AlignedWords(nbits) {
+			t.Fatalf("vector %d: %d bits in %d words, want %d in %d",
+				i, slab[i].Len(), slab[i].WordCount(), nbits, AlignedWords(nbits))
+		}
+	}
+	for i := 0; i < nbits; i++ {
+		slab[1].Set(i)
+	}
+	if slab[0].Count() != 0 || slab[1].Count() != nbits || slab[2].Count() != 0 {
+		t.Fatalf("counts %d/%d/%d after filling vector 1, want 0/%d/0",
+			slab[0].Count(), slab[1].Count(), slab[2].Count(), nbits)
+	}
+	next := unsafe.Add(unsafe.Pointer(&slab[0].Words()[0]), 8*AlignedWords(nbits))
+	if unsafe.Pointer(&slab[1].Words()[0]) != next {
+		t.Fatal("vector 1 does not follow vector 0 in one allocation")
+	}
+	if len(NewSlab(nbits, 0)) != 0 {
+		t.Fatal("NewSlab with no vectors returned some")
 	}
 }

@@ -51,7 +51,9 @@ var (
 	ErrCorrupt = errors.New("checkpoint: corrupt checkpoint file")
 	// ErrMismatch marks a well-formed checkpoint that belongs to a
 	// different run (different database, support threshold, or MaxLen).
-	ErrMismatch = errors.New("checkpoint: checkpoint does not match this run")
+	// It is apriori.ErrResumeMismatch, so a resume point the miner
+	// refuses is a mismatch too.
+	ErrMismatch = apriori.ErrResumeMismatch
 )
 
 // Snapshot is the durable mining state at one generation boundary.

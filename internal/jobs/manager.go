@@ -1,11 +1,11 @@
 // Package jobs is the admission-controlled job manager for mining runs.
 //
 // GPApriori's device memory model makes a mining run's footprint knowable
-// before it starts: the vertical bitset layout is numItems × alignedWords
-// — computed, not guessed (vertical.EstimateBitsetBytes). The manager
-// exploits that: every job declares its modeled footprint up front, and
-// admission control guarantees the sum of in-flight footprints never
-// exceeds the configured budget. Jobs that cannot run yet wait in a
+// before it starts: the first-generation bitsets are frequentItems ×
+// alignedWords — computed, not guessed (vertical.EstimateFrequentBytes).
+// The manager exploits that: every job declares its modeled footprint up
+// front, and admission control guarantees the sum of in-flight
+// footprints never exceeds the configured budget. Jobs that cannot run yet wait in a
 // bounded queue ordered by priority; when the queue overflows, the
 // lowest-priority job is shed — deterministically, so the same submission
 // sequence always sheds the same jobs.

@@ -62,6 +62,83 @@ func (w *stallingStreamWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// deadlineStreamWriter is a subscriber that absorbs every write at
+// once but, like a socket under SetWriteDeadline, fails a write that
+// starts after the armed deadline has passed.
+type deadlineStreamWriter struct {
+	header   http.Header
+	deadline time.Time
+	late     int
+	body     bytes.Buffer
+}
+
+func (w *deadlineStreamWriter) Header() http.Header {
+	if w.header == nil {
+		w.header = make(http.Header)
+	}
+	return w.header
+}
+
+func (w *deadlineStreamWriter) WriteHeader(int) {}
+
+func (w *deadlineStreamWriter) SetWriteDeadline(t time.Time) error {
+	w.deadline = t
+	return nil
+}
+
+func (w *deadlineStreamWriter) Write(p []byte) (int, error) {
+	if !w.deadline.IsZero() && time.Now().After(w.deadline) {
+		w.late++
+		return 0, os.ErrDeadlineExceeded
+	}
+	return w.body.Write(p)
+}
+
+// TestStreamWriteDeadlineExcludesMarshalling: a stream write's deadline
+// covers the subscriber's write, not the server's marshalling of the
+// event before it. The timeout is a quarter of the time the event takes
+// to marshal, so a deadline armed before marshalling has always passed
+// when the write starts, and one armed after it leaves the whole
+// timeout to a write the subscriber absorbs at once.
+func TestStreamWriteDeadlineExcludesMarshalling(t *testing.T) {
+	big := gpapriori.ServeGenerationEvent{Gen: 4, Itemsets: make([]gpapriori.Itemset, 200_000)}
+	for i := range big.Itemsets {
+		big.Itemsets[i] = gpapriori.Itemset{Items: []gpapriori.Item{1, 2, 3, gpapriori.Item(4 + i)}, Support: 10 + i}
+	}
+	marshal := time.Duration(1<<63 - 1)
+	for i := 0; i < 3; i++ {
+		t0 := time.Now()
+		if _, err := json.Marshal(big); err != nil {
+			t.Fatal(err)
+		}
+		marshal = min(marshal, time.Since(t0))
+	}
+	s, _, _ := newTestServer(t, Config{Overload: OverloadConfig{StreamWriteTimeout: marshal / 4}})
+	rec := &jobRecord{id: "job-big", terminal: true, wake: make(chan struct{}),
+		events: []gpapriori.ServeGenerationEvent{big, {Final: true}}}
+	s.mu.Lock()
+	s.registerLocked(rec)
+	s.mu.Unlock()
+
+	w := &deadlineStreamWriter{}
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/jobs/job-big/stream", nil))
+	if w.late != 0 {
+		t.Fatalf("%d writes started past a %v deadline; marshalling one event takes %v", w.late, marshal/4, marshal)
+	}
+	dec := json.NewDecoder(&w.body)
+	var got []gpapriori.ServeGenerationEvent
+	for dec.More() {
+		var ev gpapriori.ServeGenerationEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ev)
+	}
+	if len(got) != 2 || len(got[0].Itemsets) != len(big.Itemsets) || !got[1].Final {
+		t.Fatalf("streamed %d events, want the %d-itemset generation and the final event", len(got), len(big.Itemsets))
+	}
+}
+
 // TestSlowStreamSubscriberEvicted: a subscriber that cannot absorb a
 // single batch within StreamWriteTimeout is evicted, while concurrent
 // healthy subscribers on the same job stream every event to completion

@@ -2,14 +2,15 @@
 // The registry is the serving analogue of a loaded model — reading or
 // generating the database is paid at registration, and every
 // subsequent query hits the resident horizontal database. The vertical
-// bitset layout is not resident: every job transposes its database
-// itself (vertical.BuildBitsets). Keeping the layouts resident would
-// add ~4.4MB to the ~9.2MB live heap of perfbench's miss mix, a
-// resident-memory cost the saving does not buy back. A database keeps
-// only its content fingerprint, computed on its first request rather
-// than here, so registration stays a load. Entries carry the modeled
-// vertical-bitset footprint so admission control and /statsz account
-// for what a job's layout costs.
+// bitset layout is not resident: every job transposes the items
+// frequent at its support itself (vertical.FrequentBitsets). Keeping
+// the layouts resident would add ~4.4MB to the ~9.2MB live heap of
+// perfbench's miss mix, a resident-memory cost the saving does not buy
+// back. A database keeps only its content fingerprint and its item
+// supports, each computed on first use rather than here, so
+// registration stays a load. Entries carry the full vertical-bitset
+// footprint, the most any one job's layout can cost; admission charges
+// each job its own (gpapriori.EstimateMemoryBytes).
 package server
 
 import (

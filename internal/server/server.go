@@ -324,6 +324,8 @@ func (s *Server) submit(ctx context.Context, req gpapriori.ServeMineRequest, id,
 func (s *Server) submitLocal(rec *jobRecord, db *gpapriori.Database) (*jobRecord, *gpapriori.ServeError) {
 	req := rec.req
 	cfg := req.MiningConfig()
+	// Outside s.mu: a dataset's first estimate counts its item supports.
+	memBytes := gpapriori.EstimateMemoryBytes(db, rec.minSup)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -353,7 +355,7 @@ func (s *Server) submitLocal(rec *jobRecord, db *gpapriori.Database) (*jobRecord
 	job := &jobs.Job{
 		Name:     rec.id,
 		Priority: req.Priority,
-		MemBytes: gpapriori.EstimateMemoryBytes(db),
+		MemBytes: memBytes,
 		Deadline: time.Duration(req.DeadlineSec * float64(time.Second)),
 	}
 	cfg.OnGeneration = rec.addGeneration
@@ -911,8 +913,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// instead of holding event memory and a connection while the
 	// buffers behind it fill. The evicted client reconnects with
 	// ?after_gen=N and loses nothing — the event log is append-only.
+	// Each event is marshalled into buf before its deadline is armed,
+	// so the server's own encoding of a large generation never counts
+	// against the subscriber.
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	i := 0
 	for {
 		evs, terminal, wake := rec.eventsFrom(i)
@@ -930,8 +936,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if !keep {
 				continue
 			}
-			rc.SetWriteDeadline(time.Now().Add(s.over.StreamWriteTimeout))
+			buf.Reset()
 			if err := enc.Encode(ev); err != nil {
+				return
+			}
+			rc.SetWriteDeadline(time.Now().Add(s.over.StreamWriteTimeout))
+			if _, err := w.Write(buf.Bytes()); err != nil {
 				if errors.Is(err, os.ErrDeadlineExceeded) {
 					s.noteStreamEviction(rec.id, err)
 				}

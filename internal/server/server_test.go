@@ -446,18 +446,20 @@ func TestOverBudgetJobRejected(t *testing.T) {
 	if _, err := reg.Add("q", "test", testDB(t)); err != nil {
 		t.Fatal(err)
 	}
-	// 2,000 items over 5,000 transactions: the pipeline's bitsets and
-	// class-vector cache model about 2.5 MiB, past the 1 MiB budget.
+	// 2,000 items over 5,000 transactions: at support 10, about 1,170
+	// items are frequent, and the pipeline's first-generation slab and
+	// class-vector cache model about 1.4 MiB, past the 1 MiB budget.
 	big, err := reg.AddSpec("big", "quest:2000:5000:10:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est := gpapriori.EstimateMemoryBytes(big.DB); est <= 1<<20 {
-		t.Fatalf("dataset big models %d bytes, want past the 1 MiB budget", est)
+	const bigSupport = 10
+	if est := gpapriori.EstimateMemoryBytes(big.DB, bigSupport); est <= 1<<20 {
+		t.Fatalf("dataset big models %d bytes at support %d, want past the 1 MiB budget", est, bigSupport)
 	}
 	_, cl, _ := newTestServer(t, Config{Registry: reg, Jobs: gpapriori.JobManagerConfig{MemoryBudgetMB: 1}})
 	ctx := context.Background()
-	_, err = cl.Submit(ctx, gpapriori.ServeMineRequest{Dataset: "big", RelativeSupport: 0.5})
+	_, err = cl.Submit(ctx, gpapriori.ServeMineRequest{Dataset: "big", MinSupport: bigSupport})
 	if se, ok := err.(*gpapriori.ServeError); !ok || se.Status != http.StatusRequestEntityTooLarge || se.Code != "over_budget" {
 		t.Fatalf("oversized job: got %v, want 413 over_budget", err)
 	}

@@ -130,11 +130,63 @@ func (v *BitsetDB) Flatten() []uint64 {
 func (v *BitsetDB) MemoryBytes() int { return len(v.Vectors) * v.WordsPerVector() * 8 }
 
 // EstimateBitsetBytes models the bitset layout's footprint for db without
-// building it: one aligned bit-vector per item. Admission control sizes
-// jobs with this estimate, so it must agree exactly with what BuildBitsets
-// would allocate.
+// building it: one aligned bit-vector per item, exactly what BuildBitsets
+// allocates. It bounds what any one job transposes, whatever its support.
 func EstimateBitsetBytes(db *dataset.DB) int64 {
 	return int64(db.NumItems()) * int64(bitset.AlignedWords(db.Len())) * 8
+}
+
+// FrequentBitsets transposes only the items of db whose support reaches
+// minSup: the first generation GPApriori keeps resident, and by downward
+// closure the only vectors a run at minSup ever reads. supports are db's
+// item supports (db.ItemSupports()). The result is indexed by item id; a
+// frequent item's vector is carved from one slab (bitset.NewSlab), and
+// every other item's entry is nil. It is not a BitsetDB, whose methods
+// assume every item has a vector.
+func FrequentBitsets(db *dataset.DB, supports []int, minSup int) []*bitset.Bitset {
+	vecs := make([]*bitset.Bitset, len(supports))
+	slab := bitset.NewSlab(db.Len(), countFrequent(supports, minSup))
+	if len(slab) == 0 {
+		return vecs
+	}
+	next := 0
+	for item, sup := range supports {
+		if sup >= minSup {
+			vecs[item] = &slab[next]
+			next++
+		}
+	}
+	// Bits are set straight in the words: tid is always below the
+	// width, and Set's per-bit range check cost about a third of the
+	// scan's time on accidents.
+	for tid, tr := range db.Transactions() {
+		w, bit := tid/bitset.WordBits, uint64(1)<<(tid%bitset.WordBits)
+		for _, it := range tr {
+			if v := vecs[it]; v != nil {
+				v.Words()[w] |= bit
+			}
+		}
+	}
+	return vecs
+}
+
+// EstimateFrequentBytes models FrequentBitsets' slab without building
+// it: one aligned bit-vector per item whose support reaches minSup.
+// Admission control sizes jobs with this estimate, so it must agree
+// exactly with what FrequentBitsets allocates.
+func EstimateFrequentBytes(db *dataset.DB, supports []int, minSup int) int64 {
+	return int64(countFrequent(supports, minSup)) * int64(bitset.AlignedWords(db.Len())) * 8
+}
+
+// countFrequent returns how many items' supports reach minSup.
+func countFrequent(supports []int, minSup int) int {
+	n := 0
+	for _, sup := range supports {
+		if sup >= minSup {
+			n++
+		}
+	}
+	return n
 }
 
 // MemoryBytes reports the total bytes of the tidset layout (4 bytes per

@@ -164,3 +164,45 @@ func TestEstimateBitsetBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestFrequentBitsetsMatchFullLayout: at minsup 1 (every occurring item
+// frequent), a typical minsup, and one no item reaches, each frequent
+// item's vector equals BuildBitsets' bit for bit and no other item has
+// one; the slab is exactly EstimateFrequentBytes.
+func TestFrequentBitsetsMatchFullLayout(t *testing.T) {
+	db := gen.Random(300, 40, 0.3, 11)
+	full := BuildBitsets(db)
+	supports := db.ItemSupports()
+	for _, minSup := range []int{1, db.AbsoluteSupport(0.3), db.Len() + 1} {
+		vecs := FrequentBitsets(db, supports, minSup)
+		if len(vecs) != db.NumItems() {
+			t.Fatalf("minsup %d: %d entries, want one per item (%d)", minSup, len(vecs), db.NumItems())
+		}
+		frequent := 0
+		var bytes int64
+		for item, v := range vecs {
+			if supports[item] < minSup {
+				if v != nil {
+					t.Fatalf("minsup %d: infrequent item %d (support %d) has a vector", minSup, item, supports[item])
+				}
+				continue
+			}
+			frequent++
+			if v == nil || !v.Equal(full.Vectors[item]) {
+				t.Fatalf("minsup %d: frequent item %d's vector differs from BuildBitsets'", minSup, item)
+			}
+			bytes += int64(v.WordCount() * 8)
+		}
+		if want := EstimateFrequentBytes(db, supports, minSup); bytes != want {
+			t.Errorf("minsup %d: slab %d bytes, EstimateFrequentBytes %d", minSup, bytes, want)
+		}
+		switch {
+		case minSup == 1 && frequent != db.Stats().NumItems:
+			t.Errorf("minsup 1: %d frequent items, want every occurring item (%d)", frequent, db.Stats().NumItems)
+		case minSup > db.Len() && frequent != 0:
+			t.Errorf("minsup %d: %d frequent items, want none", minSup, frequent)
+		case minSup > 1 && minSup <= db.Len() && (frequent == 0 || frequent == db.NumItems()):
+			t.Errorf("minsup %d: %d of %d items frequent, want a proper subset", minSup, frequent, db.NumItems())
+		}
+	}
+}

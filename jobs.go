@@ -2,7 +2,7 @@
 //
 // gpaserve (internal/server) submits every request it mines to an
 // internal/jobs manager as one job with a declared memory footprint
-// (modeled from the vertical bitset layout — see EstimateMemoryBytes),
+// (modeled from its frequent items' bitsets — see EstimateMemoryBytes),
 // a priority, and an optional deadline; the manager admits jobs under
 // a total memory budget and sheds the lowest-priority queued work when
 // the queue overflows. This file holds what the daemon's configuration
@@ -61,11 +61,14 @@ type JobManagerConfig struct {
 	SojournInterval time.Duration
 }
 
-// EstimateMemoryBytes models a served job's in-flight memory on
-// AlgoPipeline: the vertical bitset layout (numItems × alignedWords × 8)
-// and as much again for the class-vector cache, whose budget is the
-// bitset footprint. gpaserve admits jobs against this estimate, which
-// makes the admission budget a real bound on modeled memory.
-func EstimateMemoryBytes(db *Database) int64 {
-	return 2 * vertical.EstimateBitsetBytes(db.db)
+// EstimateMemoryBytes models the in-flight memory of a served job that
+// mines db at absolute support minSup with AlgoPipeline: its
+// first-generation slab, one aligned bit-vector per item frequent at
+// minSup (frequent items × alignedWords × 8), and as much again for the
+// class-vector cache, whose budget is the slab. gpaserve admits jobs
+// against this estimate, which makes the admission budget a real bound
+// on modeled memory. The first call on a database counts its item
+// supports; later calls and mines reuse them.
+func EstimateMemoryBytes(db *Database, minSup int) int64 {
+	return 2 * vertical.EstimateFrequentBytes(db.db, db.itemSupports(), minSup)
 }

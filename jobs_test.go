@@ -229,16 +229,61 @@ func TestPublicCheckpointGPApriori(t *testing.T) {
 }
 
 // TestEstimateMemoryBytesIsPipelineFootprint: a served job always mines
-// with the pipeline, so its estimate is the pipeline's vertical bitsets
-// plus its class-vector cache, whose budget is the same bitset
-// footprint.
+// with the pipeline, so its estimate is the pipeline's first-generation
+// slab — a vector for each item frequent at the job's support, and
+// none for any other — plus its class-vector cache, whose budget is the
+// same slab. At minsup 1 every item is frequent and the estimate is the
+// whole layout's; where no item is, it is zero.
 func TestEstimateMemoryBytesIsPipelineFootprint(t *testing.T) {
 	db := jobsDB(7)
-	bits := int64(vertical.BuildBitsets(db.db).MemoryBytes())
-	if bits <= 0 {
-		t.Fatalf("bitset footprint %d, want positive", bits)
+	supports := db.db.ItemSupports()
+	for _, minSup := range []int{1, db.AbsoluteSupport(0.4), db.Len() + 1} {
+		var slab int64
+		for _, v := range vertical.FrequentBitsets(db.db, supports, minSup) {
+			if v != nil {
+				slab += int64(v.WordCount() * 8)
+			}
+		}
+		if est := EstimateMemoryBytes(db, minSup); est != 2*slab {
+			t.Errorf("minsup %d: estimate %d, want the frequent slab plus its cache budget, 2×%d", minSup, est, slab)
+		}
 	}
-	if est := EstimateMemoryBytes(db); est != 2*bits {
-		t.Errorf("estimate %d, want the pipeline's bitsets plus its cache budget, 2×%d", est, bits)
+	if all, est := vertical.EstimateBitsetBytes(db.db), EstimateMemoryBytes(db, 1); est != 2*all {
+		t.Errorf("minsup 1: estimate %d, want the whole layout's 2×%d", est, all)
+	}
+	if est := EstimateMemoryBytes(db, db.Len()+1); est != 0 {
+		t.Errorf("no frequent item: estimate %d, want 0", est)
+	}
+}
+
+// TestResumeRefusesItemWithoutVector: a checkpoint that carries the
+// run's key but names an item the database does not hold frequent at
+// the run's support — past its items, or infrequent — is a typed
+// mismatch, not a panicking pipeline worker.
+func TestResumeRefusesItemWithoutVector(t *testing.T) {
+	var rows [][]Item
+	for i := 0; i < 5; i++ {
+		rows = append(rows, []Item{0, 1, 2}, []Item{0, 1})
+	}
+	rows = append(rows, []Item{3})
+	db := NewDatabase(rows)
+	for _, extra := range []Item{Item(db.NumItems() + 5), 3} {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		cfg := Config{MinSupport: 3, Checkpoint: path}
+		if _, err := Mine(db, cfg); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := checkpoint.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Frequent.Add([]dataset.Item{extra}, 99)
+		if err := checkpoint.Save(path, snap); err != nil {
+			t.Fatal(err)
+		}
+		cfg.ResumeFrom = path
+		if _, err := Mine(db, cfg); !errors.Is(err, ErrCheckpointMismatch) {
+			t.Errorf("resume naming item %d: %v, want ErrCheckpointMismatch", extra, err)
+		}
 	}
 }

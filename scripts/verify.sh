@@ -41,9 +41,11 @@ go test -run='^$' -bench=. -benchtime=1x ./...
 
 # Alloc-regression gate: the pipeline's arena discipline holds
 # steady-state mining to a few dozen allocations per T40I10D100K run
-# (~40 measured; 55,278 before the arenas). The ceiling of 2000
-# absorbs one-shot warmup noise (pool misses on a cold run) while
-# still catching any real return of per-candidate allocation.
+# (~41 measured, ~70 on a one-op run; 55,278 before the arenas). Each
+# op includes the run's own transposition of the frequent items, three
+# allocations: the slab, its vectors and the item index. The ceiling
+# of 2000 absorbs one-shot warmup noise (pool misses on a cold run)
+# while still catching any real return of per-candidate allocation.
 ALLOC_CEILING=2000
 ALLOCS=$(go test -run='^$' -bench='^BenchmarkMinePipeline$/shape=T40I10D100K/workers=4$' \
     -benchmem -benchtime=1x ./internal/apriori/ \
@@ -54,6 +56,54 @@ ALLOCS=$(go test -run='^$' -bench='^BenchmarkMinePipeline$/shape=T40I10D100K/wor
     exit 1
 }
 echo "alloc gate: $ALLOCS allocs/op <= $ALLOC_CEILING: OK"
+
+# Served-shape alloc gate: BenchmarkMineServedShapes mines the four
+# shapes of perfbench's miss workload the way gpaserve runs a job
+# (MineContext with an OnGeneration hook, new pipeline per job), pinned
+# to 2 workers by -cpu so the per-worker scratch does not scale with
+# the host. Each job transposes only its frequent items, into one
+# slab. Measured per op, KiB in allocations: T40I10D100K 494 in 92,
+# accidents 532 in 101, pumsb 772 in 181, chess 766 in 234; with every
+# item transposed one vector at a time they were 1,694 in 1,970,
+# 2,713 in 1,035, 2,170 in 4,410 and 784 in 383. The ceilings leave
+# 1.5x headroom over the first figures and sit below the second,
+# except chess's bytes: its full layout is 19 KB, so only its count
+# can tell the two apart. The count catches a return of per-item
+# transposition, the bytes a transposition of every item.
+SERVED=$(go test -run='^$' -bench='^BenchmarkMineServedShapes$' -benchmem -benchtime=1x -cpu 2 .)
+echo "$SERVED" | awk '
+    BEGIN {
+        kib["T40I10D100K"] = 1000; allocs["T40I10D100K"] = 400
+        kib["accidents"] = 1200;   allocs["accidents"] = 400
+        kib["pumsb"] = 1500;       allocs["pumsb"] = 800
+        kib["chess"] = 1200;       allocs["chess"] = 360
+    }
+    /^BenchmarkMineServedShapes\/shape=/ {
+        shape = $1
+        sub(/^BenchmarkMineServedShapes\/shape=/, "", shape)
+        sub(/-[0-9]+$/, "", shape)
+        for (i = 2; i <= NF; i++) {
+            if ($i == "B/op") bytes = $(i - 1)
+            if ($i == "allocs/op") n = $(i - 1)
+        }
+        seen[shape] = 1
+        verdict = "OK"
+        if (!(shape in kib) || bytes > kib[shape] * 1024 || n > allocs[shape]) {
+            verdict = "FAIL"
+            bad = 1
+        }
+        printf "served-shape gate: %s %.0f KiB/op in %d allocs/op (ceilings %d KiB, %d allocs): %s\n",
+            shape, bytes / 1024, n, kib[shape], allocs[shape], verdict
+    }
+    END {
+        for (shape in kib) {
+            if (!(shape in seen)) {
+                printf "served-shape gate: no result for %s\n", shape
+                bad = 1
+            }
+        }
+        exit bad
+    }'
 
 # Fuzz smoke: each hardened parser, and the differential check of every
 # algorithm and its streamed generations against the oracle, fuzzes for

@@ -2,8 +2,8 @@
 //
 // gpaserve (internal/server + cmd/gpaserve) loads named databases once
 // and mines them many times, the way an inference server keeps a loaded
-// model hot; each job transposes its database to the vertical layout
-// itself. This file defines the wire contract — request, job,
+// model hot; each job transposes the items frequent at its support to
+// the vertical layout itself. This file defines the wire contract — request, job,
 // stream-event, stats, and error shapes — and a client, so the daemon
 // and the CLI's -serve-url mode speak one vocabulary. The server half
 // lives in internal/server; it imports these types rather than
@@ -160,8 +160,9 @@ type ServeDatasetInfo struct {
 	Transactions int     `json:"transactions"`
 	NumItems     int     `json:"num_items"`
 	AvgLength    float64 `json:"avg_length"`
-	// BitsetBytes is the per-job bitset footprint: the modeled size of
-	// the vertical bitset layout each job transposes for itself.
+	// BitsetBytes is the modeled size of the dataset's full vertical
+	// bitset layout, one vector per item: an upper bound on what a job
+	// transposes, which is only the items frequent at its support.
 	BitsetBytes int64 `json:"bitset_bytes"`
 }
 
