@@ -185,13 +185,18 @@ type Config struct {
 
 	// OnGeneration, when set, is invoked at each generation boundary
 	// with the generation number (the itemset length just counted) and
-	// every frequent itemset found so far, in canonical order. The
-	// serving layer streams per-generation results through it. The
-	// pipeline, which skips the level-wise all-subsets prune, may report
-	// one more boundary than the level-wise miners, carrying the same
-	// set. The depth-first miners (Eclat, FP-Growth) have no generation
-	// boundary; they ignore the hook and deliver results only through
-	// the final Result.
+	// the frequent itemsets new since the run's previous boundary, in
+	// canonical order: those longer than the previous boundary's
+	// generation and at most gen items long. A run's first boundary
+	// carries every frequent itemset up to its generation, a resumed
+	// run's the itemsets of its checkpoint too, so across a run's
+	// boundaries each frequent itemset arrives exactly once and their
+	// union is the result. The serving layer streams each call as one
+	// event. The pipeline, which skips the level-wise all-subsets
+	// prune, may report one more boundary than the level-wise miners,
+	// carrying no itemset. The depth-first miners (Eclat, FP-Growth)
+	// have no generation boundary; they ignore the hook and deliver
+	// results only through the final Result.
 	OnGeneration func(gen int, frequent []Itemset)
 
 	// OnCheckpointError, when set, intercepts a failed checkpoint save
@@ -491,11 +496,7 @@ func wireCheckpoint(db *Database, algo Algorithm, minSup int, cfg Config, acfg *
 	if !algo.HasBoundaries() {
 		return fmt.Errorf("gpapriori: algorithm %q cannot checkpoint or resume: it has no generation boundary to snapshot at (use one that has, e.g. %q)", algo, AlgoPipeline)
 	}
-	spec := checkpoint.Spec{ResumeFrom: cfg.ResumeFrom}
-	if cfg.Checkpoint != "" {
-		spec.Path = cfg.Checkpoint
-		spec.Meta = map[string]string{"algorithm": string(algo)}
-	}
+	spec := checkpoint.Spec{Path: cfg.Checkpoint, ResumeFrom: cfg.ResumeFrom}
 	if err := checkpoint.Wire(spec, db.resultKey(minSup, cfg.MaxLen), minSup, acfg); err != nil || acfg.Checkpoint == nil {
 		return err
 	}

@@ -46,14 +46,18 @@ type Config struct {
 
 	// Checkpoint, when non-nil, is invoked at every generation boundary
 	// — after generation gen (the itemset length just counted) has been
-	// counted and pruned — with every frequent itemset found so far, and
-	// always at the final boundary, so a completed run's file holds the
-	// full result. Apriori's only durable state at a boundary is exactly
-	// that set, so the callback's argument is a complete resume point. A
-	// checkpoint error aborts the run: continuing would silently mine
-	// without the durability the caller asked for. The Pipeline calls it
-	// at its depth watermarks on the same schedule, from the goroutine
-	// that called MineContext.
+	// counted and pruned — and always at the final boundary. Each call
+	// carries only what is new: the frequent itemsets of length in (p,
+	// gen], p the run's previous boundary (0 at its first), so a run's
+	// boundaries carry its result exactly once and a resumed run's first
+	// boundary carries its resume point. The union of the calls up to
+	// gen is every frequent itemset of length ≤ gen, Apriori's only
+	// durable state at a boundary and so a complete resume point; a
+	// hook that needs it keeps the union itself (checkpoint.Wire does).
+	// A checkpoint error aborts the run: continuing would silently mine
+	// without the durability the caller asked for. Both engines report
+	// through one reporter (boundaries), from the goroutine that called
+	// MineContext.
 	Checkpoint func(gen int, frequent *dataset.ResultSet) error
 	// Resume fast-forwards the run past already-counted generations: the
 	// candidate trie is rebuilt from Resume.Frequent and mining continues
@@ -95,15 +99,17 @@ func MineContext(ctx context.Context, db *dataset.DB, minSupport int, c Counter,
 		return nil, fmt.Errorf("apriori: minimum support %d must be ≥1", minSupport)
 	}
 	t := trie.New()
+	supports := db.ItemSupports()
 	start := 1
 	if cfg.Resume != nil {
 		var err error
-		if start, err = seedFromResume(t, cfg.Resume, minSupport); err != nil {
+		if start, err = seedFromResume(t, cfg.Resume, minSupport, supports); err != nil {
 			return nil, err
 		}
 	} else {
-		t.SeedFrequentItems(db.ItemSupports(), minSupport)
+		t.SeedFrequentItems(supports, minSupport)
 	}
+	b := boundaries{ctx: ctx, t: t, minsup: minSupport, hook: cfg.Checkpoint, done: start}
 	lastGen := start
 	for depth := start; ; depth++ {
 		if err := ctx.Err(); err != nil {
@@ -121,31 +127,26 @@ func MineContext(ctx context.Context, db *dataset.DB, minSupport int, c Counter,
 		}
 		t.PruneInfrequent(depth+1, minSupport)
 		lastGen = depth + 1
-		if cfg.Checkpoint != nil {
-			if err := cfg.Checkpoint(lastGen, t.Frequent(minSupport)); err != nil {
-				return nil, fmt.Errorf("apriori: checkpoint at generation %d: %w", lastGen, err)
-			}
+		if err := b.report(lastGen); err != nil {
+			return nil, err
 		}
 	}
-	rs := t.Frequent(minSupport)
-	// Final boundary: the loop saved every generation it counted, so
-	// only a run that counted nothing past its start (generation 1, or
-	// the resume point) still owes the save that lets a rerun
-	// fast-forward past the whole run.
-	if cfg.Checkpoint != nil && lastGen == start {
-		if err := cfg.Checkpoint(lastGen, rs); err != nil {
-			return nil, fmt.Errorf("apriori: final checkpoint at generation %d: %w", lastGen, err)
-		}
+	if err := b.final(lastGen); err != nil {
+		return nil, err
 	}
-	return rs, nil
+	return t.FrequentPacked(minSupport, 0, 0), nil
 }
 
 // seedFromResume rebuilds the candidate trie from a resume point and
 // returns the loop depth to continue from. Every frequent itemset is
 // re-inserted with its support; downward closure guarantees each prefix
 // is itself in the set, so the rebuilt trie is node-for-node the trie an
-// uninterrupted run would hold after pruning generation r.Gen.
-func seedFromResume(t *trie.Trie, r *Resume, minSupport int) (int, error) {
+// uninterrupted run would hold after pruning generation r.Gen. Every
+// item of a valid resume point is frequent at minSupport in the run's
+// item supports, so a point naming another item was written over
+// another database or support: it is ErrResumeMismatch, before any
+// counter or worker would index the item.
+func seedFromResume(t *trie.Trie, r *Resume, minSupport int, supports []int) (int, error) {
 	if r.Gen < 1 {
 		return 0, fmt.Errorf("apriori: resume generation %d must be ≥1", r.Gen)
 	}
@@ -161,7 +162,66 @@ func seedFromResume(t *trie.Trie, r *Resume, minSupport int) (int, error) {
 			return 0, fmt.Errorf("apriori: resume itemset %v is longer than resume generation %d",
 				s.Items, r.Gen)
 		}
+		for _, it := range s.Items {
+			switch {
+			case int(it) >= len(supports):
+				return 0, fmt.Errorf("%w: resume itemset %v names item %d, past this database's %d items",
+					ErrResumeMismatch, s.Items, it, len(supports))
+			case supports[it] < minSupport:
+				return 0, fmt.Errorf("%w: resume itemset %v names item %d, which is not frequent here at support %d",
+					ErrResumeMismatch, s.Items, it, minSupport)
+			}
+		}
 		t.Insert(s.Items).Support = s.Support
 	}
 	return r.Gen, nil
+}
+
+// boundaries reports a run's generation boundaries to
+// Config.Checkpoint, for the level-wise driver and the pipeline alike:
+// one call per generation counted after the run's start, in increasing
+// order, then always the final boundary, which is the start itself
+// only when the run counted nothing past it. Each call carries the
+// frequent itemsets of length in (saved, k], copied out of the trie by
+// FrequentPacked, and ctx is checked before each, so a run cancelled
+// after its last count still stops before its next boundary. With no
+// hook it reports nothing.
+type boundaries struct {
+	ctx    context.Context
+	t      *trie.Trie
+	minsup int
+	hook   func(gen int, frequent *dataset.ResultSet) error
+	done   int // highest generation considered
+	saved  int // the previous boundary reported, 0 before the first
+}
+
+// report calls the hook for every boundary after done up to upTo. At
+// generation k the trie's supports down to depth k and its child lists
+// above it are final, and the copy reads nothing deeper.
+func (b *boundaries) report(upTo int) error {
+	if b.hook == nil {
+		return nil
+	}
+	for ; b.done < upTo; b.done++ {
+		if err := b.ctx.Err(); err != nil {
+			return err
+		}
+		k := b.done + 1
+		if err := b.hook(k, b.t.FrequentPacked(b.minsup, b.saved, k)); err != nil {
+			return fmt.Errorf("apriori: checkpoint at generation %d: %w", k, err)
+		}
+		b.saved = k
+	}
+	return nil
+}
+
+// final reports every boundary up to last, the run's final generation,
+// including last when it is the run's start: a run that counted
+// nothing past its start reaches the hook only this way.
+func (b *boundaries) final(last int) error {
+	if err := b.report(last - 1); err != nil || b.saved == last {
+		return err
+	}
+	b.done = last - 1
+	return b.report(last)
 }

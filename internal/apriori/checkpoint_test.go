@@ -3,6 +3,7 @@ package apriori
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -28,38 +29,84 @@ var engines = []struct {
 	}},
 }
 
-// TestCheckpointHookSequence verifies the hook fires at every generation
-// boundary with the cumulative frequent sets, and that the final boundary
-// is always checkpointed.
+// boundaryLog is a Config.Checkpoint hook that records what a run's
+// boundaries carried.
+type boundaryLog struct {
+	gens   []int
+	deltas []*dataset.ResultSet
+}
+
+func (l *boundaryLog) hook(g int, rs *dataset.ResultSet) error {
+	l.gens = append(l.gens, g)
+	l.deltas = append(l.deltas, rs)
+	return nil
+}
+
+// resume returns the resume point of boundary i: its generation and
+// the union of what the boundaries up to it carried.
+func (l *boundaryLog) resume(i int) *Resume {
+	union := &dataset.ResultSet{}
+	for _, d := range l.deltas[:i+1] {
+		union.Sets = append(union.Sets, d.Sets...)
+	}
+	return &Resume{Gen: l.gens[i], Frequent: union}
+}
+
+// check verifies the boundary contract against the run's result: the
+// generations increase, each boundary at gen carries exactly the
+// result's itemsets of length in (previous boundary, gen], and so the
+// deltas are disjoint and their union is the result.
+func (l *boundaryLog) check(t *testing.T, label string, result *dataset.ResultSet) {
+	t.Helper()
+	if len(l.gens) == 0 {
+		t.Fatalf("%s: no boundary reported", label)
+	}
+	prev := 0
+	for i, g := range l.gens {
+		if g <= prev {
+			t.Fatalf("%s: boundaries %v do not increase", label, l.gens)
+		}
+		if want := lengths(result, prev, g); !l.deltas[i].Equal(want) {
+			t.Fatalf("%s: boundary %d carries %d itemsets, want the %d of length in (%d, %d]: %v",
+				label, g, l.deltas[i].Len(), want.Len(), prev, g, l.deltas[i].Diff(want))
+		}
+		prev = g
+	}
+	if union := l.resume(len(l.gens) - 1).Frequent; !union.Equal(result) {
+		t.Fatalf("%s: the boundaries' union (%d itemsets) is not the result (%d): %v",
+			label, union.Len(), result.Len(), union.Diff(result))
+	}
+}
+
+// lengths returns the itemsets of rs of length in (lo, hi].
+func lengths(rs *dataset.ResultSet, lo, hi int) *dataset.ResultSet {
+	out := &dataset.ResultSet{}
+	for _, s := range rs.Sets {
+		if len(s.Items) > lo && len(s.Items) <= hi {
+			out.Add(s.Items, s.Support)
+		}
+	}
+	return out
+}
+
+// TestCheckpointHookSequence verifies the hook fires at consecutive
+// generation boundaries, each carrying only the itemsets new since the
+// previous one, and that the final boundary is always reported: the
+// boundaries carry the result exactly once.
 func TestCheckpointHookSequence(t *testing.T) {
 	db := gen.Small()
 	minSup := 2
 	for _, e := range engines {
-		var gens []int
-		var last *dataset.ResultSet
-		cfg := Config{
-			Checkpoint: func(g int, rs *dataset.ResultSet) error {
-				gens = append(gens, g)
-				last = rs
-				return nil
-			},
-		}
-		want, err := e.mine(db, minSup, cfg)
+		var log boundaryLog
+		want, err := e.mine(db, minSup, Config{Checkpoint: log.hook})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(gens) == 0 {
-			t.Fatalf("%s: checkpoint hook never fired", e.name)
-		}
-		for i := 1; i < len(gens); i++ {
-			if gens[i] != gens[i-1]+1 {
-				t.Errorf("%s: generations not consecutive: %v", e.name, gens)
+		log.check(t, e.name, want)
+		for i := 1; i < len(log.gens); i++ {
+			if log.gens[i] != log.gens[i-1]+1 {
+				t.Errorf("%s: generations not consecutive: %v", e.name, log.gens)
 			}
-		}
-		// The final checkpoint must hold the complete result.
-		if !last.Equal(want) {
-			t.Errorf("%s: final checkpoint differs from mining result:\n%s",
-				e.name, strings.Join(last.Diff(want), "\n"))
 		}
 	}
 }
@@ -101,12 +148,8 @@ func TestResumeEquivalence(t *testing.T) {
 			want := oracle.Mine(c.db, c.minSup)
 			for _, writer := range engines {
 				// Capture every boundary of an uninterrupted run.
-				var points []*Resume
-				cfg := Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
-					points = append(points, &Resume{Gen: g, Frequent: rs})
-					return nil
-				}}
-				got, err := writer.mine(c.db, c.minSup, cfg)
+				var log boundaryLog
+				got, err := writer.mine(c.db, c.minSup, Config{Checkpoint: log.hook})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,17 +157,23 @@ func TestResumeEquivalence(t *testing.T) {
 					t.Fatalf("%s: uninterrupted run wrong vs oracle:\n%s",
 						writer.name, strings.Join(got.Diff(want), "\n"))
 				}
-				// Resume from every boundary; each must reproduce want exactly.
-				for _, p := range points {
+				log.check(t, writer.name, want)
+				// Resume from every boundary; each must reproduce want
+				// exactly, and its boundaries must carry want once, the
+				// first one its resume point too.
+				for i := range log.gens {
+					p := log.resume(i)
 					for _, reader := range engines {
-						got, err := reader.mine(c.db, c.minSup, Config{Resume: p})
+						label := fmt.Sprintf("%s resuming %s gen %d", reader.name, writer.name, p.Gen)
+						var resumed boundaryLog
+						got, err := reader.mine(c.db, c.minSup, Config{Resume: p, Checkpoint: resumed.hook})
 						if err != nil {
-							t.Fatalf("%s resuming %s gen %d: %v", reader.name, writer.name, p.Gen, err)
+							t.Fatalf("%s: %v", label, err)
 						}
 						if !got.Equal(want) {
-							t.Errorf("%s resuming %s gen %d not bit-identical:\n%s",
-								reader.name, writer.name, p.Gen, strings.Join(got.Diff(want), "\n"))
+							t.Errorf("%s not bit-identical:\n%s", label, strings.Join(got.Diff(want), "\n"))
 						}
+						resumed.check(t, label, want)
 					}
 				}
 			}
@@ -149,20 +198,15 @@ func TestResumeEquivalenceAcrossStrategies(t *testing.T) {
 		}},
 	}
 	for _, writer := range strategies {
-		var mid *Resume
-		cfg := Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
-			if g == 2 {
-				mid = &Resume{Gen: g, Frequent: rs}
-			}
-			return nil
-		}}
-		want, err := writer.mine(cfg)
+		var log boundaryLog
+		want, err := writer.mine(Config{Checkpoint: log.hook})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mid == nil {
-			t.Fatalf("%s: run ended before generation 2", writer.name)
+		if len(log.gens) < 1 || log.gens[0] != 2 {
+			t.Fatalf("%s: run has no generation-2 boundary: %v", writer.name, log.gens)
 		}
+		mid := log.resume(0)
 		for _, reader := range strategies {
 			if reader.name == writer.name {
 				continue
@@ -184,41 +228,32 @@ func TestResumeEquivalenceAcrossStrategies(t *testing.T) {
 func TestResumeFromFinalCheckpoint(t *testing.T) {
 	db := gen.Small()
 	for _, e := range engines {
-		var final *Resume
-		cfg := Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
-			final = &Resume{Gen: g, Frequent: rs}
-			return nil
-		}}
-		want, err := e.mine(db, 2, cfg)
+		var log boundaryLog
+		want, err := e.mine(db, 2, Config{Checkpoint: log.hook})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var gens []int
-		got, err := e.mine(db, 2, Config{Resume: final, Checkpoint: func(g int, _ *dataset.ResultSet) error {
-			gens = append(gens, g)
-			return nil
-		}})
+		final := log.resume(len(log.gens) - 1)
+		var resumed boundaryLog
+		got, err := e.mine(db, 2, Config{Resume: final, Checkpoint: resumed.hook})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(gens) != 1 || gens[0] != final.Gen {
-			t.Errorf("%s: resume from final checkpoint at gen %d reported boundaries %v", e.name, final.Gen, gens)
+		if len(resumed.gens) != 1 || resumed.gens[0] != final.Gen {
+			t.Errorf("%s: resume from final checkpoint at gen %d reported boundaries %v", e.name, final.Gen, resumed.gens)
 		}
 		if !got.Equal(want) {
 			t.Errorf("%s: resume from final checkpoint differs:\n%s", e.name, strings.Join(got.Diff(want), "\n"))
 		}
+		resumed.check(t, e.name+" resumed from its final checkpoint", want)
 		// A resume point with nothing left to extend finishes at once.
-		gens = nil
-		empty := &Resume{Gen: 2, Frequent: &dataset.ResultSet{}}
-		got, err = e.mine(db, 2, Config{Resume: empty, Checkpoint: func(g int, _ *dataset.ResultSet) error {
-			gens = append(gens, g)
-			return nil
-		}})
+		var empty boundaryLog
+		got, err = e.mine(db, 2, Config{Resume: &Resume{Gen: 2, Frequent: &dataset.ResultSet{}}, Checkpoint: empty.hook})
 		if err != nil {
 			t.Fatalf("%s: empty resume point: %v", e.name, err)
 		}
-		if got.Len() != 0 || len(gens) != 1 || gens[0] != 2 {
-			t.Errorf("%s: empty resume point: %d sets, boundaries %v", e.name, got.Len(), gens)
+		if got.Len() != 0 || len(empty.gens) != 1 || empty.gens[0] != 2 || empty.deltas[0].Len() != 0 {
+			t.Errorf("%s: empty resume point: %d sets, boundaries %v", e.name, got.Len(), empty.gens)
 		}
 	}
 }
@@ -251,9 +286,10 @@ func TestResumeValidation(t *testing.T) {
 
 // TestPipelineRefusesResumeItemWithoutVector: a resume point that names
 // an item past the database, or one not frequent at the run's support,
-// has no first-generation vector to count with. The pipeline refuses it
-// as a resume mismatch before any worker starts, instead of panicking
-// one and with it the process.
+// has no first-generation vector to count with. Both engines refuse it
+// as a resume mismatch before counting anything, instead of panicking
+// a counter or a worker, or mining on with an itemset no database row
+// supports.
 func TestPipelineRefusesResumeItemWithoutVector(t *testing.T) {
 	db := gen.Small()
 	const minSup = 2
@@ -261,24 +297,25 @@ func TestPipelineRefusesResumeItemWithoutVector(t *testing.T) {
 	if supports[7] != 1 {
 		t.Fatalf("fixture: item 7 has support %d, want 1 (infrequent at %d)", supports[7], minSup)
 	}
-	p := NewPipeline(db, supports, PipelineOptions{Workers: 2})
-	for _, c := range []struct {
-		name  string
-		extra dataset.Item
-	}{
-		{"out of range", dataset.Item(db.NumItems() + 5)},
-		{"infrequent", 7},
-	} {
-		rs := &dataset.ResultSet{}
-		for item, sup := range supports {
-			if sup >= minSup {
-				rs.Add([]dataset.Item{dataset.Item(item)}, sup)
+	for _, e := range engines {
+		for _, c := range []struct {
+			name  string
+			extra dataset.Item
+		}{
+			{"out of range", dataset.Item(db.NumItems() + 5)},
+			{"infrequent", 7},
+		} {
+			rs := &dataset.ResultSet{}
+			for item, sup := range supports {
+				if sup >= minSup {
+					rs.Add([]dataset.Item{dataset.Item(item)}, sup)
+				}
 			}
-		}
-		rs.Add([]dataset.Item{c.extra}, 99)
-		_, err := p.Mine(minSup, Config{Resume: &Resume{Gen: 1, Frequent: rs}})
-		if !errors.Is(err, ErrResumeMismatch) {
-			t.Errorf("%s item %d: err = %v, want ErrResumeMismatch", c.name, c.extra, err)
+			rs.Add([]dataset.Item{c.extra}, 99)
+			_, err := e.mine(db, minSup, Config{Resume: &Resume{Gen: 1, Frequent: rs}})
+			if !errors.Is(err, ErrResumeMismatch) {
+				t.Errorf("%s, %s item %d: err = %v, want ErrResumeMismatch", e.name, c.name, c.extra, err)
+			}
 		}
 	}
 }
@@ -294,13 +331,8 @@ func TestPipelineResumedRunFootprint(t *testing.T) {
 	p := NewPipeline(db, supports, PipelineOptions{Workers: 2})
 	for _, minSup := range []int{db.AbsoluteSupport(0.2), db.AbsoluteSupport(0.4)} {
 		estimate := 2 * vertical.EstimateFrequentBytes(db, supports, minSup)
-		var resume *Resume
-		fresh, err := p.newRun(context.Background(), minSup, Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
-			if g == 2 {
-				resume = &Resume{Gen: g, Frequent: rs}
-			}
-			return nil
-		}})
+		var log boundaryLog
+		fresh, err := p.newRun(context.Background(), minSup, Config{Checkpoint: log.hook})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,10 +343,10 @@ func TestPipelineResumedRunFootprint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if resume == nil {
-			t.Fatalf("minsup %d: no generation-2 boundary to resume from", minSup)
+		if len(log.gens) < 1 || log.gens[0] != 2 {
+			t.Fatalf("minsup %d: no generation-2 boundary to resume from: %v", minSup, log.gens)
 		}
-		resumed, err := p.newRun(context.Background(), minSup, Config{Resume: resume})
+		resumed, err := p.newRun(context.Background(), minSup, Config{Resume: log.resume(0)})
 		if err != nil {
 			t.Fatal(err)
 		}

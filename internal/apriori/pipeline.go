@@ -410,7 +410,7 @@ func (r *pipeRun) mine() (*dataset.ResultSet, error) {
 	}
 	// Boundaries are reported from this goroutine, otherwise idle until
 	// the workers stop, so a hook's fsync never stalls a worker.
-	b := boundaries{r: r, done: r.start}
+	b := boundaries{ctx: r.ctx, t: r.trie, minsup: r.minsup, hook: r.cfg.Checkpoint, done: r.start}
 	if r.kick != nil {
 		for !r.stopped.Load() {
 			<-r.kick
@@ -424,15 +424,12 @@ func (r *pipeRun) mine() (*dataset.ResultSet, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	if err := b.final(int(r.mark.Load())); err != nil {
+		return nil, err
+	}
 	// Copy results out of arena memory before the scratch pool can
 	// recycle it (FrequentPacked never aliases the trie).
-	rs := r.trie.FrequentPacked(r.minsup, 0)
-	if r.kick != nil {
-		if err := b.final(int(r.mark.Load()), rs); err != nil {
-			return nil, err
-		}
-	}
-	return rs, nil
+	return r.trie.FrequentPacked(r.minsup, 0, 0), nil
 }
 
 // seed builds the run's first families: the root class over the
@@ -452,11 +449,8 @@ func (r *pipeRun) seed(a *trie.Arena) ([]pipeTask, error) {
 		}
 	}
 	if r.cfg.Resume != nil {
-		g, err := seedFromResume(r.trie, r.cfg.Resume, r.minsup)
+		g, err := seedFromResume(r.trie, r.cfg.Resume, r.minsup, r.p.supports)
 		if err != nil {
-			return nil, err
-		}
-		if err := r.checkResumeItems(); err != nil {
 			return nil, err
 		}
 		r.start = g
@@ -492,74 +486,6 @@ func (r *pipeRun) seed(a *trie.Arena) ([]pipeTask, error) {
 	walk(root)
 	r.openFamilies(r.start, len(tasks))
 	return tasks, nil
-}
-
-// checkResumeItems refuses a resume point that names an item this run
-// has no first-generation vector for. Every item of a valid resume
-// point is frequent at its minsup, so such a point was written over
-// another database or support; mining on would index a missing vector.
-func (r *pipeRun) checkResumeItems() error {
-	for _, s := range r.cfg.Resume.Frequent.Sets {
-		for _, it := range s.Items {
-			switch {
-			case int(it) >= len(r.vecs):
-				return fmt.Errorf("%w: resume itemset %v names item %d, past this database's %d items",
-					ErrResumeMismatch, s.Items, it, len(r.vecs))
-			case r.vecs[it] == nil:
-				return fmt.Errorf("%w: resume itemset %v names item %d, which is not frequent here at support %d",
-					ErrResumeMismatch, s.Items, it, r.minsup)
-			}
-		}
-	}
-	return nil
-}
-
-// boundaries reports passed watermarks to Config.Checkpoint on the
-// level-wise driver's schedule: every generation counted after the
-// start, then the final one.
-type boundaries struct {
-	r         *pipeRun
-	done      int // highest watermark considered
-	lastSaved int
-}
-
-// report calls the hook for every due boundary up to watermark upTo,
-// each from a copy of the trie bounded at its depth: at watermark k the
-// supports down to depth k and the child lists above it are final. Like
-// the level-wise driver, it checks ctx at every boundary, so a run
-// cancelled after its last task still stops before its next boundary.
-func (b *boundaries) report(upTo int) error {
-	r := b.r
-	for ; b.done < upTo; b.done++ {
-		if err := r.ctx.Err(); err != nil {
-			return err
-		}
-		k := b.done + 1
-		if err := r.cfg.Checkpoint(k, r.trie.FrequentPacked(r.minsup, k)); err != nil {
-			return fmt.Errorf("apriori: checkpoint at generation %d: %w", k, err)
-		}
-		b.lastSaved = k
-	}
-	return nil
-}
-
-// final reports the boundaries the run passed after the last report
-// and always the final one, with the run's result: generation 1 only
-// reaches the hook this way.
-func (b *boundaries) final(last int, rs *dataset.ResultSet) error {
-	if err := b.report(last - 1); err != nil {
-		return err
-	}
-	if b.lastSaved == last {
-		return nil
-	}
-	if err := b.r.ctx.Err(); err != nil {
-		return err
-	}
-	if err := b.r.cfg.Checkpoint(last, rs); err != nil {
-		return fmt.Errorf("apriori: final checkpoint at generation %d: %w", last, err)
-	}
-	return nil
 }
 
 // openFamilies counts n new families of candidate length k. Their

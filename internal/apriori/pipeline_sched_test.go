@@ -20,8 +20,9 @@ import (
 // produces bit-identical results to the level-wise driver and the
 // oracle, both with the derived cache budget and with none (every deep
 // family rematerializes). Every boundary the depth watermarks report
-// must equal the oracle's itemsets up to its generation; the sparse
-// database takes the generation-2 triangle path. Run under -race this
+// must carry exactly the oracle's itemsets of length in (previous
+// boundary, its generation]; the sparse database takes the
+// generation-2 triangle path. Run under -race this
 // also exercises the deque/parking protocol, the budget accounting and
 // the boundary copies taken while workers mine deeper.
 func TestPipelineSchedulerMatrix(t *testing.T) {
@@ -50,27 +51,18 @@ func TestPipelineSchedulerMatrix(t *testing.T) {
 					for _, budget := range []int64{p.cacheBudget, 0} {
 						p.cacheBudget = budget
 						label := fmt.Sprintf("%s w=%d g=%d s=%d budget=%d", c.name, workers, grain, steal, budget)
-						var gens []int
-						var last *dataset.ResultSet
-						got, err := p.Mine(c.minSup, Config{Checkpoint: func(g int, rs *dataset.ResultSet) error {
-							gens, last = append(gens, g), rs
-							if up := upTo(ref, g); !rs.Equal(up) {
-								t.Errorf("%s: boundary %d differs from the oracle: %v", label, g, rs.Diff(up))
-							}
-							return nil
-						}})
+						var log boundaryLog
+						got, err := p.Mine(c.minSup, Config{Checkpoint: log.hook})
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}
 						if !got.Equal(want) {
 							t.Fatalf("%s diff: %v", label, got.Diff(want))
 						}
-						if last == nil || !last.Equal(want) {
-							t.Fatalf("%s: the final boundary must carry the whole result", label)
-						}
-						for i, g := range gens {
-							if g != i+2 && !(len(gens) == 1 && g == 1) {
-								t.Fatalf("%s: boundaries %v, want consecutive generations from 2", label, gens)
+						log.check(t, label, ref)
+						for i, g := range log.gens {
+							if g != i+2 && !(len(log.gens) == 1 && g == 1) {
+								t.Fatalf("%s: boundaries %v, want consecutive generations from 2", label, log.gens)
 							}
 						}
 					}
@@ -78,17 +70,6 @@ func TestPipelineSchedulerMatrix(t *testing.T) {
 			}
 		}
 	}
-}
-
-// upTo returns the itemsets of rs no longer than k.
-func upTo(rs *dataset.ResultSet, k int) *dataset.ResultSet {
-	out := &dataset.ResultSet{}
-	for _, s := range rs.Sets {
-		if len(s.Items) <= k {
-			out.Add(s.Items, s.Support)
-		}
-	}
-	return out
 }
 
 // skewedDB builds the steal-heavy fixture: one item co-occurs with

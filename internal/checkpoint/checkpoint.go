@@ -4,7 +4,10 @@
 // recomputable from a generation boundary — so the whole mining state at
 // the end of generation k is exactly "the frequent itemsets of length ≤ k".
 // A Snapshot captures that plus enough identity (config fingerprint,
-// minimum support) to refuse resuming into a different run.
+// minimum support) to refuse resuming into a different run. A miner's
+// boundary hands over only the itemsets new since its previous boundary
+// (apriori.Config.Checkpoint), so the save hook Wire installs keeps
+// their union and writes it whole at every boundary.
 //
 // Durability contract: Save writes the snapshot to a temporary file in the
 // destination directory, syncs it, and renames it over the target — a
@@ -31,7 +34,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -67,9 +69,6 @@ type Snapshot struct {
 	MaxLen int
 	// Fingerprint identifies the database + parameters (see Key).
 	Fingerprint uint64
-	// Meta carries informational key/value pairs (fault stats, miner
-	// identity); keys and values must be single-line.
-	Meta map[string]string
 	// Frequent holds every frequent itemset of length ≤ Gen with its
 	// support — the complete resumable state.
 	Frequent *dataset.ResultSet
@@ -181,18 +180,6 @@ func encodePayload(s Snapshot) ([]byte, error) {
 	fmt.Fprintf(&b, "minsup %d\n", s.MinSupport)
 	fmt.Fprintf(&b, "maxlen %d\n", s.MaxLen)
 	fmt.Fprintf(&b, "fingerprint %016x\n", s.Fingerprint)
-	keys := make([]string, 0, len(s.Meta))
-	for k := range s.Meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := s.Meta[k]
-		if strings.ContainsAny(k, " \n") || strings.Contains(v, "\n") {
-			return nil, fmt.Errorf("checkpoint: meta entry %q must be single-line with a space-free key", k)
-		}
-		fmt.Fprintf(&b, "meta %s %s\n", k, v)
-	}
 	fmt.Fprintf(&b, "sets %d\n", s.Frequent.Len())
 	b.WriteString("---\n")
 	var body strings.Builder
@@ -263,7 +250,7 @@ func decode(r io.Reader) (Snapshot, error) {
 	if !found {
 		return Snapshot{}, corrupt("missing '---' divider")
 	}
-	s := Snapshot{Meta: map[string]string{}}
+	var s Snapshot
 	wantSets := -1
 	for _, line := range strings.Split(strings.TrimSuffix(header, "\n"), "\n") {
 		key, val, ok := strings.Cut(line, " ")
@@ -282,8 +269,8 @@ func decode(r io.Reader) (Snapshot, error) {
 		case "sets":
 			wantSets, err = strconv.Atoi(val)
 		case "meta":
-			mk, mv, _ := strings.Cut(val, " ")
-			s.Meta[mk] = mv
+			// Earlier builds stamped informational entries here; a
+			// checkpoint they wrote still resumes.
 		default:
 			return Snapshot{}, corrupt("unknown header key %q", key)
 		}
@@ -337,15 +324,17 @@ type Spec struct {
 	// ResumeFrom fast-forwards the run from a compatible checkpoint at
 	// this path ("" = start fresh); a missing file starts fresh.
 	ResumeFrom string
-	// Meta is stamped into every saved snapshot.
-	Meta map[string]string
 }
 
 // Wire installs spec into an apriori.Config: the resume point recovered
 // from spec.ResumeFrom and a save hook writing snapshots to spec.Path,
 // both keyed by key, the run's Key of (content, minSupport, cfg.MaxLen).
 // A checkpoint at ResumeFrom that belongs to a different run is
-// ErrMismatch, never silently mixed in.
+// ErrMismatch, never silently mixed in. The hook serves one run: it
+// appends each boundary's new itemsets to a set it owns before it
+// saves that set, so every snapshot holds every frequent itemset of
+// length ≤ its generation, even after a failed save the caller chose
+// to survive.
 func Wire(spec Spec, key uint64, minSupport int, cfg *apriori.Config) error {
 	if spec.ResumeFrom != "" {
 		snap, err := TryResume(spec.ResumeFrom, key, minSupport)
@@ -360,10 +349,12 @@ func Wire(spec Spec, key uint64, minSupport int, cfg *apriori.Config) error {
 		return nil
 	}
 	maxLen := cfg.MaxLen
+	all := &dataset.ResultSet{}
 	cfg.Checkpoint = func(gen int, frequent *dataset.ResultSet) error {
+		all.Sets = append(all.Sets, frequent.Sets...)
 		return Save(spec.Path, Snapshot{
 			Gen: gen, MinSupport: minSupport, MaxLen: maxLen,
-			Fingerprint: key, Meta: spec.Meta, Frequent: frequent,
+			Fingerprint: key, Frequent: all,
 		})
 	}
 	return nil

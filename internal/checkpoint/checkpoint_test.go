@@ -21,7 +21,6 @@ func sampleSnapshot() Snapshot {
 	return Snapshot{
 		Gen: 2, MinSupport: 3, MaxLen: 0,
 		Fingerprint: 0xdeadbeefcafef00d,
-		Meta:        map[string]string{"faults": "none", "miner": "test"},
 		Frequent:    rs,
 	}
 }
@@ -45,9 +44,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got.Gen != want.Gen || got.MinSupport != want.MinSupport ||
 		got.MaxLen != want.MaxLen || got.Fingerprint != want.Fingerprint {
 		t.Errorf("header mismatch: got %+v want %+v", got, want)
-	}
-	if got.Meta["faults"] != "none" || got.Meta["miner"] != "test" {
-		t.Errorf("meta mismatch: %v", got.Meta)
 	}
 	if !got.Frequent.Equal(want.Frequent) {
 		t.Errorf("frequent sets differ:\n%s", strings.Join(got.Frequent.Diff(want.Frequent), "\n"))
@@ -83,14 +79,35 @@ func TestSaveRejectsInvalid(t *testing.T) {
 	if err := Save(path, Snapshot{Gen: 1}); err == nil {
 		t.Error("Save accepted nil result set")
 	}
-	s := sampleSnapshot()
-	s.Meta = map[string]string{"bad key": "x"}
-	if err := Save(path, s); err == nil {
-		t.Error("Save accepted a meta key containing a space")
+}
+
+// TestLoadIgnoresMeta: earlier builds stamped "meta" header lines into
+// every checkpoint. Such a file still loads, to the snapshot it holds,
+// and saving that snapshot writes the same file without them.
+func TestLoadIgnoresMeta(t *testing.T) {
+	dir := t.TempDir()
+	want := sampleSnapshot()
+	fresh := filepath.Join(dir, "fresh")
+	if err := Save(fresh, want); err != nil {
+		t.Fatal(err)
 	}
-	s.Meta = map[string]string{"k": "multi\nline"}
-	if err := Save(path, s); err == nil {
-		t.Error("Save accepted a multi-line meta value")
+	old := filepath.Join(dir, "old")
+	writePayload(t, old, "gen 2\nminsup 3\nmaxlen 0\nfingerprint deadbeefcafef00d\n"+
+		"meta algorithm pipeline\nmeta faults none\nsets 3\n---\n0 : 5\n1 : 4\n0 1 : 3\n")
+	got, err := TryResume(old, want.Fingerprint, want.MinSupport)
+	if err != nil {
+		t.Fatalf("checkpoint with meta lines: %v", err)
+	}
+	if got.Gen != want.Gen || got.MaxLen != want.MaxLen || !got.Frequent.Equal(want.Frequent) {
+		t.Fatalf("checkpoint with meta lines loaded as %+v, want %+v", got, want)
+	}
+	if err := Save(old, *got); err != nil {
+		t.Fatal(err)
+	}
+	a, errA := os.ReadFile(fresh)
+	b, errB := os.ReadFile(old)
+	if errA != nil || errB != nil || string(a) != string(b) {
+		t.Errorf("re-saved checkpoint differs:\n%s\nwant:\n%s", b, a)
 	}
 }
 
@@ -338,23 +355,43 @@ func TestWire(t *testing.T) {
 	}
 }
 
-func TestWireMeta(t *testing.T) {
+// TestWireSavesUnion: boundaries hand the hook only their new
+// itemsets, and every snapshot holds their union — also the one after
+// a failed save that the run survived.
+func TestWireSavesUnion(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ck")
 	var cfg apriori.Config
-	err := Wire(Spec{Path: path, Meta: map[string]string{"algorithm": "gpapriori"}}, Key(Content(sampleDB()), 2, 0), 2, &cfg)
-	if err != nil {
+	if err := Wire(Spec{Path: path}, Key(Content(sampleDB()), 2, 0), 2, &cfg); err != nil {
 		t.Fatal(err)
 	}
-	rs := &dataset.ResultSet{}
-	rs.Add([]dataset.Item{1}, 3)
-	if err := cfg.Checkpoint(1, rs); err != nil {
-		t.Fatal(err)
+	want := &dataset.ResultSet{}
+	boundary := func(gen int, fail bool, sets ...[]dataset.Item) {
+		t.Helper()
+		delta := &dataset.ResultSet{}
+		for _, items := range sets {
+			delta.Add(items, 2)
+			want.Add(items, 2)
+		}
+		boom := errors.New("disk full")
+		if fail {
+			testHookAfterTemp = func() error { return boom }
+			defer func() { testHookAfterTemp = nil }()
+		}
+		if err := cfg.Checkpoint(gen, delta); (err != nil) != fail {
+			t.Fatalf("generation %d: save error %v, want failure %v", gen, err, fail)
+		}
+		if fail {
+			return
+		}
+		s, err := Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Gen != gen || !s.Frequent.Equal(want) {
+			t.Fatalf("generation %d: snapshot gen %d holds %v, want %v", gen, s.Gen, s.Frequent.Sets, want.Sets)
+		}
 	}
-	s, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Meta["algorithm"] != "gpapriori" {
-		t.Errorf("meta not persisted: %v", s.Meta)
-	}
+	boundary(1, false, []dataset.Item{0}, []dataset.Item{1}, []dataset.Item{2})
+	boundary(2, true, []dataset.Item{0, 1}, []dataset.Item{0, 2})
+	boundary(3, false, []dataset.Item{0, 1, 2})
 }

@@ -501,11 +501,11 @@ func (s *Server) completeForwardCanceled(rec *jobRecord) {
 }
 
 // relayGeneration folds one remote generation event into the local
-// record. Unlike addGeneration (whose lastLen tracks a local miner
-// that never goes backwards), a relayed stream can replay from the
-// start after a failover to another owner, so the filter is strictly
-// monotonic: only itemsets longer than anything already streamed pass,
-// and lastLen never decreases.
+// record. Unlike addGeneration (whose miner hands each itemset over
+// once), a relayed stream can replay from the start after a failover
+// to another owner, so the filter is strictly monotonic: only itemsets
+// longer than anything already streamed pass, and lastLen never
+// decreases.
 func (r *jobRecord) relayGeneration(ev gpapriori.ServeGenerationEvent) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

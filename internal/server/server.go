@@ -516,21 +516,20 @@ func (s *Server) mapSubmitError(err error) *gpapriori.ServeError {
 }
 
 // addGeneration is the Config.OnGeneration hook: record the itemsets
-// newly completed since the last boundary as one stream event. It runs
-// on the mining goroutine, after the generation's checkpoint is
-// durable.
+// a boundary completes, which the hook hands over only once, as one
+// stream event. It runs on the mining goroutine, after the generation's
+// checkpoint is durable.
 func (r *jobRecord) addGeneration(gen int, frequent []gpapriori.Itemset) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.terminal {
 		return
 	}
-	delta := longerThan(frequent, r.lastLen)
 	r.lastLen = gen
-	if len(delta) == 0 {
+	if len(frequent) == 0 {
 		return
 	}
-	r.events = append(r.events, gpapriori.ServeGenerationEvent{Gen: gen, Itemsets: delta})
+	r.events = append(r.events, gpapriori.ServeGenerationEvent{Gen: gen, Itemsets: frequent})
 	r.signalLocked()
 }
 

@@ -471,7 +471,9 @@ func TestOverBudgetJobRejected(t *testing.T) {
 // TestDrainAndResume is the durability criterion: drain a server with
 // an in-flight job, restart over the same state directory, and the
 // replayed job must complete — from its checkpoint — to the identical
-// offline result.
+// offline result. Its stream, read from the start on the restarted
+// daemon, must carry that result too, each itemset exactly once: the
+// resumed run's first boundary carries its resume point.
 func TestDrainAndResume(t *testing.T) {
 	// Registered before newTestServer so the LIFO cleanup order runs the
 	// leak check after both servers' teardowns.
@@ -516,6 +518,13 @@ func TestDrainAndResume(t *testing.T) {
 	// the restarted server below instead, where drain is re-run.)
 
 	_, cl2, _ := newTestServer(t, Config{Registry: reg, StateDir: stateDir})
+	var streamed []gpapriori.Itemset
+	if _, err := cl2.Stream(context.Background(), job.ID, func(ev gpapriori.ServeGenerationEvent) error {
+		streamed = append(streamed, ev.Itemsets...)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	final, err := cl2.Wait(context.Background(), job.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -530,6 +539,11 @@ func TestDrainAndResume(t *testing.T) {
 	want := slowWant(t)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed result differs from offline (%d vs %d sets)", len(got), len(want))
+	}
+	// Each event is canonical and longer than the last, so the stream
+	// in order is the canonical result, with no itemset repeated.
+	if !reflect.DeepEqual(streamed, want) {
+		t.Fatalf("resumed stream carried %d itemsets, want the offline result's %d, each once", len(streamed), len(want))
 	}
 }
 

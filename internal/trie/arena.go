@@ -81,22 +81,23 @@ func (a *Arena) Reset() {
 	a.itemChunk = nil
 }
 
-// FrequentPacked collects every node with support ≥ minSupport, down to
-// depth maxDepth (0 = unbounded), into a result set whose itemsets all
-// share one packed backing array — three allocations total instead of
-// two per itemset. Equivalent to Frequent: trie paths are already
+// FrequentPacked collects every node with support ≥ minSupport whose
+// depth lies in (minDepth, maxDepth] (maxDepth 0 = unbounded) into a
+// result set whose itemsets all share one packed backing array — three
+// allocations total instead of two per itemset. Trie paths are already
 // sorted and duplicate-free, so NewItemset's copy/sort/dedup is
 // skipped, and nothing in the result aliases trie (and therefore
 // possibly arena) memory. The walk never reads the child list of a node
 // at maxDepth, so the pipelined miner can copy a depth-bounded result
-// while its workers still prune those lists.
-func (t *Trie) FrequentPacked(minSupport, maxDepth int) *dataset.ResultSet {
+// while its workers still prune those lists; minDepth lets a
+// generation boundary copy only the itemsets the previous one did not.
+func (t *Trie) FrequentPacked(minSupport, minDepth, maxDepth int) *dataset.ResultSet {
 	deeper := func(n *Node) bool { return maxDepth <= 0 || n.Depth < maxDepth }
 	nsets, nitems := 0, 0
 	var size func(n *Node)
 	size = func(n *Node) {
 		for _, c := range n.Children {
-			if c.Support >= minSupport {
+			if c.Support >= minSupport && c.Depth > minDepth {
 				nsets++
 				nitems += c.Depth
 			}
@@ -114,7 +115,7 @@ func (t *Trie) FrequentPacked(minSupport, maxDepth int) *dataset.ResultSet {
 	walk = func(n *Node) {
 		for _, c := range n.Children {
 			prefix = append(prefix, c.Item)
-			if c.Support >= minSupport {
+			if c.Support >= minSupport && c.Depth > minDepth {
 				lo := len(backing)
 				backing = append(backing, prefix...)
 				sets = append(sets, dataset.Itemset{Items: backing[lo:len(backing):len(backing)], Support: c.Support})

@@ -92,23 +92,44 @@ func buildTestTrie() *Trie {
 	return tr
 }
 
+// Frequent is FrequentPacked's reference: every node with support ≥
+// minSupport, each itemset built through ResultSet.Add.
+func (t *Trie) Frequent(minSupport int) *dataset.ResultSet {
+	rs := &dataset.ResultSet{}
+	prefix := make([]dataset.Item, 0, 16)
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		for _, c := range n.Children {
+			prefix = append(prefix, c.Item)
+			if c.Support >= minSupport {
+				rs.Add(prefix, c.Support)
+			}
+			walk(c)
+			prefix = prefix[:len(prefix)-1]
+		}
+	}
+	walk(t.Root)
+	return rs
+}
+
+// TestFrequentPackedMatchesFrequent: for every depth range (lo, hi]
+// (hi 0 = unbounded), FrequentPacked returns exactly the reference's
+// itemsets of a length in that range.
 func TestFrequentPackedMatchesFrequent(t *testing.T) {
 	tr := buildTestTrie()
 	for _, minsup := range []int{1, 5, 7, 100} {
 		want := tr.Frequent(minsup)
-		got := tr.FrequentPacked(minsup, 0)
-		if !got.Equal(want) {
-			t.Fatalf("minsup=%d: packed %v != %v", minsup, got.Sets, want.Sets)
-		}
-		for depth := 1; depth <= 3; depth++ {
-			bounded := &dataset.ResultSet{}
-			for _, s := range want.Sets {
-				if len(s.Items) <= depth {
-					bounded.Add(s.Items, s.Support)
+		for lo := 0; lo <= 3; lo++ {
+			for _, hi := range []int{0, 1, 2, 3} {
+				ranged := &dataset.ResultSet{}
+				for _, s := range want.Sets {
+					if len(s.Items) > lo && (hi == 0 || len(s.Items) <= hi) {
+						ranged.Add(s.Items, s.Support)
+					}
 				}
-			}
-			if got := tr.FrequentPacked(minsup, depth); !got.Equal(bounded) {
-				t.Fatalf("minsup=%d depth=%d: packed %v != %v", minsup, depth, got.Sets, bounded.Sets)
+				if got := tr.FrequentPacked(minsup, lo, hi); !got.Equal(ranged) {
+					t.Fatalf("minsup=%d depths (%d,%d]: packed %v != %v", minsup, lo, hi, got.Sets, ranged.Sets)
+				}
 			}
 		}
 	}
@@ -116,7 +137,7 @@ func TestFrequentPackedMatchesFrequent(t *testing.T) {
 
 func TestFrequentPackedDoesNotAliasTrie(t *testing.T) {
 	tr := buildTestTrie()
-	rs := tr.FrequentPacked(5, 0)
+	rs := tr.FrequentPacked(5, 0, 0)
 	// Mutating the trie after extraction must not change the results.
 	var scramble func(n *Node)
 	scramble = func(n *Node) {

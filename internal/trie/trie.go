@@ -23,7 +23,7 @@ import (
 // New. Nodes and their Children/prefix slices may be carved from a
 // worker-owned Arena by the pipelined miner, so a Node must never
 // outlive the mining run that built it (results are copied out by
-// Frequent/FrequentPacked).
+// FrequentPacked).
 //
 //gpalint:arena-scoped
 type Node struct {
@@ -221,26 +221,6 @@ func (t *Trie) PruneInfrequent(depth, minSupport int) {
 		}
 	}
 	walk(t.Root)
-}
-
-// Frequent collects every node with support ≥ minSupport into a result
-// set.
-func (t *Trie) Frequent(minSupport int) *dataset.ResultSet {
-	rs := &dataset.ResultSet{}
-	prefix := make([]dataset.Item, 0, 16)
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		for _, c := range n.Children {
-			prefix = append(prefix, c.Item)
-			if c.Support >= minSupport {
-				rs.Add(prefix, c.Support)
-			}
-			walk(c)
-			prefix = prefix[:len(prefix)-1]
-		}
-	}
-	walk(t.Root)
-	return rs
 }
 
 // CountTransaction walks one transaction through the trie incrementing the

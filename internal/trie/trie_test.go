@@ -225,10 +225,10 @@ func TestFrequentCollects(t *testing.T) {
 	tr.SeedFrequentItems([]int{3, 1, 4}, 3) // items 0 and 2
 	tr.Insert(items(0, 2)).Support = 3
 	tr.Insert(items(0, 1)).Support = 1 // infrequent, excluded
-	rs := tr.Frequent(3)
+	rs := tr.FrequentPacked(3, 0, 0)
 	rs.Sort()
 	if rs.Len() != 3 {
-		t.Fatalf("Frequent returned %d sets, want 3", rs.Len())
+		t.Fatalf("FrequentPacked returned %d sets, want 3", rs.Len())
 	}
 	if rs.Sets[2].Key() != "0 2" || rs.Sets[2].Support != 3 {
 		t.Fatalf("largest frequent set = %v", rs.Sets[2])

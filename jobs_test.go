@@ -259,7 +259,8 @@ func TestEstimateMemoryBytesIsPipelineFootprint(t *testing.T) {
 // TestResumeRefusesItemWithoutVector: a checkpoint that carries the
 // run's key but names an item the database does not hold frequent at
 // the run's support — past its items, or infrequent — is a typed
-// mismatch, not a panicking pipeline worker.
+// mismatch for every algorithm with boundaries, not a panicking counter
+// or pipeline worker, nor a result holding an itemset no row supports.
 func TestResumeRefusesItemWithoutVector(t *testing.T) {
 	var rows [][]Item
 	for i := 0; i < 5; i++ {
@@ -267,23 +268,138 @@ func TestResumeRefusesItemWithoutVector(t *testing.T) {
 	}
 	rows = append(rows, []Item{3})
 	db := NewDatabase(rows)
-	for _, extra := range []Item{Item(db.NumItems() + 5), 3} {
-		path := filepath.Join(t.TempDir(), "run.ckpt")
-		cfg := Config{MinSupport: 3, Checkpoint: path}
-		if _, err := Mine(db, cfg); err != nil {
-			t.Fatal(err)
+	for _, algo := range Algorithms() {
+		if !algo.HasBoundaries() {
+			continue
 		}
-		snap, err := checkpoint.Load(path)
+		for _, extra := range []Item{Item(db.NumItems() + 5), 3} {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			cfg := Config{Algorithm: algo, MinSupport: 3, Checkpoint: path}
+			if _, err := Mine(db, cfg); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := checkpoint.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap.Frequent.Add([]dataset.Item{extra}, 99)
+			if err := checkpoint.Save(path, snap); err != nil {
+				t.Fatal(err)
+			}
+			cfg.ResumeFrom = path
+			if _, err := Mine(db, cfg); !errors.Is(err, ErrCheckpointMismatch) {
+				t.Errorf("%s resuming a point naming item %d: %v, want ErrCheckpointMismatch", algo, extra, err)
+			}
+		}
+	}
+}
+
+// generationLog records what a run's OnGeneration calls carried.
+type generationLog struct {
+	gens   []int
+	deltas [][]Itemset
+}
+
+func (l *generationLog) add(gen int, frequent []Itemset) {
+	l.gens = append(l.gens, gen)
+	l.deltas = append(l.deltas, frequent)
+}
+
+// check verifies the boundary contract against the run's result: the
+// generations increase, and each call at gen carries exactly the
+// result's itemsets of length in (previous call's gen, gen], so the
+// calls carry each itemset once and their union is the result.
+func (l *generationLog) check(t *testing.T, label string, result []Itemset) {
+	t.Helper()
+	if len(l.gens) == 0 {
+		t.Fatalf("%s: no generation reported", label)
+	}
+	prev := 0
+	var union []Itemset
+	for i, g := range l.gens {
+		if g <= prev {
+			t.Fatalf("%s: generations %v do not increase", label, l.gens)
+		}
+		if want := lengthsIn(result, prev, g); !sameItemsets(l.deltas[i], want) {
+			t.Fatalf("%s: generation %d carried %d itemsets, want the %d of length in (%d, %d]",
+				label, g, len(l.deltas[i]), len(want), prev, g)
+		}
+		union = append(union, l.deltas[i]...)
+		prev = g
+	}
+	if !sameItemsets(union, result) {
+		t.Fatalf("%s: %d itemsets streamed, result has %d", label, len(union), len(result))
+	}
+}
+
+// lengthsIn returns the itemsets of a canonical slice with a length in
+// (lo, hi], in order.
+func lengthsIn(itemsets []Itemset, lo, hi int) []Itemset {
+	var out []Itemset
+	for _, s := range itemsets {
+		if len(s.Items) > lo && len(s.Items) <= hi {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestBoundariesCarryEachItemsetOnce: every algorithm with boundaries,
+// fresh and resumed from the checkpoint of each of its boundaries,
+// hands OnGeneration each frequent itemset exactly once, a resumed
+// run's first boundary carrying its resume point too; and the
+// checkpoint saved at every boundary holds every itemset up to it.
+func TestBoundariesCarryEachItemsetOnce(t *testing.T) {
+	db := jobsDB(7)
+	const minSup = 6
+	for _, algo := range Algorithms() {
+		if !algo.HasBoundaries() {
+			continue
+		}
+		dir := t.TempDir()
+		path := filepath.Join(dir, "run.ckpt")
+		var fresh generationLog
+		var saved []string
+		res, err := Mine(db, Config{Algorithm: algo, MinSupport: minSup, BlockSize: 32, Checkpoint: path,
+			OnGeneration: func(gen int, frequent []Itemset) {
+				fresh.add(gen, frequent)
+				snap, err := checkpoint.Load(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var union []Itemset
+				for _, d := range fresh.deltas {
+					union = append(union, d...)
+				}
+				if snap.Gen != gen || !sameItemsets(toItemsets(snap.Frequent), union) {
+					t.Fatalf("%s: the checkpoint at generation %d holds %d itemsets of gen %d, want the %d streamed",
+						algo, gen, snap.Frequent.Len(), snap.Gen, len(union))
+				}
+				copyPath := filepath.Join(dir, fmt.Sprintf("gen%d.ckpt", gen))
+				if err := checkpoint.Save(copyPath, snap); err != nil {
+					t.Fatal(err)
+				}
+				saved = append(saved, copyPath)
+			}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		snap.Frequent.Add([]dataset.Item{extra}, 99)
-		if err := checkpoint.Save(path, snap); err != nil {
-			t.Fatal(err)
+		fresh.check(t, string(algo), res.Itemsets)
+		if len(fresh.gens) < 3 {
+			t.Fatalf("%s: only boundaries %v; the fixture should give at least three", algo, fresh.gens)
 		}
-		cfg.ResumeFrom = path
-		if _, err := Mine(db, cfg); !errors.Is(err, ErrCheckpointMismatch) {
-			t.Errorf("resume naming item %d: %v, want ErrCheckpointMismatch", extra, err)
+		for i, from := range saved {
+			var resumed generationLog
+			label := fmt.Sprintf("%s resumed at generation %d", algo, fresh.gens[i])
+			got, err := Mine(db, Config{Algorithm: algo, MinSupport: minSup, BlockSize: 32,
+				ResumeFrom: from, OnGeneration: resumed.add})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if !sameItemsets(got.Itemsets, res.Itemsets) {
+				t.Fatalf("%s: %d itemsets, the fresh run found %d", label, got.Len(), res.Len())
+			}
+			resumed.check(t, label, res.Itemsets)
 		}
 	}
 }

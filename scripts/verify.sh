@@ -114,8 +114,10 @@ go test -fuzz='^FuzzReadNamed$' -fuzztime=10s ./internal/dataset/
 go test -fuzz='^FuzzMineMatchesOracle$' -fuzztime=10s .
 
 # Kill/resume smoke: SIGKILL a checkpointing mine mid-run, resume it,
-# and require the itemsets to be bit-identical to an uninterrupted run,
-# for a level-wise miner and for the default pipeline. cpu-bitset is
+# and require the itemsets, and the final checkpoint file, to be
+# bit-identical to an uninterrupted run's, for a level-wise miner and
+# for the default pipeline. A resumed run whose boundaries dropped its
+# resume point would leave a shorter final checkpoint. cpu-bitset is
 # killed after 0.8s (if the kill lands after completion the resume
 # fast-forwards from the final checkpoint; the equality check is
 # timing-independent). The pipeline mines depth-first, so its first
@@ -127,9 +129,9 @@ trap 'rm -rf "$SMOKE"' EXIT
 go build -o "$SMOKE/gpapriori" ./cmd/gpapriori
 for ALGO in cpu-bitset pipeline; do
     MINE="-dataset accidents -scale 0.3 -minsup 0.25 -algo $ALGO -json -top 0"
-    rm -f "$SMOKE/run.ckpt"
+    rm -f "$SMOKE/run.ckpt" "$SMOKE/oracle.ckpt"
 
-    "$SMOKE/gpapriori" $MINE > "$SMOKE/oracle.json"
+    "$SMOKE/gpapriori" $MINE -checkpoint "$SMOKE/oracle.ckpt" > "$SMOKE/oracle.json"
 
     if [ "$ALGO" = pipeline ]; then
         set +e
@@ -153,6 +155,7 @@ for ALGO in cpu-bitset pipeline; do
     grep -v '_seconds"' "$SMOKE/oracle.json"  > "$SMOKE/oracle.cmp"
     grep -v '_seconds"' "$SMOKE/resumed.json" > "$SMOKE/resumed.cmp"
     diff -u "$SMOKE/oracle.cmp" "$SMOKE/resumed.cmp"
+    cmp "$SMOKE/oracle.ckpt" "$SMOKE/run.ckpt"
     echo "kill/resume smoke ($ALGO): OK"
 done
 
