@@ -408,9 +408,7 @@ func BenchmarkPopcountKinds(b *testing.B) {
 			vs[i].Set(j)
 		}
 	}
-	for _, kind := range []bitset.PopcountKind{
-		bitset.PopcountHardware, bitset.PopcountTable8, bitset.PopcountKernighan,
-	} {
+	for _, kind := range []bitset.PopcountKind{bitset.PopcountHardware, bitset.PopcountTable8} {
 		b.Run(kind.String(), func(b *testing.B) {
 			f := kind.Func()
 			for i := 0; i < b.N; i++ {

@@ -75,13 +75,14 @@ const (
 	AlgoFPGrowth Algorithm = "fpgrowth"
 	// AlgoPipeline is the work-stealing parallel CPU pipeline and the
 	// default: prefix-class families split into grain-sized counting
-	// subtasks on per-worker deques, each counted against its class's
-	// cached intersection with early abort, with slab-arena candidate
-	// generation and a cost-modeled horizontal fast path for the pair
-	// generation — overlapping generation k+1 candidate generation with
-	// generation k counting. Depth watermarks give it the level-wise
-	// miners' generation boundaries, so it streams, checkpoints and
-	// resumes like them, and it produces the same frequent sets.
+	// subtasks on per-worker deques, each candidate counted with one
+	// AND-popcount loop against its class's cached intersection, with
+	// slab-arena candidate generation and a cost-modeled horizontal
+	// fast path for the pair generation — overlapping generation k+1
+	// candidate generation with generation k counting. Depth watermarks
+	// give it the level-wise miners' generation boundaries, so it
+	// streams, checkpoints and resumes like them, and it produces the
+	// same frequent sets.
 	AlgoPipeline Algorithm = "pipeline"
 )
 
@@ -134,10 +135,11 @@ type Config struct {
 	// on and a 4× unroll.
 	BlockSize int
 
-	// EraPopcount makes CPU bitset counting use the 2011-era 8-bit-table
-	// software popcount instead of the hardware instruction
-	// (AlgoCPUBitset, AlgoPipeline and the hybrid CPU share) — the
-	// configuration used for paper-faithful speedup comparisons.
+	// EraPopcount makes the paper's CPU bitset counters use the 2011-era
+	// 8-bit-table software popcount instead of the hardware instruction:
+	// AlgoCPUBitset (CPU_TEST) and AlgoGPApriori's HybridCPUShare — the
+	// configuration used for paper-faithful speedup comparisons. Every
+	// other algorithm ignores it.
 	EraPopcount bool
 
 	// Workers sets the worker goroutine count of AlgoPipeline;
@@ -400,10 +402,7 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 			return nil, err
 		}
 	case AlgoPipeline:
-		p := apriori.NewPipeline(db.db, db.itemSupports(), apriori.PipelineOptions{
-			Workers:  cfg.Workers,
-			Popcount: cfg.popcount(),
-		})
+		p := apriori.NewPipeline(db.db, db.itemSupports(), apriori.PipelineOptions{Workers: cfg.Workers})
 		rs, res.HostSeconds, err = timed(func() (*dataset.ResultSet, error) {
 			return p.MineContext(ctx, minSup, acfg)
 		})

@@ -150,18 +150,36 @@ func TestKernelKnobsAccepted(t *testing.T) {
 	}
 }
 
+// TestEraPopcount: EraPopcount swaps in the 2011 table popcount for the
+// two counters it configures (CPU_TEST and GPApriori's hybrid CPU
+// share), the pipeline ignores it, and none of the three changes a
+// result. The database spans several words, so every byte of the table
+// popcount is exercised.
 func TestEraPopcount(t *testing.T) {
-	db := figure2()
-	a, err := Mine(db, Config{Algorithm: AlgoCPUBitset, MinSupport: 2, EraPopcount: true})
+	db, err := GeneratePaperDataset("chess", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Mine(db, Config{Algorithm: AlgoCPUBitset, MinSupport: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != b.Len() {
-		t.Fatal("era popcount changed results")
+	for _, cfg := range []Config{
+		{Algorithm: AlgoCPUBitset, RelativeSupport: 0.9},
+		{Algorithm: AlgoGPApriori, RelativeSupport: 0.9, HybridCPUShare: 0.5},
+		{Algorithm: AlgoPipeline, RelativeSupport: 0.9},
+	} {
+		want, err := Mine(db, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Algorithm, err)
+		}
+		cfg.EraPopcount = true
+		got, err := Mine(db, cfg)
+		if err != nil {
+			t.Fatalf("%s era: %v", cfg.Algorithm, err)
+		}
+		if want.Len() == 0 || !sameItemsets(got.Itemsets, want.Itemsets) {
+			t.Fatalf("%s: era popcount changed the result (%d itemsets, default %d)", cfg.Algorithm, got.Len(), want.Len())
+		}
+		if cfg.HybridCPUShare > 0 && got.DeviceBreakdown["cpu-cands"] == 0 {
+			t.Fatalf("%s: the hybrid CPU share counted no candidates", cfg.Algorithm)
+		}
 	}
 }
 

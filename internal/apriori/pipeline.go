@@ -15,12 +15,13 @@
 // last one to retire runs the join, so no generation barrier exists
 // anywhere.
 //
-// Every family counts against its class's materialized intersection
-// (prefix-class caching) with suffix-popcount early abort, and hands
-// each child class its intersection with one AND across the generation
-// boundary. The cached vectors are recycled through a pool under a
-// byte budget equal to the run's first-generation slab; a child that
-// finds the budget spent rematerializes its intersection from the
+// Every family materializes its class's intersection once
+// (prefix-class caching) and counts each candidate exactly, as
+// popcount(base ∧ last item) in one straight Bitset.AndCount loop. It
+// hands each child class its intersection with one AND across the
+// generation boundary. The cached vectors are recycled through a pool
+// under a byte budget equal to the run's first-generation slab; a child
+// that finds the budget spent rematerializes its intersection from the
 // first-generation vectors instead.
 //
 // The first generation is the run's own: once minsup is known, the run
@@ -55,10 +56,8 @@
 // all-subsets prune (which would need a synchronized global generation
 // barrier) never changes the frequent set — any candidate the prune
 // would have removed counts below minsup and is discarded. Every
-// counting path is exact for frequent candidates, so the result is
-// bit-identical to the level-wise driver's (see the equivalence tests):
-// an aborted candidate reports a partial count below minsup and is
-// pruned exactly as its true support would have been.
+// counting path is exact, so the result is bit-identical to the
+// level-wise driver's (see the equivalence tests).
 package apriori
 
 import (
@@ -74,12 +73,13 @@ import (
 	"gpapriori/internal/vertical"
 )
 
-// PipelineOptions configures the work-stealing pipeline miner.
+// PipelineOptions configures the work-stealing pipeline miner's
+// scheduling. Nothing configures its counting: every candidate is one
+// Bitset.AndCount against its class's intersection, with the hardware
+// popcount.
 type PipelineOptions struct {
 	// Workers is the pool size (0 = GOMAXPROCS).
 	Workers int
-	// Popcount selects the popcount implementation.
-	Popcount bitset.PopcountKind
 	// Grain is the maximum number of candidates one counting subtask
 	// covers; families with more candidates are split across the pool.
 	// 0 picks a width-aware default that targets ~32KB of bitset traffic
@@ -110,9 +110,10 @@ func (o PipelineOptions) grain(words int) int {
 }
 
 // Pipeline is the work-stealing pipelined miner bound to one database.
-// Safe for concurrent Mines: each run transposes its own first
-// generation, and worker scratch (batch counters, arenas, buffers) and
-// class-intersection vectors are pooled across runs.
+// It counts each candidate exactly, as popcount(class intersection ∧
+// last item) with Bitset.AndCount. Safe for concurrent Mines: each run
+// transposes its own first generation, and worker scratch (arenas,
+// buffers) and class-intersection vectors are pooled across runs.
 type Pipeline struct {
 	db *dataset.DB
 	// supports are db's item supports, shared read-only with the caller.
@@ -137,17 +138,12 @@ func NewPipeline(db *dataset.DB, supports []int, opt PipelineOptions) *Pipeline 
 	return &Pipeline{db: db, supports: supports, opt: opt, cacheBudget: -1}
 }
 
-// Name identifies the strategy in reports.
-func (p *Pipeline) Name() string {
-	return fmt.Sprintf("Pipeline(bitset,%s,workers=%d)", p.opt.Popcount.String(), p.opt.Workers)
-}
-
 // getScratch borrows per-worker scratch from the pipeline-lifetime pool.
 func (p *Pipeline) getScratch() *pipeScratch {
 	if s, ok := p.scratch.Get().(*pipeScratch); ok {
 		return s
 	}
-	return &pipeScratch{bc: bitset.NewBatchCounter(p.opt.Popcount, 0)}
+	return &pipeScratch{}
 }
 
 // putScratch returns worker scratch. The arena is reset first: results
@@ -174,11 +170,8 @@ func (p *Pipeline) getVec() *bitset.Bitset {
 
 // pipeScratch is one worker's reusable scratch, pooled across runs.
 type pipeScratch struct {
-	bc    *bitset.BatchCounter
 	arena trie.Arena
 	vs    []*bitset.Bitset
-	lasts []*bitset.Bitset
-	out   []int
 	proj  []int32    // projected transaction ranks (triangle path)
 	loot  []pipeTask // steal buffer
 }
@@ -745,26 +738,12 @@ func (w *pipeWorker) startFamily(fam *pipeFamily) {
 }
 
 // countRange writes supports into candidates [lo,hi) of the family,
-// each counted as popcount(base ∧ last item) with early abort at the
-// run's threshold. Ranges are disjoint, so subtasks need no
-// synchronization beyond the pending counter.
+// each counted exactly as popcount(base ∧ last item). Ranges are
+// disjoint, so subtasks need no synchronization beyond the pending
+// counter.
 func (w *pipeWorker) countRange(fam *pipeFamily, lo, hi int) {
-	children := fam.parent.Children[lo:hi]
-	m := len(children)
-	if cap(w.s.out) < m {
-		w.s.out = make([]int, m)
-	}
-	out := w.s.out[:m]
-	if cap(w.s.lasts) < m {
-		w.s.lasts = make([]*bitset.Bitset, m)
-	}
-	lasts := w.s.lasts[:m]
-	for i, c := range children {
-		lasts[i] = w.r.vecs[c.Item]
-	}
-	w.s.bc.CountPairs(fam.base, lasts, w.r.minsup, out)
-	for i, c := range children {
-		c.Support = out[i]
+	for _, c := range fam.parent.Children[lo:hi] {
+		c.Support = fam.base.AndCount(w.r.vecs[c.Item])
 	}
 }
 

@@ -50,33 +50,6 @@ func BenchmarkIntersectCountMany(b *testing.B) {
 	}
 }
 
-// BenchmarkCountPairs is the prefix-cached inner loop: one class base
-// against a batch of last-item vectors, tiled, with and without an
-// attainable early-abort threshold.
-func BenchmarkCountPairs(b *testing.B) {
-	const batch = 32
-	for _, nbits := range benchWidths {
-		for _, minsup := range []int{0, 1 << 30} {
-			label := "abort=off"
-			if minsup > 0 {
-				label = "abort=on"
-			}
-			b.Run(fmt.Sprintf("bits=%d/%s", nbits, label), func(b *testing.B) {
-				vs := benchBitsets(nbits, batch+1, 0.5)
-				base, others := vs[0], vs[1:]
-				bc := NewBatchCounter(PopcountHardware, DefaultTileWords)
-				out := make([]int, batch)
-				b.SetBytes(int64((batch + 1) * len(base.words) * 8))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					bc.CountPairs(base, others, minsup, out)
-				}
-			})
-		}
-	}
-}
-
 func BenchmarkIndices(b *testing.B) {
 	for _, density := range []float64{0.01, 0.5} {
 		b.Run(fmt.Sprintf("density=%v", density), func(b *testing.B) {

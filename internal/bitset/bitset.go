@@ -200,6 +200,28 @@ func IntersectCountMany(vs []*Bitset) int {
 	return n
 }
 
+// IntersectInto materializes AND of all vs into dst — how a prefix class's
+// shared intersection is built once before being reused for every
+// candidate in the class. dst may alias vs[0].
+func IntersectInto(dst *Bitset, vs []*Bitset) {
+	if len(vs) == 0 {
+		panic("bitset: IntersectInto on empty slice")
+	}
+	for _, v := range vs {
+		if v.nbits != dst.nbits {
+			panic(fmt.Sprintf("bitset: IntersectInto width mismatch %d/%d", dst.nbits, v.nbits))
+		}
+	}
+	dw := dst.words
+	copy(dw, vs[0].words)
+	for _, v := range vs[1:] {
+		vw := v.words
+		for i := range dw {
+			dw[i] &= vw[i]
+		}
+	}
+}
+
 // Indices returns the positions of all set bits in ascending order — the
 // tidset equivalent of this bitset. The output is pre-sized from a
 // popcount pass, so dense vectors build their index list in a single

@@ -343,3 +343,48 @@ func TestNewSlab(t *testing.T) {
 		t.Fatal("NewSlab with no vectors returned some")
 	}
 }
+
+// randBitset builds a bitset of nbits with each bit set with probability p.
+func randBitset(nbits int, p float64, rng *rand.Rand) *Bitset {
+	b := New(nbits)
+	for i := 0; i < nbits; i++ {
+		if rng.Float64() < p {
+			b.Set(i)
+		}
+	}
+	return b
+}
+
+func TestIntersectInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, nbits := range []int{1, 63, 64, 65, 511, 513, 4097} {
+		vs := []*Bitset{
+			randBitset(nbits, 0.7, rng),
+			randBitset(nbits, 0.5, rng),
+			randBitset(nbits, 0.9, rng),
+		}
+		dst := New(nbits)
+		IntersectInto(dst, vs)
+		if got, want := dst.Count(), IntersectCountMany(vs); got != want {
+			t.Fatalf("nbits=%d: IntersectInto count %d, want %d", nbits, got, want)
+		}
+		for i := 0; i < nbits; i++ {
+			want := vs[0].Test(i) && vs[1].Test(i) && vs[2].Test(i)
+			if dst.Test(i) != want {
+				t.Fatalf("nbits=%d bit %d: got %v want %v", nbits, i, dst.Test(i), want)
+			}
+		}
+	}
+}
+
+func TestIntersectIntoAliasesFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	a := randBitset(300, 0.6, rng)
+	b := randBitset(300, 0.6, rng)
+	want := a.AndCount(b)
+	dst := a.Clone()
+	IntersectInto(dst, []*Bitset{dst, b})
+	if dst.Count() != want {
+		t.Fatalf("aliased IntersectInto count %d, want %d", dst.Count(), want)
+	}
+}

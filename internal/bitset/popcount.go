@@ -14,9 +14,6 @@ const (
 	// PopcountTable8 is the classic 8-bit lookup table, the common
 	// software popcount of 2011-era CPU miners.
 	PopcountTable8
-	// PopcountKernighan clears the lowest set bit per step — O(bits set),
-	// the naive fallback.
-	PopcountKernighan
 )
 
 var table8 [256]uint8
@@ -32,8 +29,6 @@ func (k PopcountKind) Func() func(uint64) int {
 	switch k {
 	case PopcountTable8:
 		return popcountTable8
-	case PopcountKernighan:
-		return popcountKernighan
 	default:
 		return bits.OnesCount64
 	}
@@ -44,8 +39,6 @@ func (k PopcountKind) String() string {
 	switch k {
 	case PopcountTable8:
 		return "table8"
-	case PopcountKernighan:
-		return "kernighan"
 	default:
 		return "hardware"
 	}
@@ -55,15 +48,6 @@ func popcountTable8(w uint64) int {
 	return int(table8[w&0xff]) + int(table8[w>>8&0xff]) + int(table8[w>>16&0xff]) +
 		int(table8[w>>24&0xff]) + int(table8[w>>32&0xff]) + int(table8[w>>40&0xff]) +
 		int(table8[w>>48&0xff]) + int(table8[w>>56])
-}
-
-func popcountKernighan(w uint64) int {
-	n := 0
-	for w != 0 {
-		w &= w - 1
-		n++
-	}
-	return n
 }
 
 // IntersectCountManyWith is IntersectCountMany with an explicit popcount

@@ -11,7 +11,9 @@
 # the newest one is passed to benchjson -prev so the snapshot carries a
 # delta section against it. Every snapshot records the commit it was
 # built from, the Go version and GOMAXPROCS, so a delta names the two
-# commits it compares.
+# commits it compares. A tree with uncommitted edits to tracked files
+# records the commit as <HEAD>-dirty: it was not built from HEAD alone.
+# Untracked files, such as the snapshot being written, do not count.
 #
 # Environment:
 #   BENCHTIME  go test -benchtime value (default 1s; use e.g. 5x for a
@@ -32,6 +34,9 @@ if [ -z "${PREV+x}" ]; then
     PREV="$(ls -1 BENCH_*.json 2>/dev/null | grep -vx "$OUT" | sort | tail -n 1 || true)"
 fi
 COMMIT="$(git rev-parse HEAD)"
+if ! git diff --quiet HEAD --; then
+    COMMIT="$COMMIT-dirty"
+fi
 tmp="$(mktemp)"
 trap 'rm -f "$tmp"' EXIT
 

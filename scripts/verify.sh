@@ -62,21 +62,24 @@ echo "alloc gate: $ALLOCS allocs/op <= $ALLOC_CEILING: OK"
 # (MineContext with an OnGeneration hook, new pipeline per job), pinned
 # to 2 workers by -cpu so the per-worker scratch does not scale with
 # the host. Each job transposes only its frequent items, into one
-# slab. Measured per op, KiB in allocations: T40I10D100K 494 in 92,
-# accidents 532 in 101, pumsb 772 in 181, chess 766 in 234; with every
-# item transposed one vector at a time they were 1,694 in 1,970,
-# 2,713 in 1,035, 2,170 in 4,410 and 784 in 383. The ceilings leave
-# 1.5x headroom over the first figures and sit below the second,
-# except chess's bytes: its full layout is 19 KB, so only its count
-# can tell the two apart. The count catches a return of per-item
-# transposition, the bytes a transposition of every item.
+# slab, and counts each candidate with one AND-popcount loop that keeps
+# no scratch. Measured per op over five runs of this command, at most
+# KiB in allocations: T40I10D100K 493 in 66-71, accidents 531 in
+# 68-71, pumsb 761 in 151-163, chess 748 in 186-211; with every item
+# transposed one vector at a time they were 1,694 in 1,970, 2,713 in
+# 1,035, 2,170 in 4,410 and 784 in 383. The count ceilings leave about
+# 1.5x headroom over the highest first figure, the byte ceilings
+# 1.6-2.3x. All sit below the second figures except chess's bytes: its
+# full layout is 19 KB, so only its count can tell the two apart. The
+# count catches a return of per-item transposition, the bytes a
+# transposition of every item.
 SERVED=$(go test -run='^$' -bench='^BenchmarkMineServedShapes$' -benchmem -benchtime=1x -cpu 2 .)
 echo "$SERVED" | awk '
     BEGIN {
-        kib["T40I10D100K"] = 1000; allocs["T40I10D100K"] = 400
-        kib["accidents"] = 1200;   allocs["accidents"] = 400
-        kib["pumsb"] = 1500;       allocs["pumsb"] = 800
-        kib["chess"] = 1200;       allocs["chess"] = 360
+        kib["T40I10D100K"] = 1000; allocs["T40I10D100K"] = 110
+        kib["accidents"] = 1200;   allocs["accidents"] = 110
+        kib["pumsb"] = 1500;       allocs["pumsb"] = 250
+        kib["chess"] = 1200;       allocs["chess"] = 320
     }
     /^BenchmarkMineServedShapes\/shape=/ {
         shape = $1
