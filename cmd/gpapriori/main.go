@@ -124,42 +124,25 @@ type runOpts struct {
 	retrySeed                    int64
 }
 
-// jsonReport is the machine-readable output shape.
+// jsonReport is the machine-readable output shape. Rules and fault
+// stats are the library's own types, whose JSON tags fix their objects.
 type jsonReport struct {
-	Algorithm     string        `json:"algorithm"`
-	MinSupport    int           `json:"min_support"`
-	Transactions  int           `json:"transactions"`
-	Itemsets      []jsonItemset `json:"itemsets"`
-	Rules         []jsonRule    `json:"rules,omitempty"`
-	HostSeconds   float64       `json:"host_seconds"`
-	DeviceSeconds float64       `json:"device_seconds,omitempty"`
-	Faults        *jsonFaults   `json:"fault_stats,omitempty"`
+	Algorithm     string                `json:"algorithm"`
+	MinSupport    int                   `json:"min_support"`
+	Transactions  int                   `json:"transactions"`
+	Itemsets      []jsonItemset         `json:"itemsets"`
+	Rules         []gpapriori.Rule      `json:"rules,omitempty"`
+	HostSeconds   float64               `json:"host_seconds"`
+	DeviceSeconds float64               `json:"device_seconds,omitempty"`
+	Faults        *gpapriori.FaultStats `json:"fault_stats,omitempty"`
 }
 
-type jsonFaults struct {
-	Injected           int     `json:"injected"`
-	KernelFaults       int     `json:"kernel_faults"`
-	TransferFaults     int     `json:"transfer_faults"`
-	Hangs              int     `json:"hangs"`
-	Retries            int     `json:"retries"`
-	Failovers          int     `json:"failovers"`
-	DegradedCandidates int     `json:"degraded_candidates"`
-	RecoverySeconds    float64 `json:"recovery_seconds"`
-	DeadDevices        []int   `json:"dead_devices,omitempty"`
-}
-
+// jsonItemset is an itemset with the names of its items, when the
+// input had names.
 type jsonItemset struct {
 	Items   []gpapriori.Item `json:"items"`
 	Names   []string         `json:"names,omitempty"`
 	Support int              `json:"support"`
-}
-
-type jsonRule struct {
-	Antecedent []gpapriori.Item `json:"antecedent"`
-	Consequent []gpapriori.Item `json:"consequent"`
-	Support    float64          `json:"support"`
-	Confidence float64          `json:"confidence"`
-	Lift       float64          `json:"lift"`
 }
 
 func run(w io.Writer, o runOpts) error {
@@ -232,15 +215,11 @@ func splitMinsup(minsup float64) (rel float64, abs int, err error) {
 	return 0, int(minsup), nil
 }
 
-// writeCanonical prints the resultio-normalized result body — the same
-// bytes for an offline run and a served one, which is what makes the
-// two diffable.
+// writeCanonical prints the canonical result body — the same bytes for
+// an offline run and a served one, which is what makes the two
+// diffable. Both hand over their itemsets in canonical order already.
 func writeCanonical(w io.Writer, itemsets []gpapriori.Itemset) error {
-	rs := &dataset.ResultSet{}
-	for _, s := range itemsets {
-		rs.Add(s.Items, s.Support)
-	}
-	return resultio.Write(w, rs)
+	return resultio.Write(w, &dataset.ResultSet{Sets: itemsets})
 }
 
 // runServe is the -serve-url client mode: the request is submitted to a
@@ -350,18 +329,10 @@ func emitJSON(w io.Writer, transactions int, dict *gpapriori.Dictionary, res *gp
 		Algorithm:     string(res.Algorithm),
 		MinSupport:    res.MinSupport,
 		Transactions:  transactions,
+		Rules:         rules,
 		HostSeconds:   res.HostSeconds,
 		DeviceSeconds: res.DeviceSeconds,
-	}
-	if f := res.Faults; f != nil {
-		rep.Faults = &jsonFaults{
-			Injected: f.Injected, KernelFaults: f.KernelFaults,
-			TransferFaults: f.TransferFaults, Hangs: f.Hangs,
-			Retries: f.Retries, Failovers: f.Failovers,
-			DegradedCandidates: f.DegradedCandidates,
-			RecoverySeconds:    f.RecoverySeconds,
-			DeadDevices:        f.DeadDevices,
-		}
+		Faults:        res.Faults,
 	}
 	for _, s := range res.Itemsets {
 		js := jsonItemset{Items: s.Items, Support: s.Support}
@@ -371,12 +342,6 @@ func emitJSON(w io.Writer, transactions int, dict *gpapriori.Dictionary, res *gp
 			}
 		}
 		rep.Itemsets = append(rep.Itemsets, js)
-	}
-	for _, r := range rules {
-		rep.Rules = append(rep.Rules, jsonRule{
-			Antecedent: r.Antecedent, Consequent: r.Consequent,
-			Support: r.Support, Confidence: r.Confidence, Lift: r.Lift,
-		})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

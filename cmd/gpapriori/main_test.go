@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -66,6 +67,35 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 	if rep.Algorithm != "eclat" || rep.MinSupport != 2 || len(rep.Itemsets) == 0 {
 		t.Fatalf("report = %+v", rep)
+	}
+}
+
+// TestRunJSONBytes pins gpapriori -json, host time aside, to literal
+// bytes: its rules and fault stats marshal from the library's own
+// types, so a JSON tag dropped there changes this output.
+func TestRunJSONBytes(t *testing.T) {
+	path := writeTempFile(t, "tiny.dat", "1 2\n1 2\n1\n")
+	var out bytes.Buffer
+	err := run(&out, runOpts{
+		input: path, minsup: 2, algo: "gpapriori", minConf: 0.6, jsonOut: true,
+		faults: "dev0:dead@gen2",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, out.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	got := regexp.MustCompile(`"host_seconds":[0-9.e-]+`).ReplaceAllString(compact.String(), `"host_seconds":0`)
+	const want = `{"algorithm":"gpapriori","min_support":2,"transactions":3,` +
+		`"itemsets":[{"items":[1],"support":3},{"items":[2],"support":2},{"items":[1,2],"support":2}],` +
+		`"rules":[{"antecedent":[2],"consequent":[1],"support":0.6666666666666666,"confidence":1,"lift":1},` +
+		`{"antecedent":[1],"consequent":[2],"support":0.6666666666666666,"confidence":0.6666666666666666,"lift":1}],` +
+		`"host_seconds":0,"fault_stats":{"injected":1,"kernel_faults":0,"transfer_faults":0,"hangs":0,"retries":0,` +
+		`"failovers":1,"degraded_candidates":1,"recovery_seconds":0,"dead_devices":[0]}}`
+	if got != want {
+		t.Fatalf("-json output\n%s\nwant\n%s", got, want)
 	}
 }
 

@@ -47,10 +47,9 @@ func TestClusterKillOwnerTorture(t *testing.T) {
 	bin := buildDaemon(t)
 	want := offlineWant(t)
 
-	addrs := make([]string, 3)
+	addrs := pickAddrs(t, 3)
 	urls := make([]string, 3)
 	for i := range addrs {
-		addrs[i] = pickAddr(t)
 		urls[i] = "http://" + addrs[i]
 	}
 	// Placement is a pure function of the peer list and the dataset

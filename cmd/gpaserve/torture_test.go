@@ -50,18 +50,23 @@ type daemon struct {
 	done chan error // receives cmd.Wait exactly once
 }
 
-// pickAddr reserves a listen address the scenario's every daemon boot
-// reuses — a restart must come back on the same address for the
-// original client to follow it, exactly like production.
-func pickAddr(t *testing.T) string {
+// pickAddrs reserves n distinct listen addresses that the scenario's
+// every daemon boot reuses — a restart must come back on the same
+// address for the original client to follow it, exactly like
+// production. Every probe listener stays open until all n addresses
+// are drawn, so the kernel cannot hand out one port twice.
+func pickAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	return addrs
 }
 
 // startDaemon launches gpaserve on addr over stateDir. crashpoint,
@@ -341,7 +346,7 @@ func TestCrashpointTorture(t *testing.T) {
 // daemon has forgotten it — recovery rides on the client resubmitting
 // under the original idempotency key.
 func tortureCheckpointCrash(t *testing.T, bin, cp string, want []byte) {
-	stateDir, addr := t.TempDir(), pickAddr(t)
+	stateDir, addr := t.TempDir(), pickAddrs(t, 1)[0]
 	cl := newClient(t, addr)
 	d1 := startDaemon(t, bin, stateDir, cp, addr, true)
 	job, err := cl.Submit(context.Background(), tortureRequest())
@@ -361,7 +366,7 @@ func tortureCheckpointCrash(t *testing.T, bin, cp string, want []byte) {
 // recovers by resubmission) — either way the result must come out
 // identical and exactly once.
 func tortureJournalCrash(t *testing.T, bin, cp string, want []byte) {
-	stateDir, addr := t.TempDir(), pickAddr(t)
+	stateDir, addr := t.TempDir(), pickAddrs(t, 1)[0]
 	cl := newClient(t, addr)
 	d1 := startDaemon(t, bin, stateDir, cp, addr, true)
 	job, err := cl.Submit(context.Background(), tortureRequest())
@@ -391,7 +396,7 @@ func tortureJournalCrash(t *testing.T, bin, cp string, want []byte) {
 // the journal but before removing it: the journal survives to a third
 // boot, which must replay it again without duplicating the job.
 func tortureReplayCrash(t *testing.T, bin, cp string, want []byte) {
-	stateDir, addr := t.TempDir(), pickAddr(t)
+	stateDir, addr := t.TempDir(), pickAddrs(t, 1)[0]
 	cl := newClient(t, addr)
 	d1 := startDaemon(t, bin, stateDir, "", addr, true)
 	job, err := cl.Submit(context.Background(), tortureRequest())

@@ -31,6 +31,7 @@ package gpapriori
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"gpapriori/internal/apriori"
 	"gpapriori/internal/bitset"
@@ -212,12 +213,10 @@ type Config struct {
 	OnCheckpointError func(gen int, err error) error
 }
 
-// Itemset is one frequent itemset with its absolute support. The JSON
-// tags fix the wire shape the serving layer streams.
-type Itemset struct {
-	Items   []Item `json:"items"`
-	Support int    `json:"support"`
-}
+// Itemset is one frequent itemset with its absolute support: the type
+// every miner returns, so results compare bit for bit. Its JSON tags
+// fix the wire shape the serving layer streams.
+type Itemset = dataset.Itemset
 
 // Result is the outcome of a mining run.
 type Result struct {
@@ -244,24 +243,10 @@ type Result struct {
 	Faults *FaultStats
 }
 
-// FaultStats mirrors the fault accounting of a GPApriori run: what was
+// FaultStats is the fault accounting of a GPApriori run: what was
 // injected, how it was absorbed, and what the recovery cost in modeled
-// time.
-type FaultStats struct {
-	Injected           int     // faults fired across all devices
-	KernelFaults       int     // failed kernel launches
-	TransferFaults     int     // aborted transfers
-	Hangs              int     // hung kernels (watchdog-killed or late)
-	Retries            int     // batch retries performed
-	Failovers          int     // batches re-routed off a lost device
-	DegradedCandidates int     // candidates counted on the CPU because no device survived
-	RecoverySeconds    float64 // modeled time lost to faults
-	DeadDevices        []int   // devices permanently lost
-}
-
-func (f FaultStats) String() string {
-	return core.FaultStats(f).String()
-}
+// time. Its JSON tags fix gpapriori -json's fault_stats object.
+type FaultStats = core.FaultStats
 
 // TotalSeconds returns the run's end-to-end time (measured host +
 // modeled device).
@@ -380,8 +365,7 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 			"cpu-cands": float64(rep.CandidatesCPU),
 		}
 		if rep.Faults.Any() {
-			f := FaultStats(rep.Faults)
-			res.Faults = &f
+			res.Faults = &rep.Faults
 		}
 	case AlgoCPUBitset, AlgoBorgelt, AlgoBodon, AlgoGoethals:
 		var counter apriori.Counter
@@ -420,7 +404,6 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 		if err != nil {
 			return nil, err
 		}
-		rs = capLen(rs, cfg.MaxLen)
 	case AlgoFPGrowth:
 		rs, res.HostSeconds, err = timed(func() (*dataset.ResultSet, error) {
 			return fpgrowth.Mine(db.db, minSup)
@@ -428,12 +411,11 @@ func MineContext(ctx context.Context, db *Database, cfg Config) (*Result, error)
 		if err != nil {
 			return nil, err
 		}
-		rs = capLen(rs, cfg.MaxLen)
 	default:
 		return nil, fmt.Errorf("gpapriori: unknown algorithm %q (have %v)", algo, Algorithms())
 	}
 
-	res.Itemsets = toItemsets(rs)
+	res.Itemsets = capLen(rs, cfg.MaxLen).Sets
 	return res, nil
 }
 
@@ -527,34 +509,22 @@ func wireGenerationHook(algo Algorithm, cfg Config, acfg *apriori.Config) {
 				return err
 			}
 		}
-		notify(gen, toItemsets(frequent))
+		notify(gen, frequent.Sets)
 		return nil
 	}
 }
 
-// toItemsets converts a result set to the public shape in canonical
-// order.
-func toItemsets(rs *dataset.ResultSet) []Itemset {
-	rs.Sort()
-	out := make([]Itemset, rs.Len())
-	for i, s := range rs.Sets {
-		out[i] = Itemset{Items: s.Items, Support: s.Support}
-	}
-	return out
-}
-
-// capLen filters rs to itemsets of at most maxLen items (depth-first
-// miners have no level-wise cutoff, so the bound is applied after the
-// fact to keep result sets comparable).
+// capLen sorts rs canonically, in place, and returns its itemsets of at
+// most maxLen items (all of them when maxLen ≤ 0) without copying any:
+// canonical order puts shorter itemsets first, so they are a prefix of
+// rs.Sets. Every run's result is sorted here, once. The depth-first
+// miners have no level-wise cutoff, so for them this also applies the
+// bound, keeping result sets comparable; the others never exceed it.
 func capLen(rs *dataset.ResultSet, maxLen int) *dataset.ResultSet {
+	rs.Sort()
 	if maxLen <= 0 {
 		return rs
 	}
-	out := &dataset.ResultSet{}
-	for _, s := range rs.Sets {
-		if len(s.Items) <= maxLen {
-			out.Add(s.Items, s.Support)
-		}
-	}
-	return out
+	n, _ := slices.BinarySearchFunc(rs.Sets, maxLen+1, func(s Itemset, k int) int { return len(s.Items) - k })
+	return &dataset.ResultSet{Sets: rs.Sets[:n]}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -472,6 +473,35 @@ func TestMineContextCancelled(t *testing.T) {
 	for _, algo := range []Algorithm{AlgoGPApriori, AlgoCPUBitset, AlgoEclat} {
 		if _, err := MineContext(ctx, figure2(), Config{Algorithm: algo, MinSupport: 2}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", algo, err)
+		}
+	}
+}
+
+// TestResultTypesJSON pins the JSON of the result types the engine and
+// the public API share: a stream event with its itemsets, the -json
+// fault_stats object and a -json rule. A JSON tag dropped from
+// dataset.Itemset, core.FaultStats or rules.Rule fails here.
+func TestResultTypesJSON(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{ServeGenerationEvent{Gen: 2, Itemsets: []Itemset{{Items: []Item{1}, Support: 5}, {Items: []Item{1, 3}, Support: 4}}},
+			`{"gen":2,"itemsets":[{"items":[1],"support":5},{"items":[1,3],"support":4}]}`},
+		{FaultStats{Injected: 3, KernelFaults: 1, TransferFaults: 1, Hangs: 1, Retries: 2, Failovers: 1,
+			DegradedCandidates: 7, RecoverySeconds: 1.5, DeadDevices: []int{0, 2}},
+			`{"injected":3,"kernel_faults":1,"transfer_faults":1,"hangs":1,"retries":2,"failovers":1,"degraded_candidates":7,"recovery_seconds":1.5,"dead_devices":[0,2]}`},
+		{FaultStats{Retries: 1, RecoverySeconds: 0.001},
+			`{"injected":0,"kernel_faults":0,"transfer_faults":0,"hangs":0,"retries":1,"failovers":0,"degraded_candidates":0,"recovery_seconds":0.001}`},
+		{Rule{Antecedent: []Item{2}, Consequent: []Item{1, 3}, Support: 0.4, Confidence: 0.8, Lift: 1.25},
+			`{"antecedent":[2],"consequent":[1,3],"support":0.4,"confidence":0.8,"lift":1.25}`},
+	} {
+		got, err := json.Marshal(c.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%T marshals to\n%s\nwant\n%s", c.v, got, c.want)
 		}
 	}
 }

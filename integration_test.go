@@ -5,6 +5,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"gpapriori/internal/dataset"
 )
 
 // TestPropertyAllMinersAgree is the repository's central correctness
@@ -108,4 +110,11 @@ func sameItemsets(a, b []Itemset) bool {
 	return slices.EqualFunc(a, b, func(x, y Itemset) bool {
 		return x.Support == y.Support && slices.Equal(x.Items, y.Items)
 	})
+}
+
+// toItemsets sorts rs canonically, as MineContext sorts every result,
+// and returns its itemsets.
+func toItemsets(rs *dataset.ResultSet) []Itemset {
+	rs.Sort()
+	return rs.Sets
 }

@@ -47,13 +47,14 @@ type Config struct {
 	// Checkpoint, when non-nil, is invoked at every generation boundary
 	// — after generation gen (the itemset length just counted) has been
 	// counted and pruned — and always at the final boundary. Each call
-	// carries only what is new: the frequent itemsets of length in (p,
-	// gen], p the run's previous boundary (0 at its first), so a run's
-	// boundaries carry its result exactly once and a resumed run's first
-	// boundary carries its resume point. The union of the calls up to
-	// gen is every frequent itemset of length ≤ gen, Apriori's only
-	// durable state at a boundary and so a complete resume point; a
-	// hook that needs it keeps the union itself (checkpoint.Wire does).
+	// carries only what is new, in canonical order: the frequent
+	// itemsets of length in (p, gen], p the run's previous boundary (0
+	// at its first), so a run's boundaries carry its result exactly once
+	// and a resumed run's first boundary carries its resume point. The
+	// union of the calls up to gen is every frequent itemset of length
+	// ≤ gen, Apriori's only durable state at a boundary and so a
+	// complete resume point; a hook that needs it keeps the union itself
+	// (checkpoint.Wire does), and the calls' concatenation is canonical.
 	// A checkpoint error aborts the run: continuing would silently mine
 	// without the durability the caller asked for. Both engines report
 	// through one reporter (boundaries), from the goroutine that called
@@ -183,7 +184,8 @@ func seedFromResume(t *trie.Trie, r *Resume, minSupport int, supports []int) (in
 // order, then always the final boundary, which is the start itself
 // only when the run counted nothing past it. Each call carries the
 // frequent itemsets of length in (saved, k], copied out of the trie by
-// FrequentPacked, and ctx is checked before each, so a run cancelled
+// FrequentPacked and sorted canonically, so the calls' concatenation is
+// canonical too; ctx is checked before each, so a run cancelled
 // after its last count still stops before its next boundary. With no
 // hook it reports nothing.
 type boundaries struct {
@@ -207,7 +209,9 @@ func (b *boundaries) report(upTo int) error {
 			return err
 		}
 		k := b.done + 1
-		if err := b.hook(k, b.t.FrequentPacked(b.minsup, b.saved, k)); err != nil {
+		frequent := b.t.FrequentPacked(b.minsup, b.saved, k)
+		frequent.Sort()
+		if err := b.hook(k, frequent); err != nil {
 			return fmt.Errorf("apriori: checkpoint at generation %d: %w", k, err)
 		}
 		b.saved = k

@@ -128,22 +128,24 @@ const (
 )
 
 // FaultStats makes robustness observable: everything the fault machinery
-// injected, absorbed, and paid for during one mining run.
+// injected, absorbed, and paid for during one mining run. The JSON tags
+// fix the fault_stats object of gpapriori -json (the root package's
+// FaultStats is this type).
 type FaultStats struct {
-	Injected       int // faults fired across all devices
-	KernelFaults   int // failed kernel launches
-	TransferFaults int // aborted transfers
-	Hangs          int // hung kernels (watchdog-killed or late)
-	Retries        int // batch retries performed
-	Failovers      int // batches re-routed off a lost device
+	Injected       int `json:"injected"`        // faults fired across all devices
+	KernelFaults   int `json:"kernel_faults"`   // failed kernel launches
+	TransferFaults int `json:"transfer_faults"` // aborted transfers
+	Hangs          int `json:"hangs"`           // hung kernels (watchdog-killed or late)
+	Retries        int `json:"retries"`         // batch retries performed
+	Failovers      int `json:"failovers"`       // batches re-routed off a lost device
 	// DegradedCandidates counts candidates that fell back to the host CPU
 	// because no device survived to count them.
-	DegradedCandidates int
+	DegradedCandidates int `json:"degraded_candidates"`
 	// RecoverySeconds is the modeled time lost to faults: stalls of hung
 	// and failed operations plus retry backoff.
-	RecoverySeconds float64
+	RecoverySeconds float64 `json:"recovery_seconds"`
 	// DeadDevices lists devices permanently lost during the run.
-	DeadDevices []int
+	DeadDevices []int `json:"dead_devices,omitempty"`
 }
 
 // Any reports whether any fault activity occurred.

@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -8,10 +10,12 @@ import (
 
 // Itemset is a sorted set of items together with its support count. Every
 // miner in the repository returns its results in this form so that outputs
-// can be compared bit-for-bit across algorithms.
+// can be compared bit-for-bit across algorithms. The JSON tags fix the
+// shape the serving layer streams (the root package's Itemset is this
+// type).
 type Itemset struct {
-	Items   []Item
-	Support int
+	Items   []Item `json:"items"`
+	Support int    `json:"support"`
 }
 
 // NewItemset copies, sorts and deduplicates items.
@@ -50,29 +54,62 @@ type ResultSet struct {
 	Sets []Itemset
 }
 
-// Add appends an itemset to the result set.
+// Add appends an itemset to the result set, normalized by NewItemset.
 func (r *ResultSet) Add(items []Item, support int) {
 	r.Sets = append(r.Sets, NewItemset(items, support))
+}
+
+// Append adds an itemset that must keep r canonical, without copying
+// items: they must strictly increase, and the itemset must sort after
+// r's last one by Compare, which also refuses a repeat. A reader of a
+// canonical result checks each itemset with it as the itemset arrives.
+func (r *ResultSet) Append(items []Item, support int) error {
+	for i := 1; i < len(items); i++ {
+		if items[i] <= items[i-1] {
+			return fmt.Errorf("items of {%s} do not strictly increase", Itemset{Items: items}.Key())
+		}
+	}
+	if n := len(r.Sets); n > 0 {
+		last := r.Sets[n-1]
+		switch c := Compare(last.Items, items); {
+		case c == 0:
+			return fmt.Errorf("itemset {%s} repeats", last.Key())
+		case c > 0:
+			return fmt.Errorf("itemset {%s} comes after {%s}, out of canonical order", Itemset{Items: items}.Key(), last.Key())
+		}
+	}
+	r.Sets = append(r.Sets, Itemset{Items: items, Support: support})
+	return nil
 }
 
 // Len returns the number of frequent itemsets found.
 func (r *ResultSet) Len() int { return len(r.Sets) }
 
-// Sort orders the result canonically: by size, then lexicographically by
-// items. All cross-miner comparisons sort first.
+// Compare is the canonical order of itemsets: by size, then
+// lexicographically by items. It returns a negative number when a sorts
+// before b, a positive one when after, and zero for the same items.
+func Compare(a, b []Item) int {
+	if len(a) != len(b) {
+		return len(a) - len(b)
+	}
+	return slices.Compare(a, b)
+}
+
+// Sort orders the result canonically (Compare). All cross-miner
+// comparisons sort first.
 func (r *ResultSet) Sort() {
-	sort.Slice(r.Sets, func(i, j int) bool {
-		a, b := r.Sets[i].Items, r.Sets[j].Items
-		if len(a) != len(b) {
-			return len(a) < len(b)
+	slices.SortFunc(r.Sets, func(a, b Itemset) int { return Compare(a.Items, b.Items) })
+}
+
+// Sorted reports whether r is in canonical order with no itemset
+// repeated, as Sort leaves a miner's result.
+func (r *ResultSet) Sorted() bool {
+	for i := 1; i < len(r.Sets); i++ {
+		if Compare(r.Sets[i-1].Items, r.Sets[i].Items) >= 0 {
+			return false
 		}
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
+	}
+	return true
 }
 
 // Equal reports whether two result sets contain exactly the same itemsets

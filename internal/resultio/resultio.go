@@ -6,8 +6,9 @@
 //
 // The format is also the payload of generation-boundary checkpoints
 // (internal/checkpoint), so Read is strict: malformed lines, truncated
-// separators, and duplicate itemsets are typed *CorruptError values that
-// carry the offending line number and satisfy errors.Is(err, ErrCorrupt).
+// separators, and itemsets out of canonical order (duplicates included)
+// are typed *CorruptError values that carry the offending line number
+// and satisfy errors.Is(err, ErrCorrupt).
 package resultio
 
 import (
@@ -44,9 +45,13 @@ func corruptf(line int, format string, args ...any) error {
 	return &CorruptError{Line: line, Reason: fmt.Sprintf(format, args...)}
 }
 
-// Write serializes rs in canonical order.
+// Write serializes rs in canonical order. It sorts rs in place first
+// unless rs is already sorted, so a canonical result shared between
+// goroutines is only read.
 func Write(w io.Writer, rs *dataset.ResultSet) error {
-	rs.Sort()
+	if !rs.Sorted() {
+		rs.Sort()
+	}
 	bw := bufio.NewWriter(w)
 	for _, s := range rs.Sets {
 		for i, it := range s.Items {
@@ -69,14 +74,17 @@ func Write(w io.Writer, rs *dataset.ResultSet) error {
 // Read parses the Write format. Malformed lines are errors (results are
 // machine-written; silent skips would hide corruption): every defect is a
 // *CorruptError carrying the line number, matchable with
-// errors.Is(err, ErrCorrupt). Duplicate itemsets are rejected — Write
-// never emits them, so their presence means the file was damaged or
-// concatenated.
+// errors.Is(err, ErrCorrupt). Write emits canonical order, so Read
+// requires it: items strictly increasing within a line, and each itemset
+// sorting after the previous line's (dataset.Compare). That rejects a
+// duplicate itemset, which means the file was damaged or concatenated,
+// and hands back a result no caller needs to sort.
 func Read(r io.Reader) (*dataset.ResultSet, error) {
 	rs := &dataset.ResultSet{}
-	seen := make(map[string]int)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// The buffer grows from the scanner's small default only as far as
+	// the longest line needs, up to the limit.
+	sc.Buffer(nil, 1<<24)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -107,12 +115,9 @@ func Read(r io.Reader) (*dataset.ResultSet, error) {
 			}
 			items[i] = dataset.Item(v)
 		}
-		set := dataset.NewItemset(items, sup)
-		if first, dup := seen[set.Key()]; dup {
-			return nil, corruptf(line, "duplicate itemset {%s} (first on line %d)", set.Key(), first)
+		if err := rs.Append(items, sup); err != nil {
+			return nil, corruptf(line, "%v", err)
 		}
-		seen[set.Key()] = line
-		rs.Sets = append(rs.Sets, set)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

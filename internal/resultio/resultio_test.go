@@ -2,6 +2,7 @@ package resultio
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -40,18 +41,31 @@ func TestWriteFormatStable(t *testing.T) {
 	}
 }
 
+// TestReadRejectsMalformed: every defect is a *CorruptError naming its
+// line, including a result out of canonical order, which Write never
+// emits.
 func TestReadRejectsMalformed(t *testing.T) {
-	cases := []string{
-		"1 2 5\n",        // no separator
-		"1 2 : x\n",      // bad support
-		" : 5\n",         // empty itemset
-		"1 zz : 5\n",     // bad item
-		"1 -2 : 5\n",     // negative item
-		"4294967296 : 1", // overflow
+	cases := []struct {
+		in   string
+		line int
+	}{
+		{"1 2 5\n", 1},                          // no separator
+		{"1 2 : x\n", 1},                        // bad support
+		{" : 5\n", 1},                           // empty itemset
+		{"1 zz : 5\n", 1},                       // bad item
+		{"1 -2 : 5\n", 1},                       // negative item
+		{"4294967296 : 1", 1},                   // overflow
+		{"1 : 4\n3 1 : 2\n", 2},                 // items out of order
+		{"1 : 4\n1 1 : 2\n", 2},                 // item repeated
+		{"1 : 4\n1 2 : 2\n3 : 4\n", 3},          // itemsets out of order
+		{"1 : 4\n2 : 3\n1 2 : 2\n1 2 : 2\n", 4}, // duplicate itemset
+		{"1 : 4\n\n1 : 4\n", 3},                 // duplicate past a blank line
 	}
 	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c)); err == nil {
-			t.Errorf("accepted malformed %q", c)
+		_, err := Read(strings.NewReader(c.in))
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Line != c.line {
+			t.Errorf("Read(%q) = %v, want a *CorruptError on line %d", c.in, err, c.line)
 		}
 	}
 }

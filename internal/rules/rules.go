@@ -16,13 +16,15 @@ import (
 	"gpapriori/internal/dataset"
 )
 
-// Rule is one association rule X ⇒ Y with its quality measures.
+// Rule is one association rule X ⇒ Y with its quality measures. The
+// JSON tags fix the rule objects of gpapriori -json (the root package's
+// Rule is this type).
 type Rule struct {
-	Antecedent []dataset.Item // X, sorted
-	Consequent []dataset.Item // Y, sorted; disjoint from X
-	Support    float64        // support(X∪Y) / |DB|
-	Confidence float64        // support(X∪Y) / support(X)
-	Lift       float64        // confidence / (support(Y)/|DB|)
+	Antecedent []dataset.Item `json:"antecedent"` // X, sorted
+	Consequent []dataset.Item `json:"consequent"` // Y, sorted; disjoint from X
+	Support    float64        `json:"support"`    // support(X∪Y) / |DB|
+	Confidence float64        `json:"confidence"` // support(X∪Y) / support(X)
+	Lift       float64        `json:"lift"`       // confidence / (support(Y)/|DB|)
 }
 
 // String renders "1 2 => 3 (sup=0.40 conf=0.80 lift=1.33)".

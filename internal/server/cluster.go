@@ -221,22 +221,6 @@ func (c *clusterState) stats() *gpapriori.ServeClusterStats {
 
 // ---- peer cache consult ----
 
-// parseResultBody decodes a peer's resultio-canonical body back into
-// itemsets, rejecting anything malformed — a peer serving garbage must
-// cost a recompute, never a corrupt cache entry.
-func parseResultBody(body []byte) ([]gpapriori.Itemset, error) {
-	rs, err := resultio.Read(bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	rs.Sort()
-	out := make([]gpapriori.Itemset, 0, rs.Len())
-	for _, is := range rs.Sets {
-		out = append(out, gpapriori.Itemset{Items: is.Items, Support: is.Support})
-	}
-	return out, nil
-}
-
 // consultPeerCaches asks the other static owners of dataset ds for the
 // result body of key and installs the first hit into the local cache,
 // where the caller's submitLocal picks it up. Owners are asked in ring
@@ -258,15 +242,17 @@ func (s *Server) consultPeerCaches(ctx context.Context, ds string, key uint64) {
 		if err != nil {
 			continue
 		}
-		items, perr := parseResultBody(body)
+		// A peer serving garbage, or a body out of canonical order, must
+		// cost a recompute, never a corrupt cache entry.
+		rs, perr := resultio.Read(bytes.NewReader(body))
 		if perr != nil {
 			s.logf("cache replica %016x from %s is malformed: %v (ignoring)", key, owner, perr)
 			continue
 		}
-		s.cache.Put(&cacheEntry{key: key, body: body, itemsets: items})
+		s.cache.Put(&cacheEntry{key: key, body: body, itemsets: rs.Sets})
 		c.peerHits.Add(1)
 		c.replicasInstalled.Add(1)
-		s.logf("installed cache replica %016x from peer %s (%d itemsets)", key, owner, len(items))
+		s.logf("installed cache replica %016x from peer %s (%d itemsets)", key, owner, rs.Len())
 		return
 	}
 	c.peerMisses.Add(1)

@@ -611,16 +611,13 @@ func (r *jobRecord) complete(info gpapriori.ServeJobInfo, body []byte, itemsets 
 	r.signalLocked()
 }
 
-// renderResult produces the resultio-canonical text body — the same
+// renderResult produces the canonical text body of itemsets, which a
+// mine and a peer's body both hand over in canonical order — the same
 // bytes the offline CLI writes, which is what makes served and offline
 // results diffable.
 func renderResult(itemsets []gpapriori.Itemset) []byte {
-	rs := &dataset.ResultSet{}
-	for _, s := range itemsets {
-		rs.Add(s.Items, s.Support)
-	}
 	var buf bytes.Buffer
-	if err := resultio.Write(&buf, rs); err != nil {
+	if err := resultio.Write(&buf, &dataset.ResultSet{Sets: itemsets}); err != nil {
 		// resultio.Write to a bytes.Buffer cannot fail; keep the
 		// invariant loud rather than silently serving an empty body.
 		panic(fmt.Sprintf("server: rendering result: %v", err))

@@ -93,7 +93,7 @@ func TestServedEquivalence(t *testing.T) {
 		var want []gpapriori.Itemset
 		for _, s := range rs.Sets {
 			if req.MaxLen == 0 || len(s.Items) <= req.MaxLen {
-				want = append(want, gpapriori.Itemset{Items: s.Items, Support: s.Support})
+				want = append(want, s)
 			}
 		}
 		if !reflect.DeepEqual(res.Itemsets, want) {

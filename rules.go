@@ -7,25 +7,12 @@ import (
 	"gpapriori/internal/rules"
 )
 
-// Rule is an association rule X ⇒ Y derived from frequent itemsets.
-type Rule struct {
-	Antecedent []Item  // X
-	Consequent []Item  // Y (disjoint from X)
-	Support    float64 // support(X∪Y) / |DB|
-	Confidence float64 // support(X∪Y) / support(X)
-	Lift       float64 // Confidence / (support(Y)/|DB|)
-}
-
-// String renders "1 2 => 3 (sup=0.40 conf=0.80 lift=1.33)".
-func (r Rule) String() string {
-	return rules.Rule{
-		Antecedent: r.Antecedent,
-		Consequent: r.Consequent,
-		Support:    r.Support,
-		Confidence: r.Confidence,
-		Lift:       r.Lift,
-	}.String()
-}
+// Rule is an association rule X ⇒ Y derived from frequent itemsets:
+// X and Y are disjoint sorted item lists, Support is support(X∪Y)/|DB|,
+// Confidence support(X∪Y)/support(X) and Lift Confidence/(support(Y)/
+// |DB|). String renders "1 2 => 3 (sup=0.40 conf=0.80 lift=1.33)", and
+// the JSON tags fix the rule objects of gpapriori -json.
+type Rule = rules.Rule
 
 // GenerateRules derives every association rule with confidence ≥
 // minConfidence from a mining result, sorted by descending confidence.
@@ -35,25 +22,7 @@ func GenerateRules(res *Result, db *Database, minConfidence float64) ([]Rule, er
 	if res == nil || db == nil {
 		return nil, fmt.Errorf("gpapriori: GenerateRules needs a result and its database")
 	}
-	rs := &dataset.ResultSet{}
-	for _, s := range res.Itemsets {
-		rs.Add(s.Items, s.Support)
-	}
-	raw, err := rules.Generate(rs, db.Len(), minConfidence)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Rule, len(raw))
-	for i, r := range raw {
-		out[i] = Rule{
-			Antecedent: r.Antecedent,
-			Consequent: r.Consequent,
-			Support:    r.Support,
-			Confidence: r.Confidence,
-			Lift:       r.Lift,
-		}
-	}
-	return out, nil
+	return rules.Generate(&dataset.ResultSet{Sets: res.Itemsets}, db.Len(), minConfidence)
 }
 
 // FilterRulesByLift keeps rules whose lift is at least minLift.

@@ -57,33 +57,20 @@ ALLOCS=$(go test -run='^$' -bench='^BenchmarkMinePipeline$/shape=T40I10D100K/wor
 }
 echo "alloc gate: $ALLOCS allocs/op <= $ALLOC_CEILING: OK"
 
-# Served-shape alloc gate: BenchmarkMineServedShapes mines the four
-# shapes of perfbench's miss workload the way gpaserve runs a job
-# (MineContext with an OnGeneration hook, new pipeline per job), pinned
-# to 2 workers by -cpu so the per-worker scratch does not scale with
-# the host. Each job transposes only its frequent items, into one
-# slab, and counts each candidate with one AND-popcount loop that keeps
-# no scratch. Measured per op over five runs of this command, at most
-# KiB in allocations: T40I10D100K 493 in 66-71, accidents 531 in
-# 68-71, pumsb 761 in 151-163, chess 748 in 186-211; with every item
-# transposed one vector at a time they were 1,694 in 1,970, 2,713 in
-# 1,035, 2,170 in 4,410 and 784 in 383. The count ceilings leave about
-# 1.5x headroom over the highest first figure, the byte ceilings
-# 1.6-2.3x. All sit below the second figures except chess's bytes: its
-# full layout is 19 KB, so only its count can tell the two apart. The
-# count catches a return of per-item transposition, the bytes a
-# transposition of every item.
-SERVED=$(go test -run='^$' -bench='^BenchmarkMineServedShapes$' -benchmem -benchtime=1x -cpu 2 .)
-echo "$SERVED" | awk '
+# alloc_gate LABEL BENCH CEILINGS checks the `go test -bench -benchmem`
+# output on stdin: every BENCH/shape=<shape> line against CEILINGS, a
+# list of "shape KiB allocs" triples per op. A shape over a ceiling, or
+# one with no result, fails.
+alloc_gate() {
+    awk -v label="$1" -v bench="$2/shape=" -v ceilings="$3" '
     BEGIN {
-        kib["T40I10D100K"] = 1000; allocs["T40I10D100K"] = 110
-        kib["accidents"] = 1200;   allocs["accidents"] = 110
-        kib["pumsb"] = 1500;       allocs["pumsb"] = 250
-        kib["chess"] = 1200;       allocs["chess"] = 320
+        n = split(ceilings, c, " ")
+        for (i = 1; i + 2 <= n; i += 3) {
+            kib[c[i]] = c[i + 1]; allocs[c[i]] = c[i + 2]
+        }
     }
-    /^BenchmarkMineServedShapes\/shape=/ {
-        shape = $1
-        sub(/^BenchmarkMineServedShapes\/shape=/, "", shape)
+    index($1, bench) == 1 {
+        shape = substr($1, length(bench) + 1)
         sub(/-[0-9]+$/, "", shape)
         for (i = 2; i <= NF; i++) {
             if ($i == "B/op") bytes = $(i - 1)
@@ -95,18 +82,54 @@ echo "$SERVED" | awk '
             verdict = "FAIL"
             bad = 1
         }
-        printf "served-shape gate: %s %.0f KiB/op in %d allocs/op (ceilings %d KiB, %d allocs): %s\n",
-            shape, bytes / 1024, n, kib[shape], allocs[shape], verdict
+        printf "%s gate: %s %.0f KiB/op in %d allocs/op (ceilings %d KiB, %d allocs): %s\n",
+            label, shape, bytes / 1024, n, kib[shape], allocs[shape], verdict
     }
     END {
         for (shape in kib) {
             if (!(shape in seen)) {
-                printf "served-shape gate: no result for %s\n", shape
+                printf "%s gate: no result for %s\n", label, shape
                 bad = 1
             }
         }
         exit bad
     }'
+}
+
+# Served-shape alloc gate: BenchmarkMineServedShapes mines the four
+# shapes of perfbench's miss workload the way gpaserve runs a job
+# (MineContext with an OnGeneration hook, new pipeline per job), pinned
+# to 2 workers by -cpu so the per-worker scratch does not scale with
+# the host. Each job transposes only its frequent items, into one
+# slab, and counts each candidate with one AND-popcount loop that keeps
+# no scratch. Measured per op over five runs of this command, at most
+# KiB in allocations: T40I10D100K 493 in 57-63, accidents 530 in
+# 57-61, pumsb 755 in 126-150, chess 738 in 174-191; with every item
+# transposed one vector at a time they were 1,694 in 1,970, 2,713 in
+# 1,035, 2,170 in 4,410 and 784 in 383. The count ceilings leave
+# 1.7-1.8x headroom over the highest first figure, the byte ceilings
+# 1.6-2.3x. All sit below the second figures except chess's bytes: its
+# full layout is 19 KB, so only its count can tell the two apart. The
+# count catches a return of per-item transposition, the bytes a
+# transposition of every item.
+go test -run='^$' -bench='^BenchmarkMineServedShapes$' -benchmem -benchtime=1x -cpu 2 . |
+    alloc_gate served-shape BenchmarkMineServedShapes \
+        "T40I10D100K 1000 110 accidents 1200 110 pumsb 1500 250 chess 1200 320"
+
+# Served-hit alloc gate: BenchmarkServedCacheHit runs a cache-hit
+# ServeClient.Mine over httptest, client and daemon together, on two of
+# perfbench's hit shapes: pumsb x0.1 @0.90 and chess x1.0 @0.55 (about
+# 4,095 itemsets). The client decodes the one event that carries the
+# result and checks it in canonical order as it arrives, with no copy,
+# re-sort or megabyte scanner buffer. Measured per op over eight runs
+# of this command: pumsb 46-52 KiB in 371-377 allocs, chess
+# 1,783-2,024 KiB in 11,983-11,998. When the client re-normalised and
+# re-sorted every itemset they were 1,083-1,085 KiB in 649 and
+# 2,912-2,919 KiB in 24,263-24,266. The ceilings leave about 1.5x
+# headroom (chess's bytes 1.33x, to stay below its old figure) and
+# catch a return of either.
+go test -run='^$' -bench='^BenchmarkServedCacheHit$' -benchmem -benchtime=20x -cpu 2 ./internal/server/ |
+    alloc_gate served-hit BenchmarkServedCacheHit "pumsb 75 560 chess 2700 18000"
 
 # Fuzz smoke: each hardened parser, and the differential check of every
 # algorithm and its streamed generations against the oracle, fuzzes for

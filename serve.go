@@ -127,7 +127,9 @@ func (i *ServeJobInfo) Terminal() bool {
 // GET /v1/jobs/{id}/stream. Non-final events carry the itemsets newly
 // completed since the previous event (for a level-wise run: one
 // generation, announced only after its checkpoint is durable). The
-// final event carries any remainder plus the terminal job info.
+// final event carries any remainder plus the terminal job info. Read in
+// order, a stream's itemsets are canonical (dataset order: by length,
+// then by items) and each arrives once; ServeClient.Mine checks that.
 type ServeGenerationEvent struct {
 	// Gen is the itemset length just counted (0 on events that are not
 	// tied to a generation boundary).
@@ -829,8 +831,8 @@ func (c *ServeClient) CacheLookup(ctx context.Context, key uint64) ([]byte, erro
 	return io.ReadAll(resp.Body)
 }
 
-// Result fetches a done job's full frequent-itemset result (the
-// resultio-normalized canonical order).
+// Result fetches a done job's full frequent-itemset result, in the
+// canonical order resultio.Read requires of the body.
 func (c *ServeClient) Result(ctx context.Context, id string) ([]Itemset, error) {
 	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/result", nil, nil)
 	if err != nil {
@@ -841,7 +843,7 @@ func (c *ServeClient) Result(ctx context.Context, id string) ([]Itemset, error) 
 	if err != nil {
 		return nil, fmt.Errorf("gpapriori: parsing served result: %w", err)
 	}
-	return toItemsets(rs), nil
+	return rs.Sets, nil
 }
 
 // callbackError marks an error raised by the caller's event callback:
@@ -926,7 +928,9 @@ func (c *ServeClient) streamOnce(ctx context.Context, id string, lastGen *int, f
 	}
 	defer resp.Body.Close()
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
+	// The buffer grows from the scanner's small default only as far as
+	// the longest event needs, up to the limit.
+	sc.Buffer(nil, 1<<26)
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
@@ -965,10 +969,11 @@ func (c *ServeClient) streamOnce(ctx context.Context, id string, lastGen *int, f
 
 // Mine is the end-to-end client call: submit the request, consume the
 // generation stream, and assemble the terminal job info plus the full
-// result into the same *Result shape a local Mine returns. The itemsets
-// are reassembled from the streamed events (canonically re-sorted), so
-// a served run is byte-identical — after resultio normalization — to an
-// offline one.
+// result into the same *Result shape a local Mine returns. Each event's
+// itemsets are appended as they arrive, each checked to follow the one
+// before it in canonical order, so the result needs no sort and a
+// served run is byte-identical to an offline one. A stream that breaks
+// that order or repeats an itemset fails the call.
 func (c *ServeClient) Mine(ctx context.Context, req ServeMineRequest) (*Result, *ServeJobInfo, error) {
 	job, err := c.Submit(ctx, req)
 	if err != nil {
@@ -977,7 +982,9 @@ func (c *ServeClient) Mine(ctx context.Context, req ServeMineRequest) (*Result, 
 	rs := &dataset.ResultSet{}
 	collect := func(ev ServeGenerationEvent) error {
 		for _, s := range ev.Itemsets {
-			rs.Add(s.Items, s.Support)
+			if err := rs.Append(s.Items, s.Support); err != nil {
+				return fmt.Errorf("gpapriori: stream of job %s: %w", job.ID, err)
+			}
 		}
 		return nil
 	}
@@ -992,7 +999,7 @@ func (c *ServeClient) Mine(ctx context.Context, req ServeMineRequest) (*Result, 
 	res := &Result{
 		Algorithm:   Algorithm(info.Algorithm),
 		MinSupport:  info.MinSupport,
-		Itemsets:    toItemsets(rs),
+		Itemsets:    rs.Sets,
 		HostSeconds: info.HostSeconds,
 	}
 	return res, info, nil

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -399,5 +400,72 @@ func TestZeroPolicyFailsFast(t *testing.T) {
 	}
 	if calls != 1 {
 		t.Fatalf("%d attempts without a policy, want 1", calls)
+	}
+}
+
+// scriptedMine serves one submission, job-1, whose stream sends events.
+func scriptedMine(events ...ServeGenerationEvent) *httptest.Server {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(ServeJobInfo{ID: "job-1", State: "queued"})
+	})
+	mux.HandleFunc("GET /v1/jobs/job-1/stream", func(w http.ResponseWriter, r *http.Request) {
+		enc := json.NewEncoder(w)
+		for _, ev := range events {
+			enc.Encode(ev)
+		}
+	})
+	return httptest.NewServer(mux)
+}
+
+// TestMineRequiresCanonicalStream: Mine appends each streamed itemset
+// as it arrives, so a stream out of canonical order fails the call
+// instead of being repaired: unsorted items, an itemset that sorts
+// before the previous one, and an itemset repeated across events.
+func TestMineRequiresCanonicalStream(t *testing.T) {
+	done := &ServeJobInfo{ID: "job-1", State: "done", Itemsets: 3}
+	one := Itemset{Items: []Item{1}, Support: 9}
+	pair := Itemset{Items: []Item{1, 2}, Support: 4}
+	for _, c := range []struct {
+		name   string
+		events []ServeGenerationEvent
+		want   string // "" = success
+	}{
+		{"canonical", []ServeGenerationEvent{
+			{Gen: 1, Itemsets: []Itemset{one, {Items: []Item{2}, Support: 5}}},
+			{Final: true, Itemsets: []Itemset{pair}, Job: done},
+		}, ""},
+		{"unsorted items", []ServeGenerationEvent{
+			{Gen: 2, Itemsets: []Itemset{one, {Items: []Item{2, 1}, Support: 4}}},
+			{Final: true, Job: done},
+		}, "do not strictly increase"},
+		{"out of order", []ServeGenerationEvent{
+			{Gen: 2, Itemsets: []Itemset{pair, one}},
+			{Final: true, Job: done},
+		}, "out of canonical order"},
+		{"repeated across events", []ServeGenerationEvent{
+			{Gen: 1, Itemsets: []Itemset{one}},
+			{Final: true, Itemsets: []Itemset{one, pair}, Job: done},
+		}, "repeats"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ts := scriptedMine(c.events...)
+			defer ts.Close()
+			cl, _ := newRetryClient(t, ts, RetryPolicy{MaxAttempts: 3})
+			res, _, err := cl.Mine(context.Background(), ServeMineRequest{Dataset: "d", MinSupport: 2})
+			if c.want == "" {
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := []Itemset{one, {Items: []Item{2}, Support: 5}, pair}
+				if !sameItemsets(res.Itemsets, want) {
+					t.Fatalf("Mine = %v, want %v", res.Itemsets, want)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Mine err = %v, want one saying %q (result %v)", err, c.want, res)
+			}
+		})
 	}
 }
